@@ -1,0 +1,7 @@
+"""Put the library and the benchmark modules on the path for `python3 -m pytest bench`."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent
+sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
