@@ -103,6 +103,7 @@ def main(argv=None) -> int:
     report = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "calls": final["calls"],
+        "trials_per_s_mean": final.get("trials_per_s_mean"),
         "unscaled": {**final.get("unscaled", {}), "setup_s": setup_samples},
         "setup_scale": [r["scale"] for r in runs],
         "calibration_ms_p50": final.get("calibration_ms_p50"),

@@ -28,13 +28,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
+from scipy.optimize import linprog  # noqa: E402
+from scipy.spatial import ConvexHull  # noqa: E402
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 from framegeo import experiments  # noqa: E402
 
 CALIBRATION_REF_S = 0.00125  # times are scaled to this calibration unit time
+CALIBRATION_LP_REF_S = 0.003  # and this much more per LP in the unit
+CALIBRATION_HULL_REF_S = 0.0002  # and per convex hull
 SETUP_CALIBRATION_UNITS = 16
+THROUGHPUT_WINDOWS = 15
 
 
 class Calibration:
@@ -45,12 +50,24 @@ class Calibration:
     process drifted by up to 1.7x within minutes, so no amount of work in
     one run averages it out.  The unit mixes interpreted Python with small numpy kernels, as a
     trial does, and runs between requests; each request's time is scaled by
-    CALIBRATION_REF_S over the mean of the two units around it.  Times read
-    as on a machine where one unit takes CALIBRATION_REF_S.
+    ``ref_s`` over the mean of the two units around it.  Times read as on a
+    machine where one unit takes ``ref_s``.
+
+    A workload that spends much of its time in HiGHS LPs or in qhull adds
+    ``lps`` small LPs or ``hulls`` small convex hulls to the unit: their
+    speed drifts apart from that of the Python and numpy part.
     """
 
-    def __init__(self):
-        self.points = np.random.default_rng(0).standard_normal((40, 5))
+    def __init__(self, lps=0, hulls=0):
+        rng = np.random.default_rng(0)
+        self.points = rng.standard_normal((40, 5))
+        self.lps = lps
+        self.lp_matrix = rng.standard_normal((4, 16))
+        self.lp_rhs = self.lp_matrix @ np.abs(rng.standard_normal(16))
+        self.hulls = hulls
+        self.hull_points = rng.standard_normal((60, 4))
+        self.ref_s = (CALIBRATION_REF_S + lps * CALIBRATION_LP_REF_S
+                      + hulls * CALIBRATION_HULL_REF_S)
         self.times = []
 
     def run(self):
@@ -63,6 +80,12 @@ class Calibration:
         for _ in range(30):
             g = np.einsum("ij,jk,ik->i", P, np.linalg.inv(M), P)
             M = M + 1e-9 * np.outer(P[int(np.argmax(g))], P[0])
+        A = self.lp_matrix
+        for _ in range(self.lps):
+            linprog(np.ones(2 * A.shape[1]), A_eq=np.hstack([A, -A]), b_eq=self.lp_rhs,
+                    bounds=(0, None), method="highs")
+        for _ in range(self.hulls):
+            ConvexHull(self.hull_points)
         self.times.append(time.perf_counter() - start)
 
 
@@ -106,15 +129,27 @@ def machine_facts() -> dict:
     }
 
 
+def _windowed_throughput(latencies, trials_per_call) -> float:
+    """Median over THROUGHPUT_WINDOWS consecutive windows of the run of the
+    trials per second in each; a rare multi-second request moves one window."""
+    total = sum(latencies)
+    windows = [[] for _ in range(THROUGHPUT_WINDOWS)]
+    end = 0.0
+    for t in latencies:
+        end += t
+        windows[min(int(end / total * THROUGHPUT_WINDOWS), THROUGHPUT_WINDOWS - 1)].append(t)
+    return statistics.median(len(w) * trials_per_call / sum(w) for w in windows if w)
+
+
 def _latency_metrics(latencies, trials_per_call) -> dict:
     p50 = statistics.median(latencies) * 1e3
     p90 = statistics.quantiles(latencies, n=10)[-1] * 1e3 if len(latencies) > 1 else p50
-    return {"trials_per_s": len(latencies) * trials_per_call / sum(latencies),
+    return {"trials_per_s": _windowed_throughput(latencies, trials_per_call),
             "request_ms_p50": p50, "request_ms_p90": p90}
 
 
 def measure(workload, seed, seconds, tally) -> dict:
-    calibration = Calibration()
+    calibration = Calibration(workload.calibration_lps, workload.calibration_hulls)
     calibration.run()
     latencies = []
     start = time.perf_counter()
@@ -128,7 +163,7 @@ def measure(workload, seed, seconds, tally) -> dict:
         tally.add(workload, output)
         calibration.run()
     units = calibration.times
-    scaled = [t * 2.0 * CALIBRATION_REF_S / (before + after)
+    scaled = [t * 2.0 * calibration.ref_s / (before + after)
               for t, before, after in zip(latencies, units, units[1:])]
     metrics = {name: {"value": value, "unit": "1/s" if name == "trials_per_s" else "ms"}
                for name, value in _latency_metrics(scaled, workload.trials).items()}
@@ -136,6 +171,7 @@ def measure(workload, seed, seconds, tally) -> dict:
         "value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "unit": "MB"}
     return {"calls": j, "metrics": metrics,
             "unscaled": _latency_metrics(latencies, workload.trials),
+            "trials_per_s_mean": len(scaled) * workload.trials / sum(scaled),
             "calibration_ms_p50": statistics.median(units) * 1e3}
 
 
@@ -181,11 +217,11 @@ def main(argv=None) -> int:
     warm = workload.request(experiments.trial_seed(workloads.DEFAULT_SEED, 0))
     ready = time.monotonic()
     tally.add(workload, warm, reference[0])
-    calibration = Calibration()
+    calibration = Calibration(workload.calibration_lps, workload.calibration_hulls)
     for _ in range(SETUP_CALIBRATION_UNITS):
         calibration.run()
     result = {"ready": ready,
-              "scale": CALIBRATION_REF_S / statistics.median(calibration.times)}
+              "scale": calibration.ref_s / statistics.median(calibration.times)}
     if args.phase != "setup":
         for j in range(1, len(reference)):
             output = _call(workload.request,

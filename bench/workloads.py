@@ -30,13 +30,17 @@ PROVED_RTOL = 1e-9  # slack on the Vaaler and Blaschke-Santalo inequalities
 @dataclass(frozen=True)
 class Workload:
     """One request shape.  ``check`` returns the number of failed trials;
-    ``values`` the ratios compared with the reference, by tolerance class."""
+    ``values`` the ratios compared with the reference, by tolerance class;
+    ``calibration_lps`` and ``calibration_hulls`` the HiGHS LPs and convex
+    hulls in its calibration unit (see worker.Calibration)."""
 
     name: str
     trials: int
     request: Callable[[int], object]
     check: Callable[[object], int]
     values: Callable[[object], dict]
+    calibration_lps: int = 0
+    calibration_hulls: int = 0
 
 
 def _ball_volume(k: int) -> float:
@@ -55,7 +59,8 @@ def _report_ok(report) -> bool:
             <= _ball_volume(report.k) ** 2 * (1.0 + PROVED_RTOL))
 
 
-def _suite(name: str, n: int, k: int, trials: int, kinds: tuple) -> Workload:
+def _suite(name: str, n: int, k: int, trials: int, kinds: tuple,
+           calibration_hulls: int = 0) -> Workload:
     def request(master):
         return experiments.run_suite([experiments.SuiteSpec(n, k, trials, master, kinds)])
 
@@ -73,7 +78,8 @@ def _suite(name: str, n: int, k: int, trials: int, kinds: tuple) -> Workload:
                           for key in ("lowner_ratio", "john_ratio")],
         }
 
-    return Workload(name, trials, request, check, values)
+    return Workload(name, trials, request, check, values,
+                    calibration_hulls=calibration_hulls)
 
 
 def _scan(name: str, n: int, k: int, trials: int) -> Workload:
@@ -148,10 +154,12 @@ def _query_values(out: QueryOutput) -> dict:
 
 # Why each workload exists is recorded in BENCHMARK.json and NOTES.md.
 WORKLOADS = {w.name: w for w in (
-    _suite("verify_6_3", 6, 3, 20, ("ellipsoid", "volume")),
-    _scan("scan_14_5", 14, 5, 1),
+    _suite("verify_6_3", 6, 3, 20, ("ellipsoid", "volume"), calibration_hulls=8),
+    # k=4, not 5: see "Known library defect" in NOTES.md
+    _scan("scan_14_4", 14, 4, 4),
     _suite("ellipsoid_40_5", 40, 5, 10, ("ellipsoid",)),
-    Workload("query_8_4", 1, _query_request, _query_check, _query_values),
+    Workload("query_8_4", 1, _query_request, _query_check, _query_values,
+             calibration_lps=1),
 )}
 
 
