@@ -19,8 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 import numpy as np
+from scipy.spatial import QhullError
 
 from . import jsonio
 from .ellipsoids import (ConvergenceError, DEFAULT_EPS, ellipsoid_volume,
@@ -185,12 +187,16 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ConvergenceError, ArithmeticError) as exc:
+    except (ConvergenceError, ArithmeticError, QhullError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # never let a crash read as exit 1, a violated bound
+        print(f"solver failure: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

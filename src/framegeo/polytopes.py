@@ -4,21 +4,21 @@ A certified frame v_1, ..., v_n in R^k defines two polar bodies: the cube
 section {y : |<v_i, y>| <= 1 for all i} (an H-representation) and the
 cross-polytope projection, the absolute convex hull of the v_i (a
 V-representation).  Both representations store one row per +/- pair.
-Exact volumes are computed by enumerating vertices and triangulating the
-convex hull; a hit-or-miss Monte Carlo estimator covers dimensions beyond
-the exact range.
+Exact volumes triangulate the convex hull of the vertices; the vertices of
+an H-rep body are read off the facets of the convex hull of its polar
+(facet dualization).  A hit-or-miss Monte Carlo estimator covers
+dimensions beyond the exact range.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .ellipsoids import ellipsoid_volume, lowner_symmetric
 from .frames import (TAU_CERT, CertificationError, FrameSet, Subspace,
@@ -87,33 +87,40 @@ class VolumeEstimate(NamedTuple):
 def _canonicalize_signs(rows: np.ndarray, tol: float = TAU_GEO) -> np.ndarray:
     """Flip each row so its first coordinate larger than ``tol`` is positive."""
     out = np.array(rows, dtype=float)
-    for row in out:
-        for x in row:
-            if abs(x) > tol:
-                if x < 0.0:
-                    row *= -1.0
-                break
+    big = np.abs(out) > tol
+    lead = out[np.arange(out.shape[0]), np.argmax(big, axis=1)]
+    out[big.any(axis=1) & (lead < 0.0)] *= -1.0
     return out
 
 
 def _collapse_rows(rows: np.ndarray, tol: float = TAU_GEO):
-    """Drop near-zero rows and merge +/- duplicates; returns (reps, counts)."""
+    """Drop near-zero rows and merge +/- duplicates; returns (reps, counts).
+
+    Rows are taken in order: a row joins the first representative within
+    ``tol`` of it (max norm), or else becomes a representative itself.
+    """
     k = rows.shape[1] if rows.ndim == 2 else 0
     canon = _canonicalize_signs(rows, tol)
     canon = canon[np.linalg.norm(canon, axis=1) > tol]
-    reps: list[np.ndarray] = []
-    counts: list[int] = []
-    for row in canon:
-        for idx, rep in enumerate(reps):
-            if np.max(np.abs(rep - row)) <= tol:
-                counts[idx] += 1
-                break
-        else:
-            reps.append(row.copy())
-            counts.append(1)
-    if not reps:
+    if canon.shape[0] == 0:
         return np.zeros((0, k)), np.zeros(0, dtype=int)
-    return np.array(reps), np.array(counts, dtype=int)
+    first, later = cKDTree(canon).query_pairs(tol, p=np.inf, output_type="ndarray").T
+    # A row is a representative unless an earlier representative is near it.
+    # Each row depends only on earlier rows, so this iteration settles after
+    # one pass per link of the longest chain of near rows.
+    is_rep = np.ones(canon.shape[0], dtype=bool)
+    is_rep[later] = False
+    while True:
+        settled = np.ones_like(is_rep)
+        settled[later[is_rep[first]]] = False
+        if np.array_equal(settled, is_rep):
+            break
+        is_rep = settled
+    owner = np.where(is_rep, np.arange(canon.shape[0]), canon.shape[0])
+    joins = is_rep[first] & ~is_rep[later]
+    np.minimum.at(owner, later[joins], first[joins])
+    counts = np.bincount(owner, minlength=canon.shape[0])
+    return canon[is_rep], counts[is_rep]
 
 
 def _require_certified(frame: FrameSet, tol: float) -> None:
@@ -198,11 +205,13 @@ def cross_projection(frame: FrameSet, tol: float = TAU_CERT) -> Polytope:
 
 
 def enumerate_vertices(p: Polytope, tol: float = TAU_GEO) -> Polytope:
-    """All vertices of an H-rep body by enumerating active constraint sets.
+    """All vertices of an H-rep body, by facet dualization.
 
-    Every vertex lies on k independent constraints <g_i, y> = +/-1, so the
-    C(m, k) index subsets and 2^{k-1} sign patterns (one per +/- pair) are
-    solved in a batch and filtered for feasibility.
+    The body {y : |<g_i, y>| <= 1} is the polar of conv(+/- g_i), so each
+    facet a.x + b = 0 of that hull (b < 0: the origin is interior) gives the
+    vertex a / (-b).  Antipodal facets give the same vertex up to sign, and
+    qhull splits non-simplicial facets into simplices with one normal, so
+    the candidates are collapsed to one representative per +/- pair.
     """
     if p.hrep is None:
         raise ValueError("enumerate_vertices needs an H-representation")
@@ -217,19 +226,11 @@ def enumerate_vertices(p: Polytope, tol: float = TAU_GEO) -> Polytope:
     if k == 1:
         t = 1.0 / float(np.max(np.abs(G[:, 0])))
         return Polytope(k=1, vrep=np.array([[t]]))
-    combos = np.array(list(itertools.combinations(range(m), k)))
-    signs = np.array(list(itertools.product([1.0], *([[1.0, -1.0]] * (k - 1)))))
-    sub = G[combos]
-    keep = np.abs(np.linalg.det(sub)) > 1e-12
-    if not np.any(keep):
-        raise DegenerateBodyError("all constraint subsets are singular")
-    rhs = np.tile(signs.T[None, :, :], (int(np.count_nonzero(keep)), 1, 1))
-    sols = np.linalg.solve(sub[keep], rhs)
-    cand = sols.transpose(0, 2, 1).reshape(-1, k)
-    feasible = cand[np.max(np.abs(cand @ G.T), axis=1) <= 1.0 + tol]
-    verts, _ = _collapse_rows(feasible, tol)
-    if verts.shape[0] == 0:
-        raise DegenerateBodyError("no vertices found; the body has empty interior")
+    facets = ConvexHull(np.vstack([G, -G])).equations
+    offsets = facets[:, -1]
+    if not np.all(offsets < 0.0):
+        raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
+    verts, _ = _collapse_rows(facets[:, :-1] / -offsets[:, None], tol)
     return Polytope(k=k, vrep=verts)
 
 

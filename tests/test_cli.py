@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
 from framegeo import jsonio
 from framegeo.cli import main
@@ -154,6 +155,24 @@ def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("framegeo.cli.lowner_symmetric", explode)
     assert main(["ellipsoid", "lowner", "--frame", frame_path]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error,traceback_shown", [
+    (QhullError("QH6271 qhull precision error"), False),
+    (TypeError("unexpected"), True),
+])
+def test_unexpected_failure_is_a_solver_failure_not_a_violation(
+        tmp_path, capsys, monkeypatch, error, traceback_shown):
+    sub_path = write_subspace(tmp_path, 6, 3)
+
+    def explode(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("framegeo.polytopes.ConvexHull", explode)
+    assert main(["volume", "cube-section", "--subspace", sub_path]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure" in err and str(error) in err
+    assert ("Traceback" in err) == traceback_shown
 
 
 def test_installed_entry_point_runs(tmp_path):

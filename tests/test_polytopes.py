@@ -1,16 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
 from framegeo.frames import CertificationError, FrameSet, project_standard_basis
-from framegeo.experiments import random_subspace
+from framegeo.experiments import conjecture_scan, random_subspace
 from framegeo.polytopes import (DegenerateBodyError, Polytope,
                                 UnboundedBodyError, UnsupportedDimensionError,
-                                absolute_hull_gauge, cross_projection,
-                                enumerate_vertices, equality_subspace,
-                                estimate_volume, polar, polytope_from_frame,
-                                support_function, volume)
+                                _collapse_rows, absolute_hull_gauge,
+                                cross_projection, enumerate_vertices,
+                                equality_subspace, estimate_volume, polar,
+                                polytope_from_frame, support_function, volume)
 
 SQ2 = math.sqrt(2.0)
 
@@ -107,6 +109,116 @@ def test_enumerated_vertices_are_feasible_and_active(n, k, seed):
     # each vertex sits on at least k facets
     active = np.sum(prods >= 1.0 - 1e-9, axis=1)
     assert np.min(active) >= k
+
+
+def oracle_section_vertices(G, tol=1e-9):
+    """Vertex representatives of {y : |G y| <= 1} by brute force.
+
+    Every vertex solves k independent active constraints <g_i, y> = +/-1,
+    so solve each k-subset of rows for every sign pattern with a leading +1,
+    keep the feasible solutions and merge points equal up to sign.
+    """
+    m, k = G.shape
+    patterns = np.array([(1.0,) + tail
+                         for tail in itertools.product([1.0, -1.0], repeat=k - 1)])
+    found = []
+    for idx in itertools.combinations(range(m), k):
+        sub = G[list(idx)]
+        if abs(np.linalg.det(sub)) <= 1e-12:
+            continue
+        for y in np.linalg.solve(sub, patterns.T).T:
+            if np.max(np.abs(G @ y)) > 1.0 + tol:
+                continue
+            if not any(min(np.max(np.abs(y - z)), np.max(np.abs(y + z))) <= tol
+                       for z in found):
+                found.append(y)
+    return np.array(found)
+
+
+def assert_same_up_to_sign(got, want, tol=1e-9):
+    assert got.shape == want.shape
+    dist = np.minimum(np.max(np.abs(got[:, None, :] - want[None, :, :]), axis=2),
+                      np.max(np.abs(got[:, None, :] + want[None, :, :]), axis=2))
+    close = dist <= tol
+    # a bijection: every row matches exactly one row of the other set
+    assert np.all(close.sum(axis=0) == 1) and np.all(close.sum(axis=1) == 1)
+
+
+RANDOM_SECTIONS = [(n, k, seed) for n, k, seeds in
+                   [(5, 2, (31, 32, 33)), (6, 3, (34, 35, 36)), (8, 4, (37, 38)),
+                    (14, 4, (39, 40)), (10, 5, (41, 42))]
+                   for seed in seeds]
+
+
+@pytest.mark.parametrize("n,k,seed", RANDOM_SECTIONS)
+def test_section_vertices_match_brute_force_oracle(n, k, seed):
+    frame = project_standard_basis(random_subspace(n, k, seed))
+    p = polytope_from_frame(frame)
+    assert_same_up_to_sign(enumerate_vertices(p).vrep,
+                           oracle_section_vertices(p.hrep))
+    # Vaaler: a central k-section of the n-cube has volume >= 2^k
+    section = volume(p)
+    assert section / 2.0 ** k >= 1.0
+    # Blaschke-Santalo for the polar pair (section, projection)
+    ball = math.pi ** (k / 2) / math.gamma(k / 2 + 1)
+    assert section * volume(cross_projection(frame)) <= ball ** 2 * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (8, 4), (10, 5)])
+def test_equality_section_has_one_vertex_per_cube_corner_pair(n, k):
+    p = section_of(n, k)
+    verts = enumerate_vertices(p).vrep
+    assert verts.shape == (2 ** (k - 1), k)
+    assert_same_up_to_sign(verts, oracle_section_vertices(p.hrep))
+
+
+def test_section_with_non_simplicial_polar_is_an_octahedron():
+    # The functionals are the cube's corners, so the polar hull has square
+    # facets that qhull splits into triangles with repeated normals; the
+    # section is the octahedron conv(+/- e_i).
+    corners = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0],
+                        [1.0, -1.0, 1.0], [1.0, -1.0, -1.0]])
+    p = Polytope(k=3, hrep=corners)
+    assert_same_up_to_sign(enumerate_vertices(p).vrep, np.eye(3))
+    assert volume(p) == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+
+def test_collapse_rows_semantics():
+    tol = 1e-9
+    rows = np.array([
+        [1.0, 2.0],               # first of its class: kept as is
+        [1.0, 2.0],               # exact duplicate
+        [1.0, 2.0 + 1e-12],       # near duplicate
+        [-1.0, -2.0],             # the same functional up to sign
+        [0.0, 0.0],               # zero: dropped
+        [1e-12, -3e-13],          # norm below tol: dropped
+        [-1e-10, 3.0],            # negative entry below tol does not set the sign
+        [-3e-10, -3.0],           # flips to [3e-10, 3.0], a near duplicate
+        [0.0, -1.0],              # flips to [0.0, 1.0]
+        [5.0, 0.0],
+        [5.0 + 0.6e-9, 0.0],      # within tol of the rep [5, 0]
+        [5.0 + 1.2e-9, 0.0],      # within tol of the row before, not of the rep
+        [7.0, 0.0],
+        [7.0 + 0.6e-9, 0.0],      # joins [7, 0]
+        [7.0 + 1.5e-9, 0.0],      # near only the row before, which is no rep
+        [7.0 + 1.2e-9, 0.0],      # near both rows before: joins the rep
+    ])
+    reps, counts = _collapse_rows(rows, tol)
+    expected = np.array([[1.0, 2.0], [-1e-10, 3.0], [0.0, 1.0],
+                         [5.0, 0.0], [5.0 + 1.2e-9, 0.0],
+                         [7.0, 0.0], [7.0 + 1.5e-9, 0.0]])
+    assert np.array_equal(reps, expected)
+    assert counts.dtype.kind == "i"
+    assert counts.tolist() == [4, 2, 1, 2, 1, 2, 2]
+    # a row with no entry above tol keeps its sign, and is kept if its norm
+    # exceeds tol
+    faint = np.array([[-8e-10, -8e-10, -8e-10, -8e-10], [0.0, 0.0, 0.0, -2.0]])
+    reps, counts = _collapse_rows(faint, tol)
+    assert np.array_equal(reps, np.array([[-8e-10] * 4, [0.0, 0.0, 0.0, 2.0]]))
+    assert counts.tolist() == [1, 1]
+    for empty in (np.zeros((0, 3)), np.zeros((2, 3))):
+        reps, counts = _collapse_rows(empty, tol)
+        assert reps.shape == (0, 3) and counts.shape == (0,)
 
 
 def test_vertex_enumeration_guards():
@@ -263,3 +375,15 @@ def test_equality_subspace_validation():
     sub = equality_subspace(9, 3)
     norms = project_standard_basis(sub).squared_norms()
     assert np.max(np.abs(norms - 1.0 / 3.0)) <= 1e-12
+
+
+# A Haar-random (14,5) subspace whose cube section makes volume() raise: the
+# hull of the section's vertices fails (about 1 in 330 random (14,5) scans).
+# When volume() handles it, this fails as an unexpected pass.
+QHULL_DEFECT_MASTER = 6143717607687760369
+
+
+@pytest.mark.xfail(raises=QhullError, strict=True,
+                   reason="volume() fails on near-degenerate k=5 cube sections")
+def test_known_defect_volume_of_a_near_degenerate_k5_section():
+    conjecture_scan(14, 5, 1, QHULL_DEFECT_MASTER)
