@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 proved-bound violation, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import traceback
@@ -27,8 +28,8 @@ from scipy.spatial import QhullError
 from . import jsonio
 from .ellipsoids import (ConvergenceError, DEFAULT_EPS, ellipsoid_volume,
                          john_of_cube_section, lowner_symmetric, unit_ball_volume)
-from .experiments import (ConjectureScanSummary, SuiteSpec, conjecture_scan,
-                          run_suite, suite_exit_status)
+from .experiments import (SuiteSpec, conjecture_scan, run_suite,
+                          suite_exit_status)
 from .frames import project_standard_basis
 from .majorization import NormProfile, construct_realization
 from .polytopes import (cross_projection, equality_subspace,
@@ -100,24 +101,9 @@ def _cmd_verify(args) -> int:
     return suite_exit_status(reports)
 
 
-def _summary_to_dict(summary: ConjectureScanSummary) -> dict:
-    return {
-        "n": summary.n,
-        "k": summary.k,
-        "trials": summary.trials,
-        "seed": summary.seed,
-        "min_cross_ratio": summary.min_cross_ratio,
-        "bound_2pow": summary.bound_2pow,
-        "max_cube_ratio": summary.max_cube_ratio,
-        "bound_ball2": summary.bound_ball2,
-        "ball2_violations": list(summary.ball2_violations),
-        "counterexample": summary.counterexample,
-    }
-
-
 def _cmd_conjecture_scan(args) -> int:
     summary = conjecture_scan(args.n, args.k, args.trials, args.seed)
-    _write_or_print(json.dumps(_summary_to_dict(summary), indent=2), args.out)
+    _write_or_print(json.dumps(dataclasses.asdict(summary), indent=2), args.out)
     return EXIT_BOUND if summary.ball2_violations else EXIT_OK
 
 

@@ -137,7 +137,8 @@ def construct_realization(profile: NormProfile, n: int | None = None) -> FrameSe
     targets, so every later target stays reachable.  Rotations act
     orthogonally on the left, so the k columns stay orthonormal throughout;
     at most n - 1 rotations are spent and the rows are returned in the
-    original entry order.
+    original entry order.  Raises ArithmeticError when a squared norm of
+    the result misses its target by more than TAU_SH.
     """
     if n is not None and n != profile.n:
         raise FrameStructureError(f"profile has {profile.n} entries, expected n={n}")
@@ -184,6 +185,10 @@ def construct_realization(profile: NormProfile, n: int | None = None) -> FrameSe
 
     vectors = np.empty((size, k))
     vectors[order] = B[source_row]
+    miss = float(np.max(np.abs(np.einsum("ij,ij->i", vectors, vectors) - profile.entries)))
+    if miss > TAU_SH:
+        raise ArithmeticError(
+            f"realization misses the profile by {miss:.3e} (tolerance {TAU_SH:g})")
     return FrameSet(n=size, k=k, vectors=vectors)
 
 

@@ -6,8 +6,10 @@ cross-polytope projection, the absolute convex hull of the v_i (a
 V-representation).  Both representations store one row per +/- pair.
 Exact volumes triangulate the convex hull of the vertices; the vertices of
 an H-rep body are read off the facets of the convex hull of its polar
-(facet dualization).  A hit-or-miss Monte Carlo estimator covers
-dimensions beyond the exact range.
+(facet dualization).  Exact volumes cover k <= K_EXACT for any number of
+rows.  A hit-or-miss Monte Carlo estimator covers every dimension: it
+samples an H-rep body in sqrt(k) times its John ellipsoid and a V-rep
+body in the Lowner ellipsoid of its vertices.
 """
 
 from __future__ import annotations
@@ -18,15 +20,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 
-from .ellipsoids import ellipsoid_volume, lowner_symmetric
+from .ellipsoids import (Ellipsoid, SpanError, ellipsoid_volume,
+                         lowner_symmetric)
 from .frames import (TAU_CERT, CertificationError, FrameSet, Subspace,
                      certify_unit_decomposition)
 
 TAU_GEO = 1e-9  # geometric dedup / feasibility tolerance
 K_EXACT = 5     # exact volume supported up to this dimension
-M_EXACT = 14    # and up to this many collapsed functionals
 _ESTIMATE_EPS = 1e-7
 
 
@@ -123,12 +125,17 @@ def _collapse_rows(rows: np.ndarray, tol: float = TAU_GEO):
     return canon[is_rep], counts[is_rep]
 
 
-def _require_certified(frame: FrameSet, tol: float) -> None:
+def _certified_rows(frame: FrameSet, tol: float):
+    """Certify the frame and collapse its vectors; returns (reps, counts)."""
     cert = certify_unit_decomposition(frame, tol)
     if not cert.ok:
         raise CertificationError(
             f"frame must certify as a unit decomposition within {tol:g}: "
             f"deviation {cert.deviation:.3e}", cert.deviation)
+    reps, mult = _collapse_rows(frame.vectors)
+    if reps.shape[0] == 0:
+        raise DegenerateBodyError("all frame vectors are zero")
+    return reps, mult
 
 
 def polytope_from_frame(frame: FrameSet, tol: float = TAU_CERT) -> Polytope:
@@ -137,10 +144,7 @@ def polytope_from_frame(frame: FrameSet, tol: float = TAU_CERT) -> Polytope:
     Zero vectors impose no constraint and are dropped; duplicate functionals
     are collapsed with their multiplicity recorded.
     """
-    _require_certified(frame, tol)
-    reps, mult = _collapse_rows(frame.vectors)
-    if reps.shape[0] == 0:
-        raise DegenerateBodyError("all frame vectors are zero")
+    reps, mult = _certified_rows(frame, tol)
     return Polytope(k=frame.k, hrep=reps, multiplicity=mult)
 
 
@@ -163,44 +167,20 @@ def absolute_hull_gauge(generators, point) -> float:
     return float(res.fun)
 
 
-def _extreme_indices(W: np.ndarray, tol: float = TAU_GEO) -> np.ndarray:
-    """Indices of rows that are vertices of the absolute convex hull."""
-    m, k = W.shape
-    if k == 1:
-        return np.array([int(np.argmax(np.abs(W[:, 0])))])
-    if m <= 1:
-        return np.arange(m)
-    S = np.vstack([W, -W])
-    try:
-        hull = ConvexHull(S)
-        return np.array(sorted({int(v) % m for v in hull.vertices}), dtype=int)
-    except QhullError:
-        # Robust fallback: w_i is a vertex of conv(S) exactly when it is not a
-        # convex combination of the remaining points of S.
-        keep = []
-        for i in range(m):
-            rest = np.delete(W, i, axis=0)
-            gens = np.vstack([rest, -rest, -W[i][None, :]])
-            res = linprog(c=np.zeros(gens.shape[0]),
-                          A_eq=np.vstack([gens.T, np.ones((1, gens.shape[0]))]),
-                          b_eq=np.concatenate([W[i], [1.0]]),
-                          bounds=(0, None), method="highs")
-            if res.status != 0:
-                keep.append(i)
-        return np.array(keep, dtype=int)
-
-
 def cross_projection(frame: FrameSet, tol: float = TAU_CERT) -> Polytope:
     """Projection of the cross-polytope: absolute convex hull of the frame (V-rep).
 
     Duplicates are collapsed with multiplicity and non-extreme points are
-    removed, so the stored rows are exactly the vertex representatives.
+    removed, so the stored rows are exactly the vertex representatives.  A
+    certified frame spans R^k, so the vertices are those of the convex hull
+    of the +/- representatives.
     """
-    _require_certified(frame, tol)
-    reps, mult = _collapse_rows(frame.vectors)
-    if reps.shape[0] == 0:
-        raise DegenerateBodyError("all frame vectors are zero")
-    keep = _extreme_indices(reps)
+    reps, mult = _certified_rows(frame, tol)
+    if frame.k == 1:
+        keep = [int(np.argmax(np.abs(reps[:, 0])))]
+    else:
+        hull = ConvexHull(np.vstack([reps, -reps]))
+        keep = sorted({int(v) % reps.shape[0] for v in hull.vertices})
     return Polytope(k=frame.k, vrep=reps[keep], multiplicity=mult[keep])
 
 
@@ -217,10 +197,10 @@ def enumerate_vertices(p: Polytope, tol: float = TAU_GEO) -> Polytope:
         raise ValueError("enumerate_vertices needs an H-representation")
     G = p.hrep
     m, k = G.shape
-    if k > K_EXACT or m > M_EXACT:
+    if k > K_EXACT:
         raise UnsupportedDimensionError(
-            f"vertex enumeration supports k <= {K_EXACT} and m <= {M_EXACT}, "
-            f"got k={k}, m={m}; use estimate_volume for larger bodies")
+            f"vertex enumeration supports k <= {K_EXACT}, got k={k}; "
+            f"use estimate_volume for larger bodies")
     if m < k or np.linalg.matrix_rank(G) < k:
         raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
     if k == 1:
@@ -235,7 +215,11 @@ def enumerate_vertices(p: Polytope, tol: float = TAU_GEO) -> Polytope:
 
 
 def volume(p: Polytope) -> float:
-    """Exact volume via the convex hull of the symmetrized vertex set."""
+    """Exact volume via the convex hull of the symmetrized vertex set.
+
+    The vertices of an H-rep body span R^k, because ``enumerate_vertices``
+    has proved the body bounded; only V-rep bodies are checked for rank.
+    """
     if p.k > K_EXACT:
         raise UnsupportedDimensionError(
             f"exact volume supports k <= {K_EXACT}; use estimate_volume")
@@ -243,7 +227,7 @@ def volume(p: Polytope) -> float:
     if p.k == 1:
         return float(2.0 * np.max(np.abs(verts)))
     S = np.vstack([verts, -verts])
-    if np.linalg.matrix_rank(S) < p.k:
+    if p.vrep is not None and np.linalg.matrix_rank(S) < p.k:
         raise DegenerateBodyError("body is not full-dimensional")
     return float(ConvexHull(S).volume)
 
@@ -282,24 +266,31 @@ def polar(p: Polytope) -> Polytope:
 def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
     """Hit-or-miss Monte Carlo volume, sampling uniformly in a covering ellipsoid.
 
-    The container is the Lowner ellipsoid of the body's vertices, so the
-    estimate hits/samples * vol(container) is unbiased.  The standard error
-    is the binomial one, sqrt(p(1-p)/samples) * vol(container).
+    A V-rep body is sampled in the Lowner ellipsoid of its vertices.  An
+    H-rep body is sampled in {y : y^T M y <= 1} for M = sum_i u_i g_i g_i^T,
+    u the Lowner weights of its functionals (sqrt(k) times its John
+    ellipsoid): for any weights on the simplex the ellipsoid
+    {x : x^T M^-1 x <= 1} lies in conv(+/- g_i), since its support
+    sqrt(c^T M c) is at most max_i |<g_i, c>|, so its polar holds the body.
+    The estimate hits/samples * vol(container) is unbiased; the standard
+    error is the binomial one, sqrt(p(1-p)/samples) * vol(container).
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     k = p.k
-    verts = p.vrep if p.vrep is not None else enumerate_vertices(p).vrep
-    fit = lowner_symmetric(verts, eps=_ESTIMATE_EPS)
-    vol_container = ellipsoid_volume(fit.ellipsoid)
-    L_inv = np.linalg.inv(np.linalg.cholesky(fit.ellipsoid.matrix))
-
     if p.hrep is not None:
         functionals = p.hrep
-    elif k <= K_EXACT:
-        functionals = enumerate_vertices(polar(p)).vrep
+        try:
+            u = lowner_symmetric(functionals, eps=_ESTIMATE_EPS).weights
+        except SpanError:
+            raise UnboundedBodyError(
+                "functionals do not span R^k; the body is unbounded") from None
+        container = Ellipsoid(k=k, matrix=(functionals.T * (u / u.sum())) @ functionals)
     else:
-        functionals = None
+        container = lowner_symmetric(p.vrep, eps=_ESTIMATE_EPS).ellipsoid
+        functionals = enumerate_vertices(polar(p)).vrep if k <= K_EXACT else None
+    vol_container = ellipsoid_volume(container)
+    L_inv = np.linalg.inv(np.linalg.cholesky(container.matrix))
 
     rng = np.random.default_rng(seed)
     hits = 0
@@ -315,7 +306,7 @@ def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
             hits += int(np.count_nonzero(inside))
         else:
             hits += sum(1 for y in batch
-                        if absolute_hull_gauge(verts, y) <= 1.0 + TAU_GEO)
+                        if absolute_hull_gauge(p.vrep, y) <= 1.0 + TAU_GEO)
         done += count
     frac = hits / samples
     value = frac * vol_container

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import framegeo.majorization as majorization
 from framegeo.frames import FrameStructureError
 from framegeo.majorization import (TAU_SH, NormProfile, NotRealizableError,
                                    construct_realization, is_realizable,
@@ -95,6 +96,14 @@ def test_construct_random_profiles(n, k):
         frame = construct_realization(profile)
         assert certify_unit_decomposition(frame, tol=TAU_SH).ok
         assert np.max(np.abs(frame.squared_norms() - profile.entries)) <= TAU_SH
+
+
+def test_construction_checks_its_output_against_tau_sh(monkeypatch):
+    profile = NormProfile(k=2, entries=np.array([0.3, 0.9, 0.15, 0.65]))
+    # no realization misses its profile by less than a negative tolerance
+    monkeypatch.setattr(majorization, "TAU_SH", -1.0)
+    with pytest.raises(ArithmeticError):
+        construct_realization(profile)
 
 
 def test_not_realizable_reports_first_prefix():

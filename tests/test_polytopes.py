@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import QhullError
 
+from framegeo.ellipsoids import lowner_symmetric
 from framegeo.frames import CertificationError, FrameSet, project_standard_basis
 from framegeo.experiments import conjecture_scan, random_subspace
 from framegeo.polytopes import (DegenerateBodyError, Polytope,
@@ -146,7 +147,7 @@ def assert_same_up_to_sign(got, want, tol=1e-9):
 
 RANDOM_SECTIONS = [(n, k, seed) for n, k, seeds in
                    [(5, 2, (31, 32, 33)), (6, 3, (34, 35, 36)), (8, 4, (37, 38)),
-                    (14, 4, (39, 40)), (10, 5, (41, 42))]
+                    (14, 4, (39, 40)), (16, 3, (43,)), (10, 5, (41, 42))]
                    for seed in seeds]
 
 
@@ -221,9 +222,21 @@ def test_collapse_rows_semantics():
         assert reps.shape == (0, 3) and counts.shape == (0,)
 
 
+def shoelace_area(verts):
+    """Area of the centrally symmetric polygon with vertices +/- verts."""
+    pts = np.vstack([verts, -verts])
+    pts = pts[np.argsort(np.arctan2(pts[:, 1], pts[:, 0]))]
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+
+
 def test_vertex_enumeration_guards():
-    with pytest.raises(UnsupportedDimensionError):
-        enumerate_vertices(Polytope(k=2, hrep=np.random.default_rng(0).standard_normal((15, 2))))
+    # any number of functionals: 16 rows at k = 2
+    p = polytope_from_frame(project_standard_basis(random_subspace(16, 2, 44)))
+    assert p.hrep.shape == (16, 2)
+    verts = oracle_section_vertices(p.hrep)
+    assert_same_up_to_sign(enumerate_vertices(p).vrep, verts)
+    assert volume(p) == pytest.approx(shoelace_area(verts), rel=1e-12)
     with pytest.raises(UnsupportedDimensionError):
         enumerate_vertices(Polytope(k=6, hrep=np.eye(6)))
     with pytest.raises(UnboundedBodyError):
@@ -340,6 +353,38 @@ def test_estimate_volume_is_deterministic():
     assert a == b
     with pytest.raises(ValueError):
         estimate_volume(body, samples=0, seed=7)
+
+
+def test_estimate_volume_of_hrep_bodies_above_the_exact_range():
+    cube = estimate_volume(Polytope(k=6, hrep=np.eye(6)), samples=200_000, seed=9)
+    assert abs(cube.value - 64.0) <= 4.0 * cube.standard_error
+    # the equality section is a cube with side 2 sqrt(n/k)
+    section = estimate_volume(section_of(12, 6), samples=200_000, seed=10)
+    assert abs(section.value - (2.0 * SQ2) ** 6) <= 4.0 * section.standard_error
+    random_section = polytope_from_frame(project_standard_basis(random_subspace(20, 6, 11)))
+    est = estimate_volume(random_section, samples=20_000, seed=11)
+    assert math.isfinite(est.value) and est.value > 0.0 and est.standard_error > 0.0
+    with pytest.raises(UnboundedBodyError):
+        estimate_volume(Polytope(k=3, hrep=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                     [1.0, 1.0, 0.0]])),
+                        samples=100, seed=12)
+
+
+def test_estimate_volume_of_hull_with_many_vertex_pairs():
+    body = cross_projection(project_standard_basis(random_subspace(30, 4, 3)))
+    assert body.vrep.shape[0] > 14
+    est = estimate_volume(body, samples=200_000, seed=13)
+    assert abs(est.value - volume(body)) <= 4.0 * est.standard_error
+
+
+@pytest.mark.parametrize("n,k,seed", [(6, 3, 51), (8, 4, 52), (14, 4, 53)])
+def test_lowner_weighted_ellipsoid_of_functionals_holds_the_section(n, k, seed):
+    # the container estimate_volume samples an H-rep body in
+    G = polytope_from_frame(project_standard_basis(random_subspace(n, k, seed))).hrep
+    w = lowner_symmetric(G).weights
+    M = G.T @ np.diag(w) @ G
+    verts = enumerate_vertices(Polytope(k=k, hrep=G)).vrep
+    assert np.max(np.einsum("ij,jk,ik->i", verts, M, verts)) <= 1.0 + 1e-12
 
 
 def test_estimate_volume_gauge_path_in_high_dimension():
