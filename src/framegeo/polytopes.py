@@ -266,7 +266,9 @@ def polar(p: Polytope) -> Polytope:
 def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
     """Hit-or-miss Monte Carlo volume, sampling uniformly in a covering ellipsoid.
 
-    A V-rep body is sampled in the Lowner ellipsoid of its vertices.  An
+    A V-rep body is sampled in the Lowner ellipsoid {x : <A x, x> <= 1} of
+    its vertices, with A divided by max_i <A v_i, v_i> so that every vertex
+    lies inside (the solver certifies that maximum only up to 1 + eps).  An
     H-rep body is sampled in {y : y^T M y <= 1} for M = sum_i u_i g_i g_i^T,
     u the Lowner weights of its functionals (sqrt(k) times its John
     ellipsoid): for any weights on the simplex the ellipsoid
@@ -287,7 +289,9 @@ def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
                 "functionals do not span R^k; the body is unbounded") from None
         container = Ellipsoid(k=k, matrix=(functionals.T * (u / u.sum())) @ functionals)
     else:
-        container = lowner_symmetric(p.vrep, eps=_ESTIMATE_EPS).ellipsoid
+        A = lowner_symmetric(p.vrep, eps=_ESTIMATE_EPS).ellipsoid.matrix
+        reach = np.einsum("ij,jk,ik->i", p.vrep, A, p.vrep).max()
+        container = Ellipsoid(k=k, matrix=A / reach)
         functionals = enumerate_vertices(polar(p)).vrep if k <= K_EXACT else None
     vol_container = ellipsoid_volume(container)
     L_inv = np.linalg.inv(np.linalg.cholesky(container.matrix))

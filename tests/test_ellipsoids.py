@@ -3,13 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from framegeo.ellipsoids import (ConvergenceError, Ellipsoid, SpanError,
-                                 check_covering_bound, ellipsoid_volume,
-                                 john_of_cube_section, lowner_symmetric,
-                                 polar_ellipsoid, unit_ball_volume)
+from framegeo.ellipsoids import (DEFAULT_EPS, ConvergenceError, Ellipsoid,
+                                 SpanError, check_covering_bound,
+                                 ellipsoid_volume, john_of_cube_section,
+                                 lowner_symmetric, polar_ellipsoid,
+                                 unit_ball_volume)
 from framegeo.frames import Subspace, project_standard_basis
 from framegeo.polytopes import equality_subspace
-from framegeo.experiments import random_subspace
+from framegeo.experiments import random_subspace, trial_seed
+
+
+def assert_certificate(pts, fit, eps=DEFAULT_EPS):
+    """The solver's exit certificate and a valid design, checked on pts."""
+    quad = np.einsum("ij,jk,ik->i", pts, fit.ellipsoid.matrix, pts)
+    assert np.max(quad) <= 1.0 + eps
+    assert np.all(quad[fit.weights > 0.0] >= 1.0 - eps)
+    assert fit.weights.min() >= 0.0
+    assert fit.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unit_ball_volumes():
@@ -131,6 +141,70 @@ def test_iteration_cap_raises_with_gap():
     with pytest.raises(ConvergenceError) as err:
         lowner_symmetric(pts, eps=1e-12, max_iterations=3)
     assert err.value.gap > 0.0
+
+
+def test_slow_tail_frame_converges_in_few_steps():
+    # a non-degenerate Haar frame (13 support points, none near-active off
+    # the support) on which Frank-Wolfe/away steps alone take 8623 steps
+    frame = project_standard_basis(random_subspace(40, 5, trial_seed(5, 70)))
+    fit = lowner_symmetric(frame.vectors, max_iterations=300)
+    assert_certificate(frame.vectors, fit)
+    assert 0 < fit.iterations <= 300
+    assert 0.0 <= fit.gap <= 5 * DEFAULT_EPS
+
+
+def test_fit_reports_steps_and_final_gap():
+    frame = project_standard_basis(equality_subspace(6, 3))
+    fit = lowner_symmetric(frame.vectors)
+    assert fit.iterations == 0  # uniform weights are already optimal
+    assert fit.gap <= 3 * DEFAULT_EPS
+    pts = np.random.default_rng(5).standard_normal((30, 4))
+    fit = lowner_symmetric(pts)
+    quad = np.einsum("ij,jk,ik->i", pts, fit.ellipsoid.matrix, pts)
+    gap = max(np.max(quad) - 1.0, 1.0 - np.min(quad[fit.weights > 0.0])) * 4
+    assert fit.iterations > 0
+    assert fit.gap == pytest.approx(gap, rel=1e-6, abs=1e-12)
+
+
+# repeated and antipodal points make the Newton system [[-(Q o Q), 1],
+# [1^T, 0]] singular on the support; zero rows and scaled-down copies are
+# points the cover must ignore
+REPEATED_POINTS = {
+    "duplicated rows": lambda V: np.vstack([V, V[:3]]),
+    "antipodal copies": lambda V: np.vstack([V, -V]),
+    "zero rows": lambda V: np.vstack([np.zeros((2, V.shape[1])), V,
+                                      np.zeros((1, V.shape[1]))]),
+    "scaled copies": lambda V: np.vstack([V, 1e-3 * V]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPEATED_POINTS))
+@pytest.mark.parametrize("n,k,seed", [(6, 3, 61), (14, 5, 62), (40, 5, 63)])
+def test_repeated_points_keep_the_certificate(kind, n, k, seed):
+    frame = project_standard_basis(random_subspace(n, k, seed)).vectors
+    pts = REPEATED_POINTS[kind](frame)
+    fit = lowner_symmetric(pts)
+    assert_certificate(pts, fit)
+    assert np.all(fit.weights[~pts.any(axis=1)] == 0.0)
+    ref = ellipsoid_volume(lowner_symmetric(frame).ellipsoid)
+    assert ellipsoid_volume(fit.ellipsoid) == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (12, 4)])
+def test_equality_frames_keep_the_certificate(n, k):
+    # all n points are active, more than k (k + 1) / 2 of them at (12, 4)
+    pts = project_standard_basis(equality_subspace(n, k)).vectors
+    fit = lowner_symmetric(pts)
+    assert_certificate(pts, fit)
+    assert np.max(np.abs(fit.ellipsoid.matrix - (n / k) * np.eye(k))) <= 1e-9
+
+
+def test_points_within_rounding_of_a_line_raise_span_error():
+    # rank 2 by SVD, but the moment matrix is singular in floating point
+    pts = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9], [2.0, 2.0 - 1e-9]])
+    assert np.linalg.matrix_rank(pts) == 2
+    with pytest.raises(SpanError):
+        lowner_symmetric(pts)
 
 
 def test_covering_bound_report_on_equality_case():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.spatial import QhullError
 
-from framegeo.ellipsoids import lowner_symmetric
+import framegeo.polytopes
+from framegeo.ellipsoids import Ellipsoid, lowner_symmetric
 from framegeo.frames import CertificationError, FrameSet, project_standard_basis
 from framegeo.experiments import conjecture_scan, random_subspace
 from framegeo.polytopes import (DegenerateBodyError, Polytope,
@@ -374,6 +375,21 @@ def test_estimate_volume_of_hull_with_many_vertex_pairs():
     body = cross_projection(project_standard_basis(random_subspace(30, 4, 3)))
     assert body.vrep.shape[0] > 14
     est = estimate_volume(body, samples=200_000, seed=13)
+    assert abs(est.value - volume(body)) <= 4.0 * est.standard_error
+
+
+def test_estimate_volume_grows_a_vrep_container_to_hold_every_vertex(monkeypatch):
+    # the solver certifies its cover only to 1 + eps; here it is off by 4x
+    body = cross_projection(project_standard_basis(random_subspace(8, 4, 14)))
+    solve = framegeo.polytopes.lowner_symmetric
+
+    def half_size_cover(points, eps):
+        fit = solve(points, eps=eps)
+        return fit._replace(ellipsoid=Ellipsoid(k=fit.ellipsoid.k,
+                                                matrix=4.0 * fit.ellipsoid.matrix))
+
+    monkeypatch.setattr(framegeo.polytopes, "lowner_symmetric", half_size_cover)
+    est = estimate_volume(body, samples=200_000, seed=15)
     assert abs(est.value - volume(body)) <= 4.0 * est.standard_error
 
 
