@@ -1,8 +1,8 @@
 """Randomized end-to-end verification of the ellipsoid and volume bounds.
 
-Each trial draws a rotation-invariant random subspace, projects the
-standard basis onto it, and compares the resulting ellipsoid and polytope
-volume ratios against their proved bounds:
+Each trial draws a rotation-invariant random subspace, projects the standard
+basis onto it, certifies the frame once and takes both polytope volumes from
+one hull of its +/- vectors, then checks the volume ratios against the bounds:
 
     vol(Lowner of projection) / vol(B^k)   >= (k/n)^{k/2}
     vol(John of section)      / vol(B^k)   <= (n/k)^{k/2}
@@ -27,8 +27,6 @@ import numpy as np
 from .ellipsoids import (DEFAULT_EPS, ellipsoid_volume, lowner_symmetric,
                          polar_ellipsoid, unit_ball_volume)
 from .frames import Subspace, project_standard_basis
-from .polytopes import (K_EXACT, UnsupportedDimensionError, cross_projection,
-                        polytope_from_frame, volume)
 from . import frames as _frames
 from . import majorization as _majorization
 from . import polytopes as _polytopes
@@ -151,16 +149,12 @@ def verify_volume_bounds(subspace: Subspace, eps: float = DEFAULT_EPS,
                          tol: float = BOUND_TOL, trial_id: int = 0,
                          seed: int = 0) -> ExperimentReport:
     """Check the polytope volume bounds, the ellipsoid bounds, and the sandwich
-    between them on one subspace (k must be within the exact-volume range)."""
+    between them on one subspace (k must be within the exact-volume range);
+    both polytope volumes come from one certified hull of the frame's +/- v_i."""
     n, k = subspace.n, subspace.k
-    if k > K_EXACT:
-        raise UnsupportedDimensionError(
-            f"exact volumes require k <= {K_EXACT}, got k={k}")
+    vol_section, vol_cross = _polytopes._frame_volumes(project_standard_basis(subspace))
     base = verify_ellipsoid_bounds(subspace, eps=eps, tol=tol,
                                    trial_id=trial_id, seed=seed)
-    frame = project_standard_basis(subspace)
-    vol_section = volume(polytope_from_frame(frame))
-    vol_cross = volume(cross_projection(frame))
     cube_ratio = vol_section / 2.0 ** k
     cross_ratio = vol_cross / (2.0 ** k / math.factorial(k))
     bound_kn = base.bounds["lowner_ratio"]
@@ -214,9 +208,6 @@ def conjecture_scan(n: int, k: int, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if k > K_EXACT:
-        raise UnsupportedDimensionError(
-            f"exact volumes require k <= {K_EXACT}, got k={k}")
     bound_2pow = 2.0 ** ((k - n) / 2)
     bound_ball2 = 2.0 ** ((n - k) / 2)
     min_cross = math.inf
@@ -226,9 +217,9 @@ def conjecture_scan(n: int, k: int, trials: int, seed: int,
     for t in range(trials):
         s = trial_seed(seed, t)
         sub = random_subspace(n, k, s)
-        frame = project_standard_basis(sub)
-        cube_ratio = volume(polytope_from_frame(frame)) / 2.0 ** k
-        cross_ratio = volume(cross_projection(frame)) / (2.0 ** k / math.factorial(k))
+        vol_section, vol_cross = _polytopes._frame_volumes(project_standard_basis(sub))
+        cube_ratio = vol_section / 2.0 ** k
+        cross_ratio = vol_cross / (2.0 ** k / math.factorial(k))
         max_cube = max(max_cube, cube_ratio)
         min_cross = min(min_cross, cross_ratio)
         if cube_ratio > bound_ball2 + slack:
@@ -258,6 +249,10 @@ class SuiteSpec:
     experiments: tuple = ("ellipsoid", "volume")
 
     def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("trials must be positive")
+        if not self.experiments:
+            raise ValueError("experiments must name 'ellipsoid' or 'volume'")
         extra = set(self.experiments) - {"ellipsoid", "volume"}
         if extra:
             raise ValueError(f"unknown experiments: {sorted(extra)}")

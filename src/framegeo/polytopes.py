@@ -4,12 +4,12 @@ A certified frame v_1, ..., v_n in R^k defines two polar bodies: the cube
 section {y : |<v_i, y>| <= 1 for all i} (an H-representation) and the
 cross-polytope projection, the absolute convex hull of the v_i (a
 V-representation).  Both representations store one row per +/- pair.
-Exact volumes triangulate the convex hull of the vertices; the vertices of
-an H-rep body are read off the facets of the convex hull of its polar
-(facet dualization).  Exact volumes cover k <= K_EXACT for any number of
-rows.  A hit-or-miss Monte Carlo estimator covers every dimension: it
-samples an H-rep body in sqrt(k) times its John ellipsoid and a V-rep
-body in the Lowner ellipsoid of its vertices.
+Exact volumes, for k <= K_EXACT and any number of rows, triangulate the
+convex hull of the vertices.  The section's vertices are read off the facets
+of the hull of the +/- v_i (facet dualization), so a trial's two volumes come
+from one certified hull of the +/- v_i.  A hit-or-miss Monte Carlo estimator
+covers every dimension: it samples an H-rep body in sqrt(k) times its John
+ellipsoid and a V-rep body in the Lowner ellipsoid of its vertices.
 """
 
 from __future__ import annotations
@@ -184,15 +184,19 @@ def cross_projection(frame: FrameSet, tol: float = TAU_CERT) -> Polytope:
     return Polytope(k=frame.k, vrep=reps[keep], multiplicity=mult[keep])
 
 
-def enumerate_vertices(p: Polytope, tol: float = TAU_GEO) -> Polytope:
-    """All vertices of an H-rep body, by facet dualization.
+def _polar_vertices(hull, tol: float = TAU_GEO) -> np.ndarray:
+    """Polar vertices of a hull of +/- points, one per pair: each facet a.x + b = 0
+    (b < 0: the origin is interior) gives a / (-b); antipodal facets and qhull's
+    splits of non-simplicial ones repeat a vertex, so candidates are collapsed."""
+    offsets = hull.equations[:, -1]
+    if not np.all(offsets < 0.0):
+        raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
+    verts, _ = _collapse_rows(hull.equations[:, :-1] / -offsets[:, None], tol)
+    return verts
 
-    The body {y : |<g_i, y>| <= 1} is the polar of conv(+/- g_i), so each
-    facet a.x + b = 0 of that hull (b < 0: the origin is interior) gives the
-    vertex a / (-b).  Antipodal facets give the same vertex up to sign, and
-    qhull splits non-simplicial facets into simplices with one normal, so
-    the candidates are collapsed to one representative per +/- pair.
-    """
+
+def enumerate_vertices(p: Polytope, tol: float = TAU_GEO) -> Polytope:
+    """All vertices of {y : |<g_i, y>| <= 1}, read off the facets of conv(+/- g_i)."""
     if p.hrep is None:
         raise ValueError("enumerate_vertices needs an H-representation")
     G = p.hrep
@@ -206,12 +210,7 @@ def enumerate_vertices(p: Polytope, tol: float = TAU_GEO) -> Polytope:
     if k == 1:
         t = 1.0 / float(np.max(np.abs(G[:, 0])))
         return Polytope(k=1, vrep=np.array([[t]]))
-    facets = ConvexHull(np.vstack([G, -G])).equations
-    offsets = facets[:, -1]
-    if not np.all(offsets < 0.0):
-        raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
-    verts, _ = _collapse_rows(facets[:, :-1] / -offsets[:, None], tol)
-    return Polytope(k=k, vrep=verts)
+    return Polytope(k=k, vrep=_polar_vertices(ConvexHull(np.vstack([G, -G])), tol))
 
 
 def volume(p: Polytope) -> float:
@@ -230,6 +229,22 @@ def volume(p: Polytope) -> float:
     if p.vrep is not None and np.linalg.matrix_rank(S) < p.k:
         raise DegenerateBodyError("body is not full-dimensional")
     return float(ConvexHull(S).volume)
+
+
+def _frame_volumes(frame: FrameSet) -> tuple[float, float]:
+    """Exact (cube section, cross projection) volumes of a certified frame:
+    one hull of its +/- vectors has the cross projection's volume, and its
+    facets give the vertices of the section, its polar."""
+    if frame.k > K_EXACT:
+        raise UnsupportedDimensionError(
+            f"exact volumes require k <= {K_EXACT}, got k={frame.k}")
+    reps, _ = _certified_rows(frame, TAU_CERT)
+    if frame.k == 1:
+        top = float(np.max(np.abs(reps[:, 0])))
+        return 2.0 * (1.0 / top), 2.0 * top
+    hull = ConvexHull(np.vstack([reps, -reps]))
+    verts = _polar_vertices(hull)
+    return float(ConvexHull(np.vstack([verts, -verts])).volume), float(hull.volume)
 
 
 def support_function(p: Polytope, direction) -> float:

@@ -120,6 +120,18 @@ def test_verify_rejects_unknown_experiment(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials,experiments", [
+    ("2", ","), ("0", "ellipsoid,volume"), ("-2", "volume"),
+])
+def test_verify_that_checks_nothing_is_a_usage_error(capsys, trials, experiments):
+    argv = ["verify", "--n", "4", "--k", "2", "--trials", trials, "--seed", "0",
+            "--experiments", experiments]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
 def test_conjecture_scan_json(capsys):
     assert main(["conjecture-scan", "--n", "2", "--k", "1",
                  "--trials", "16", "--seed", "1"]) == 0

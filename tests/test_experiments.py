@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import framegeo.polytopes
 from framegeo.experiments import (CSV_COLUMNS, ConjectureScanSummary,
                                   ExperimentReport, SuiteSpec, conjecture_scan,
                                   random_subspace, render_csv, run_suite,
@@ -126,6 +127,16 @@ def test_suite_spec_rejects_unknown_experiments():
         SuiteSpec(n=4, k=2, trials=1, seed=0, experiments=("volume", "frobnicate"))
 
 
+@pytest.mark.parametrize("trials,experiments,message", [
+    (0, ("volume",), "trials must be positive"),
+    (-2, ("ellipsoid", "volume"), "trials must be positive"),
+    (3, (), "experiments must name"),
+])
+def test_suite_spec_rejects_a_batch_that_checks_nothing(trials, experiments, message):
+    with pytest.raises(ValueError, match=message):
+        SuiteSpec(n=4, k=2, trials=trials, seed=0, experiments=experiments)
+
+
 def test_run_suite_is_deterministic_and_sorted():
     config = [SuiteSpec(n=6, k=3, trials=2, seed=11),
               SuiteSpec(n=4, k=2, trials=3, seed=11)]
@@ -200,6 +211,34 @@ def test_conjecture_scan_bound_attained_by_diagonal_line():
     r = verify_volume_bounds(equality_subspace(2, 1))
     assert r.ratios["cross_projection_ratio"] == pytest.approx(2.0 ** -0.5, rel=1e-12)
     assert r.ratios["cube_section_ratio"] == pytest.approx(2.0 ** 0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("trial,hulls", [
+    (lambda: verify_volume_bounds(random_subspace(6, 3, trial_seed(7, 0))), 2),
+    (lambda: conjecture_scan(14, 4, trials=1, seed=1), 2),
+    (lambda: verify_volume_bounds(random_subspace(4, 1, trial_seed(3, 0))), 0),
+    (lambda: conjecture_scan(4, 1, trials=1, seed=3), 0),
+], ids=["verify_6_3", "scan_14_4", "verify_4_1", "scan_4_1"])
+def test_one_trial_certifies_once_and_hulls_the_frame_once(monkeypatch, trial, hulls):
+    # one hull of the +/- v_i serves both bodies; the second is the hull of
+    # the section's vertices.  At k = 1 both volumes are read off directly.
+    # The library must look both names up in framegeo.polytopes, where the
+    # benchmark tracer patches them too.
+    counts = {"hulls": 0, "certifications": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(framegeo.polytopes, "ConvexHull",
+                        counted("hulls", framegeo.polytopes.ConvexHull))
+    monkeypatch.setattr(framegeo.polytopes, "certify_unit_decomposition",
+                        counted("certifications",
+                                framegeo.polytopes.certify_unit_decomposition))
+    trial()
+    assert counts == {"hulls": hulls, "certifications": 1}
 
 
 def test_conjecture_scan_validation():

@@ -8,7 +8,8 @@ from scipy.spatial import QhullError
 import framegeo.polytopes
 from framegeo.ellipsoids import Ellipsoid, lowner_symmetric
 from framegeo.frames import CertificationError, FrameSet, project_standard_basis
-from framegeo.experiments import conjecture_scan, random_subspace
+from framegeo.experiments import (conjecture_scan, random_subspace,
+                                  verify_volume_bounds)
 from framegeo.polytopes import (DegenerateBodyError, Polytope,
                                 UnboundedBodyError, UnsupportedDimensionError,
                                 _collapse_rows, absolute_hull_gauge,
@@ -164,6 +165,19 @@ def test_section_vertices_match_brute_force_oracle(n, k, seed):
     # Blaschke-Santalo for the polar pair (section, projection)
     ball = math.pi ** (k / 2) / math.gamma(k / 2 + 1)
     assert section * volume(cross_projection(frame)) <= ball ** 2 * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("n,k,seed", RANDOM_SECTIONS + [(4, 1, 44), (16, 2, 45)]
+                         + [(n, k, None) for n, k in [(4, 2), (6, 3), (8, 4), (10, 5)]])
+def test_trial_volumes_match_the_public_bodies(n, k, seed):
+    # a trial takes both volumes from one hull; the public path builds each
+    # body on its own.  seed None is the equality subspace.
+    sub = equality_subspace(n, k) if seed is None else random_subspace(n, k, seed)
+    frame = project_standard_basis(sub)
+    ratios = verify_volume_bounds(sub).ratios
+    assert ratios["cube_section_ratio"] * 2.0 ** k == volume(polytope_from_frame(frame))
+    cross = ratios["cross_projection_ratio"] * 2.0 ** k / math.factorial(k)
+    assert cross == pytest.approx(volume(cross_projection(frame)), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (8, 4), (10, 5)])
