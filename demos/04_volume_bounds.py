@@ -20,6 +20,8 @@ for key in ("lowner_ratio", "cross_projection_ratio",
           f"(bound {report.bounds[key]:.6f}, pass {report.passes[key]})")
 print(f"  sandwich holds: cube <= john is {report.passes['chain_cube']}, "
       f"cross >= lowner is {report.passes['chain_cross']}")
+print(f"  proved inequalities: Vaaler {report.passes['vaaler']}, "
+      f"Blaschke-Santalo {report.passes['blaschke_santalo']}")
 
 # Monte Carlo agrees with the exact convex-hull volume
 frame = project_standard_basis(random_subspace(7, 3, seed=8))

@@ -98,6 +98,11 @@ def _cmd_verify(args) -> int:
                      experiments=experiments)
     reports, csv_text = run_suite([spec])
     _write_or_print(csv_text, args.out)
+    for r in reports:
+        if not r.proved_ok:
+            failed = ",".join(key for key, ok in r.passes.items() if not ok)
+            print(f"bound violated: trial {r.trial_id} seed {r.seed}: {failed}",
+                  file=sys.stderr)
     return suite_exit_status(reports)
 
 

@@ -9,8 +9,10 @@ one hull of its +/- vectors, then checks the volume ratios against the bounds:
     vol(cube section)         / vol(Q^k)   <= (n/k)^{k/2}
     vol(cross projection)     / vol(D^k)   >= (k/n)^{k/2}
 
-together with the sandwich between polytope and ellipsoid ratios.  The
-conjecture scan additionally tracks the two-power bounds 2^{±(n-k)/2}; the
+together with the sandwich between polytope and ellipsoid ratios and, as
+report entries but not CSV columns, Vaaler's vol(cube section) >= 2^k and
+Blaschke-Santalo's vol(cube section) * vol(cross projection) <= vol(B^k)^2.
+The conjecture scan additionally tracks the two-power bounds 2^{±(n-k)/2}; the
 upper one for cube sections is proved (a violation indicates a solver or
 volume bug), the lower one for cross projections is exploratory and is
 reported without being asserted.
@@ -34,20 +36,23 @@ from . import polytopes as _polytopes
 BOUND_TOL = 1e-6
 _MASK64 = (1 << 64) - 1
 
-CSV_COLUMNS = (
-    "n", "k", "trial_id", "seed",
-    "lowner_ratio", "john_ratio", "cube_section_ratio", "cross_projection_ratio",
-    "bound_kn", "bound_nk",
-    "pass_lowner", "pass_john", "pass_cube", "pass_cross",
-    "equality_flags", "profile_uniform",
+# (report key, CSV short name, bound is an upper bound): an upper bound is
+# (n/k)^{k/2}, a lower one (k/n)^{k/2}.  Every report holds the two
+# ellipsoid rows, which carry the CSV's bound_kn and bound_nk.
+_RATIOS = (
+    ("lowner_ratio", "lowner", False),
+    ("john_ratio", "john", True),
+    ("cube_section_ratio", "cube", True),
+    ("cross_projection_ratio", "cross", False),
 )
 
-_RATIO_COLUMNS = {
-    "lowner_ratio": "lowner",
-    "john_ratio": "john",
-    "cube_section_ratio": "cube",
-    "cross_projection_ratio": "cross",
-}
+CSV_COLUMNS = (
+    "n", "k", "trial_id", "seed",
+    *(column for column, _, _ in _RATIOS),
+    "bound_kn", "bound_nk",
+    *("pass_" + short for _, short, _ in _RATIOS),
+    "equality_flags", "profile_uniform",
+)
 
 
 def splitmix64(value: int) -> int:
@@ -119,30 +124,56 @@ def _profile_uniform(frame, tol: float) -> bool:
     return bool(np.max(np.abs(frame.squared_norms() - frame.k / frame.n)) <= tol)
 
 
-def verify_ellipsoid_bounds(subspace: Subspace, eps: float = DEFAULT_EPS,
-                            tol: float = BOUND_TOL, trial_id: int = 0,
-                            seed: int = 0) -> ExperimentReport:
-    """Check the Lowner/John volume-ratio bounds on one subspace."""
+def _polytope_ratios(frame) -> tuple[float, float, float]:
+    """Normalized (cube section, cross projection) ratios of a frame, and the
+    product of the two volumes."""
+    vol_section, vol_cross = _polytopes._frame_volumes(frame)
+    k = frame.k
+    return (vol_section / 2.0 ** k,
+            vol_cross / (2.0 ** k / math.factorial(k)),
+            vol_section * vol_cross)
+
+
+def _verify(subspace: Subspace, volumes: bool, eps: float, tol: float,
+            trial_id: int, seed: int) -> ExperimentReport:
     n, k = subspace.n, subspace.k
     frame = project_standard_basis(subspace)
+    if volumes:  # before the fit, so an unsupported k fails first
+        cube, cross, product = _polytope_ratios(frame)
     fit = lowner_symmetric(frame.vectors, eps=eps)
     ball = unit_ball_volume(k)
-    lowner_ratio = ellipsoid_volume(fit.ellipsoid) / ball
-    john_ratio = ellipsoid_volume(polar_ellipsoid(fit.ellipsoid)) / ball
-    bound_kn = (k / n) ** (k / 2)
-    bound_nk = (n / k) ** (k / 2)
-    ratios = {"lowner_ratio": lowner_ratio, "john_ratio": john_ratio}
-    bounds = {"lowner_ratio": bound_kn, "john_ratio": bound_nk}
-    passes = {"lowner_ratio": bool(lowner_ratio >= bound_kn - tol),
-              "john_ratio": bool(john_ratio <= bound_nk + tol)}
-    equality = {key: _equality_flag(ratios[key], bounds[key], tol) for key in ratios}
+    ratios = {"lowner_ratio": ellipsoid_volume(fit.ellipsoid) / ball,
+              "john_ratio": ellipsoid_volume(polar_ellipsoid(fit.ellipsoid)) / ball}
+    if volumes:
+        ratios.update(cube_section_ratio=cube, cross_projection_ratio=cross)
+    bounds, passes, equality = {}, {}, {}
+    for column, _, is_upper in _RATIOS:
+        if column in ratios:
+            value = ratios[column]
+            bound = bounds[column] = (n / k if is_upper else k / n) ** (k / 2)
+            passes[column] = bool(value <= bound + tol if is_upper else value >= bound - tol)
+            equality[column] = _equality_flag(value, bound, tol)
     extras = {"ellipsoid_equality_concordant":
               equality["lowner_ratio"] == equality["john_ratio"]}
+    if volumes:
+        passes.update(chain_cube=bool(cube <= ratios["john_ratio"] + tol),
+                      chain_cross=bool(cross >= ratios["lowner_ratio"] - tol),
+                      vaaler=bool(cube >= 1.0 - tol),
+                      # relative: k = 1 is an equality case
+                      blaschke_santalo=bool(product <= ball ** 2 * (1.0 + tol)))
+        extras["volume_product"] = product
     return ExperimentReport(trial_id=trial_id, n=n, k=k, seed=seed,
                             ratios=ratios, bounds=bounds, passes=passes,
                             equality=equality,
                             profile_uniform=_profile_uniform(frame, tol),
                             extras=extras)
+
+
+def verify_ellipsoid_bounds(subspace: Subspace, eps: float = DEFAULT_EPS,
+                            tol: float = BOUND_TOL, trial_id: int = 0,
+                            seed: int = 0) -> ExperimentReport:
+    """Check the Lowner/John volume-ratio bounds on one subspace."""
+    return _verify(subspace, False, eps, tol, trial_id, seed)
 
 
 def verify_volume_bounds(subspace: Subspace, eps: float = DEFAULT_EPS,
@@ -151,33 +182,7 @@ def verify_volume_bounds(subspace: Subspace, eps: float = DEFAULT_EPS,
     """Check the polytope volume bounds, the ellipsoid bounds, and the sandwich
     between them on one subspace (k must be within the exact-volume range);
     both polytope volumes come from one certified hull of the frame's +/- v_i."""
-    n, k = subspace.n, subspace.k
-    vol_section, vol_cross = _polytopes._frame_volumes(project_standard_basis(subspace))
-    base = verify_ellipsoid_bounds(subspace, eps=eps, tol=tol,
-                                   trial_id=trial_id, seed=seed)
-    cube_ratio = vol_section / 2.0 ** k
-    cross_ratio = vol_cross / (2.0 ** k / math.factorial(k))
-    bound_kn = base.bounds["lowner_ratio"]
-    bound_nk = base.bounds["john_ratio"]
-    ratios = dict(base.ratios,
-                  cube_section_ratio=cube_ratio,
-                  cross_projection_ratio=cross_ratio)
-    bounds = dict(base.bounds,
-                  cube_section_ratio=bound_nk,
-                  cross_projection_ratio=bound_kn)
-    passes = dict(base.passes,
-                  cube_section_ratio=bool(cube_ratio <= bound_nk + tol),
-                  cross_projection_ratio=bool(cross_ratio >= bound_kn - tol),
-                  chain_cube=bool(cube_ratio <= base.ratios["john_ratio"] + tol),
-                  chain_cross=bool(cross_ratio >= base.ratios["lowner_ratio"] - tol))
-    equality = dict(base.equality,
-                    cube_section_ratio=_equality_flag(cube_ratio, bound_nk, tol),
-                    cross_projection_ratio=_equality_flag(cross_ratio, bound_kn, tol))
-    extras = dict(base.extras, volume_product=vol_section * vol_cross)
-    return ExperimentReport(trial_id=trial_id, n=n, k=k, seed=seed,
-                            ratios=ratios, bounds=bounds, passes=passes,
-                            equality=equality, profile_uniform=base.profile_uniform,
-                            extras=extras)
+    return _verify(subspace, True, eps, tol, trial_id, seed)
 
 
 @dataclass(frozen=True)
@@ -217,9 +222,7 @@ def conjecture_scan(n: int, k: int, trials: int, seed: int,
     for t in range(trials):
         s = trial_seed(seed, t)
         sub = random_subspace(n, k, s)
-        vol_section, vol_cross = _polytopes._frame_volumes(project_standard_basis(sub))
-        cube_ratio = vol_section / 2.0 ** k
-        cross_ratio = vol_cross / (2.0 ** k / math.factorial(k))
+        cube_ratio, cross_ratio, _ = _polytope_ratios(project_standard_basis(sub))
         max_cube = max(max_cube, cube_ratio)
         min_cross = min(min_cross, cross_ratio)
         if cube_ratio > bound_ball2 + slack:
@@ -270,10 +273,8 @@ def run_suite(config) -> tuple[list[ExperimentReport], str]:
         for t in range(spec.trials):
             s = trial_seed(spec.seed, t)
             sub = random_subspace(spec.n, spec.k, s)
-            if "volume" in spec.experiments:
-                reports.append(verify_volume_bounds(sub, trial_id=t, seed=s))
-            elif "ellipsoid" in spec.experiments:
-                reports.append(verify_ellipsoid_bounds(sub, trial_id=t, seed=s))
+            reports.append(_verify(sub, "volume" in spec.experiments,
+                                   DEFAULT_EPS, BOUND_TOL, t, s))
     reports.sort(key=lambda r: (r.n, r.k, r.trial_id))
     return reports, render_csv(reports)
 
@@ -296,23 +297,12 @@ def render_csv(reports) -> str:
         ",".join(CSV_COLUMNS),
     ]
     for r in reports:
-        flags = "|".join(short for key, short in _RATIO_COLUMNS.items()
-                         if r.equality.get(key))
-        row = [
-            str(r.n), str(r.k), str(r.trial_id), str(r.seed),
-            _csv_float(r.ratios.get("lowner_ratio")),
-            _csv_float(r.ratios.get("john_ratio")),
-            _csv_float(r.ratios.get("cube_section_ratio")),
-            _csv_float(r.ratios.get("cross_projection_ratio")),
-            _csv_float(r.bounds.get("lowner_ratio")),
-            _csv_float(r.bounds.get("john_ratio")),
-            _csv_flag(r.passes.get("lowner_ratio")),
-            _csv_flag(r.passes.get("john_ratio")),
-            _csv_flag(r.passes.get("cube_section_ratio")),
-            _csv_flag(r.passes.get("cross_projection_ratio")),
-            flags,
-            str(bool(r.profile_uniform)),
-        ]
+        row = [str(r.n), str(r.k), str(r.trial_id), str(r.seed),
+               *(_csv_float(r.ratios.get(column)) for column, _, _ in _RATIOS),
+               *(_csv_float(r.bounds.get(column)) for column, _, _ in _RATIOS[:2]),
+               *(_csv_flag(r.passes.get(column)) for column, _, _ in _RATIOS),
+               "|".join(short for column, short, _ in _RATIOS if r.equality.get(column)),
+               str(bool(r.profile_uniform))]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from scipy.spatial import QhullError
 
+import framegeo.polytopes
 from framegeo import jsonio
 from framegeo.cli import main
-from framegeo.ellipsoids import ConvergenceError
-from framegeo.experiments import SuiteSpec, run_suite
+from framegeo.ellipsoids import ConvergenceError, unit_ball_volume
+from framegeo.experiments import (SuiteSpec, random_subspace, run_suite, trial_seed,
+                                  verify_volume_bounds)
 from framegeo.frames import project_standard_basis
 from framegeo.polytopes import equality_subspace
 
@@ -111,6 +113,31 @@ def test_verify_ellipsoid_only(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     assert lines[2].split(",")[6] == ""  # cube_section_ratio left empty
+
+
+@pytest.mark.parametrize("entry,fake_volumes", [
+    # a section below Vaaler's 2^k
+    ("vaaler", lambda section, cross, k: (0.99 * 2.0 ** k, cross)),
+    # a volume product above Blaschke-Santalo's vol(B^k)^2
+    ("blaschke_santalo",
+     lambda section, cross, k: (section, 1.01 * unit_ball_volume(k) ** 2 / section)),
+])
+def test_verify_names_the_violated_proved_inequality(capsys, monkeypatch, entry,
+                                                      fake_volumes):
+    real = framegeo.polytopes._frame_volumes
+    monkeypatch.setattr(framegeo.polytopes, "_frame_volumes",
+                        lambda frame: fake_volumes(*real(frame), frame.k))
+    seeds = [trial_seed(7, t) for t in range(2)]
+    report = verify_volume_bounds(random_subspace(6, 3, seeds[0]))
+    assert [key for key, ok in report.passes.items() if not ok] == [entry]
+    assert not report.proved_ok
+    assert main(["verify", "--n", "6", "--k", "3", "--trials", "2", "--seed", "7"]) == 1
+    captured = capsys.readouterr()
+    # the pass_* cells show only the four ratio bounds, all of which hold
+    for line in captured.out.splitlines()[2:]:
+        assert line.split(",")[10:14] == ["True"] * 4
+    assert captured.err.splitlines() == [
+        f"bound violated: trial {t} seed {seeds[t]}: {entry}" for t in range(2)]
 
 
 def test_verify_rejects_unknown_experiment(capsys):

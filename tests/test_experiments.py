@@ -1,10 +1,12 @@
 import csv
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import framegeo.experiments
 import framegeo.polytopes
 from framegeo.experiments import (CSV_COLUMNS, ConjectureScanSummary,
                                   ExperimentReport, SuiteSpec, conjecture_scan,
@@ -195,6 +197,44 @@ def test_equality_csv_flags_column():
     assert row[CSV_COLUMNS.index("profile_uniform")] == "True"
 
 
+def test_csv_header_is_the_one_readme_documents():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("with the fixed column set")[1].split("```")[1]
+    assert ",".join(CSV_COLUMNS) == "".join(block.split())
+
+
+def test_render_csv_column_order_on_hand_built_reports():
+    # exact binary fractions, so every cell's position is checked without numerics
+    full = ExperimentReport(
+        trial_id=2, n=6, k=3, seed=9,
+        ratios={"lowner_ratio": 0.5, "john_ratio": 2.0,
+                "cube_section_ratio": 1.5, "cross_projection_ratio": 0.75},
+        bounds={"lowner_ratio": 0.25, "john_ratio": 4.0,
+                "cube_section_ratio": 4.0, "cross_projection_ratio": 0.25},
+        passes={"lowner_ratio": True, "john_ratio": False,
+                "cube_section_ratio": True, "cross_projection_ratio": False,
+                "chain_cube": False},
+        equality={"lowner_ratio": False, "john_ratio": True,
+                  "cube_section_ratio": False, "cross_projection_ratio": True},
+        profile_uniform=False)
+    ellipsoid_only = ExperimentReport(
+        trial_id=0, n=5, k=2, seed=1,
+        ratios={"lowner_ratio": 0.125, "john_ratio": 8.0},
+        bounds={"lowner_ratio": 0.0625, "john_ratio": 16.0},
+        passes={"lowner_ratio": True, "john_ratio": True},
+        equality={"lowner_ratio": True, "john_ratio": True},
+        profile_uniform=True)
+    lines = render_csv([full, ellipsoid_only]).splitlines()
+    assert lines[0].startswith("# tolerance ledger:")
+    assert lines[1:] == [
+        "n,k,trial_id,seed,lowner_ratio,john_ratio,cube_section_ratio,"
+        "cross_projection_ratio,bound_kn,bound_nk,pass_lowner,pass_john,"
+        "pass_cube,pass_cross,equality_flags,profile_uniform",
+        "6,3,2,9,0.5,2.0,1.5,0.75,0.25,4.0,True,False,True,False,john|cross,False",
+        "5,2,0,1,0.125,8.0,,,0.0625,16.0,True,True,,,lowner|john,True",
+    ]
+
+
 def test_conjecture_scan_line_in_plane():
     summary = conjecture_scan(2, 1, trials=64, seed=9)
     assert isinstance(summary, ConjectureScanSummary)
@@ -213,18 +253,18 @@ def test_conjecture_scan_bound_attained_by_diagonal_line():
     assert r.ratios["cube_section_ratio"] == pytest.approx(2.0 ** 0.5, rel=1e-12)
 
 
-@pytest.mark.parametrize("trial,hulls", [
-    (lambda: verify_volume_bounds(random_subspace(6, 3, trial_seed(7, 0))), 2),
-    (lambda: conjecture_scan(14, 4, trials=1, seed=1), 2),
-    (lambda: verify_volume_bounds(random_subspace(4, 1, trial_seed(3, 0))), 0),
-    (lambda: conjecture_scan(4, 1, trials=1, seed=3), 0),
+@pytest.mark.parametrize("trial,hulls,fits", [
+    (lambda: verify_volume_bounds(random_subspace(6, 3, trial_seed(7, 0))), 2, 1),
+    (lambda: conjecture_scan(14, 4, trials=1, seed=1), 2, 0),
+    (lambda: verify_volume_bounds(random_subspace(4, 1, trial_seed(3, 0))), 0, 1),
+    (lambda: conjecture_scan(4, 1, trials=1, seed=3), 0, 0),
 ], ids=["verify_6_3", "scan_14_4", "verify_4_1", "scan_4_1"])
-def test_one_trial_certifies_once_and_hulls_the_frame_once(monkeypatch, trial, hulls):
-    # one hull of the +/- v_i serves both bodies; the second is the hull of
-    # the section's vertices.  At k = 1 both volumes are read off directly.
-    # The library must look both names up in framegeo.polytopes, where the
-    # benchmark tracer patches them too.
-    counts = {"hulls": 0, "certifications": 0}
+def test_one_trial_certifies_once_and_hulls_the_frame_once(monkeypatch, trial, hulls, fits):
+    # one projection serves the fit and both bodies; one hull of the +/- v_i
+    # serves both bodies, the second is the hull of the section's vertices.
+    # At k = 1 both volumes are read off directly.  The library must look
+    # each name up in the namespace where the benchmark tracer patches it.
+    counts = {"hulls": 0, "certifications": 0, "projections": 0, "fits": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -237,8 +277,12 @@ def test_one_trial_certifies_once_and_hulls_the_frame_once(monkeypatch, trial, h
     monkeypatch.setattr(framegeo.polytopes, "certify_unit_decomposition",
                         counted("certifications",
                                 framegeo.polytopes.certify_unit_decomposition))
+    monkeypatch.setattr(framegeo.experiments, "project_standard_basis",
+                        counted("projections", framegeo.experiments.project_standard_basis))
+    monkeypatch.setattr(framegeo.experiments, "lowner_symmetric",
+                        counted("fits", framegeo.experiments.lowner_symmetric))
     trial()
-    assert counts == {"hulls": hulls, "certifications": 1}
+    assert counts == {"hulls": hulls, "certifications": 1, "projections": 1, "fits": fits}
 
 
 def test_conjecture_scan_validation():
