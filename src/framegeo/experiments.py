@@ -34,6 +34,7 @@ from . import majorization as _majorization
 from . import polytopes as _polytopes
 
 BOUND_TOL = 1e-6
+_SCAN_SLACK = 1e-9  # the scan's margin on both two-power bounds
 _MASK64 = (1 << 64) - 1
 
 # (report key, CSV short name, bound is an upper bound): an upper bound is
@@ -201,8 +202,7 @@ class ConjectureScanSummary:
     counterexample: Optional[dict]  # first trial below the exploratory bound, if any
 
 
-def conjecture_scan(n: int, k: int, trials: int, seed: int,
-                    slack: float = 1e-9) -> ConjectureScanSummary:
+def conjecture_scan(n: int, k: int, trials: int, seed: int) -> ConjectureScanSummary:
     """Scan random subspaces for the two-power volume bounds.
 
     The cube-section ratio must stay below 2^{(n-k)/2} (proved; violations
@@ -225,9 +225,9 @@ def conjecture_scan(n: int, k: int, trials: int, seed: int,
         cube_ratio, cross_ratio, _ = _polytope_ratios(project_standard_basis(sub))
         max_cube = max(max_cube, cube_ratio)
         min_cross = min(min_cross, cross_ratio)
-        if cube_ratio > bound_ball2 + slack:
+        if cube_ratio > bound_ball2 + _SCAN_SLACK:
             violations.append(t)
-        if cross_ratio < bound_2pow - slack and counterexample is None:
+        if cross_ratio < bound_2pow - _SCAN_SLACK and counterexample is None:
             counterexample = {
                 "trial_id": t,
                 "seed": s,

@@ -4,12 +4,14 @@ A certified frame v_1, ..., v_n in R^k defines two polar bodies: the cube
 section {y : |<v_i, y>| <= 1 for all i} (an H-representation) and the
 cross-polytope projection, the absolute convex hull of the v_i (a
 V-representation).  Both representations store one row per +/- pair.
-Exact volumes, for k <= K_EXACT and any number of rows, triangulate the
-convex hull of the vertices.  The section's vertices are read off the facets
-of the hull of the +/- v_i (facet dualization), so a trial's two volumes come
-from one certified hull of the +/- v_i.  A hit-or-miss Monte Carlo estimator
-covers every dimension: it samples an H-rep body in sqrt(k) times its John
-ellipsoid and a V-rep body in the Lowner ellipsoid of its vertices.
+Every hull of +/- rows comes from one helper, ``_hull``, which stands in for
+qhull at k = 1 with the interval [-t, t].  Exact volumes, for k <= K_EXACT
+and any number of rows, triangulate the hull of the +/- vertices.  The
+section's vertices are read off the facets of the hull of the +/- v_i (facet
+dualization), so a trial's two volumes come from one certified hull of the
++/- v_i.  A hit-or-miss Monte Carlo estimator covers every dimension: it
+samples an H-rep body in sqrt(k) times its John ellipsoid and a V-rep body in
+the Lowner ellipsoid of its vertices.
 """
 
 from __future__ import annotations
@@ -50,14 +52,12 @@ class Polytope:
 
     ``vrep`` rows are vertex representatives (the body is the convex hull of
     them and their negatives); ``hrep`` rows g cut {y : |<g, y>| <= 1}.  At
-    least one representation must be present.  ``multiplicity`` counts
-    collapsed duplicate rows when the constructor tracked them.
+    least one representation must be present.
     """
 
     k: int
     vrep: Optional[np.ndarray] = None
     hrep: Optional[np.ndarray] = None
-    multiplicity: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -75,10 +75,6 @@ class Polytope:
                 raise ValueError(f"{name} contains non-finite entries")
             rep.setflags(write=False)
             object.__setattr__(self, name, rep)
-        if self.multiplicity is not None:
-            mult = np.array(self.multiplicity, dtype=int)
-            mult.setflags(write=False)
-            object.__setattr__(self, "multiplicity", mult)
 
 
 class VolumeEstimate(NamedTuple):
@@ -96,7 +92,7 @@ def _canonicalize_signs(rows: np.ndarray, tol: float = TAU_GEO) -> np.ndarray:
 
 
 def _collapse_rows(rows: np.ndarray, tol: float = TAU_GEO):
-    """Drop near-zero rows and merge +/- duplicates; returns (reps, counts).
+    """Drop near-zero rows and merge +/- duplicates; returns the representatives.
 
     Rows are taken in order: a row joins the first representative within
     ``tol`` of it (max norm), or else becomes a representative itself.
@@ -105,7 +101,7 @@ def _collapse_rows(rows: np.ndarray, tol: float = TAU_GEO):
     canon = _canonicalize_signs(rows, tol)
     canon = canon[np.linalg.norm(canon, axis=1) > tol]
     if canon.shape[0] == 0:
-        return np.zeros((0, k)), np.zeros(0, dtype=int)
+        return np.zeros((0, k))
     first, later = cKDTree(canon).query_pairs(tol, p=np.inf, output_type="ndarray").T
     # A row is a representative unless an earlier representative is near it.
     # Each row depends only on earlier rows, so this iteration settles after
@@ -118,34 +114,53 @@ def _collapse_rows(rows: np.ndarray, tol: float = TAU_GEO):
         if np.array_equal(settled, is_rep):
             break
         is_rep = settled
-    owner = np.where(is_rep, np.arange(canon.shape[0]), canon.shape[0])
-    joins = is_rep[first] & ~is_rep[later]
-    np.minimum.at(owner, later[joins], first[joins])
-    counts = np.bincount(owner, minlength=canon.shape[0])
-    return canon[is_rep], counts[is_rep]
+    return canon[is_rep]
+
+
+class _Interval(NamedTuple):
+    """The hull attributes callers read, for the interval [-t, t] at k = 1."""
+    volume: float
+    vertices: np.ndarray
+    equations: np.ndarray
+
+
+def _hull(rows: np.ndarray):
+    """Convex hull of the +/- rows; qhull cannot run at k = 1, where the hull
+    is [-t, t], t = max |row|, with the argmax row as its vertex."""
+    if rows.shape[1] == 1:
+        top = int(np.argmax(np.abs(rows[:, 0])))
+        t = float(abs(rows[top, 0]))
+        return _Interval(2.0 * t, np.array([top]), np.array([[1.0, -t], [-1.0, -t]]))
+    return ConvexHull(np.vstack([rows, -rows]))
+
+
+def _require_exact(k: int) -> None:
+    if k > K_EXACT:
+        raise UnsupportedDimensionError(
+            f"exact computation needs k <= {K_EXACT}, got k={k}; "
+            f"use estimate_volume")
 
 
 def _certified_rows(frame: FrameSet, tol: float):
-    """Certify the frame and collapse its vectors; returns (reps, counts)."""
+    """Certify the frame and collapse its vectors; returns the representatives."""
     cert = certify_unit_decomposition(frame, tol)
     if not cert.ok:
         raise CertificationError(
             f"frame must certify as a unit decomposition within {tol:g}: "
             f"deviation {cert.deviation:.3e}", cert.deviation)
-    reps, mult = _collapse_rows(frame.vectors)
+    reps = _collapse_rows(frame.vectors)
     if reps.shape[0] == 0:
         raise DegenerateBodyError("all frame vectors are zero")
-    return reps, mult
+    return reps
 
 
 def polytope_from_frame(frame: FrameSet, tol: float = TAU_CERT) -> Polytope:
     """Cube section {y : |<v_i, y>| <= 1} of a certified frame (H-rep).
 
     Zero vectors impose no constraint and are dropped; duplicate functionals
-    are collapsed with their multiplicity recorded.
+    are collapsed.
     """
-    reps, mult = _certified_rows(frame, tol)
-    return Polytope(k=frame.k, hrep=reps, multiplicity=mult)
+    return Polytope(k=frame.k, hrep=_certified_rows(frame, tol))
 
 
 def absolute_hull_gauge(generators, point) -> float:
@@ -170,18 +185,14 @@ def absolute_hull_gauge(generators, point) -> float:
 def cross_projection(frame: FrameSet, tol: float = TAU_CERT) -> Polytope:
     """Projection of the cross-polytope: absolute convex hull of the frame (V-rep).
 
-    Duplicates are collapsed with multiplicity and non-extreme points are
-    removed, so the stored rows are exactly the vertex representatives.  A
-    certified frame spans R^k, so the vertices are those of the convex hull
-    of the +/- representatives.
+    Duplicates are collapsed and non-extreme points are removed, so the
+    stored rows are exactly the vertex representatives.  A certified frame
+    spans R^k, so the vertices are those of the convex hull of the +/-
+    representatives.
     """
-    reps, mult = _certified_rows(frame, tol)
-    if frame.k == 1:
-        keep = [int(np.argmax(np.abs(reps[:, 0])))]
-    else:
-        hull = ConvexHull(np.vstack([reps, -reps]))
-        keep = sorted({int(v) % reps.shape[0] for v in hull.vertices})
-    return Polytope(k=frame.k, vrep=reps[keep], multiplicity=mult[keep])
+    reps = _certified_rows(frame, tol)
+    keep = np.unique(_hull(reps).vertices % reps.shape[0])
+    return Polytope(k=frame.k, vrep=reps[keep])
 
 
 def _polar_vertices(hull, tol: float = TAU_GEO) -> np.ndarray:
@@ -191,8 +202,7 @@ def _polar_vertices(hull, tol: float = TAU_GEO) -> np.ndarray:
     offsets = hull.equations[:, -1]
     if not np.all(offsets < 0.0):
         raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
-    verts, _ = _collapse_rows(hull.equations[:, :-1] / -offsets[:, None], tol)
-    return verts
+    return _collapse_rows(hull.equations[:, :-1] / -offsets[:, None], tol)
 
 
 def enumerate_vertices(p: Polytope, tol: float = TAU_GEO) -> Polytope:
@@ -201,16 +211,10 @@ def enumerate_vertices(p: Polytope, tol: float = TAU_GEO) -> Polytope:
         raise ValueError("enumerate_vertices needs an H-representation")
     G = p.hrep
     m, k = G.shape
-    if k > K_EXACT:
-        raise UnsupportedDimensionError(
-            f"vertex enumeration supports k <= {K_EXACT}, got k={k}; "
-            f"use estimate_volume for larger bodies")
+    _require_exact(k)
     if m < k or np.linalg.matrix_rank(G) < k:
         raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
-    if k == 1:
-        t = 1.0 / float(np.max(np.abs(G[:, 0])))
-        return Polytope(k=1, vrep=np.array([[t]]))
-    return Polytope(k=k, vrep=_polar_vertices(ConvexHull(np.vstack([G, -G])), tol))
+    return Polytope(k=k, vrep=_polar_vertices(_hull(G), tol))
 
 
 def volume(p: Polytope) -> float:
@@ -219,32 +223,20 @@ def volume(p: Polytope) -> float:
     The vertices of an H-rep body span R^k, because ``enumerate_vertices``
     has proved the body bounded; only V-rep bodies are checked for rank.
     """
-    if p.k > K_EXACT:
-        raise UnsupportedDimensionError(
-            f"exact volume supports k <= {K_EXACT}; use estimate_volume")
-    verts = p.vrep if p.vrep is not None else enumerate_vertices(p).vrep
-    if p.k == 1:
-        return float(2.0 * np.max(np.abs(verts)))
-    S = np.vstack([verts, -verts])
-    if p.vrep is not None and np.linalg.matrix_rank(S) < p.k:
+    _require_exact(p.k)
+    if p.vrep is not None and np.linalg.matrix_rank(p.vrep) < p.k:
         raise DegenerateBodyError("body is not full-dimensional")
-    return float(ConvexHull(S).volume)
+    verts = p.vrep if p.vrep is not None else enumerate_vertices(p).vrep
+    return float(_hull(verts).volume)
 
 
 def _frame_volumes(frame: FrameSet) -> tuple[float, float]:
     """Exact (cube section, cross projection) volumes of a certified frame:
     one hull of its +/- vectors has the cross projection's volume, and its
     facets give the vertices of the section, its polar."""
-    if frame.k > K_EXACT:
-        raise UnsupportedDimensionError(
-            f"exact volumes require k <= {K_EXACT}, got k={frame.k}")
-    reps, _ = _certified_rows(frame, TAU_CERT)
-    if frame.k == 1:
-        top = float(np.max(np.abs(reps[:, 0])))
-        return 2.0 * (1.0 / top), 2.0 * top
-    hull = ConvexHull(np.vstack([reps, -reps]))
-    verts = _polar_vertices(hull)
-    return float(ConvexHull(np.vstack([verts, -verts])).volume), float(hull.volume)
+    _require_exact(frame.k)
+    hull = _hull(_certified_rows(frame, TAU_CERT))
+    return float(_hull(_polar_vertices(hull)).volume), float(hull.volume)
 
 
 def support_function(p: Polytope, direction) -> float:
@@ -275,7 +267,7 @@ def polar(p: Polytope) -> Polytope:
             "origin is not interior: vertex representatives do not span R^k")
     new_v = None if p.hrep is None else np.array(p.hrep)
     new_h = None if p.vrep is None else np.array(p.vrep)
-    return Polytope(k=p.k, vrep=new_v, hrep=new_h, multiplicity=p.multiplicity)
+    return Polytope(k=p.k, vrep=new_v, hrep=new_h)
 
 
 def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
