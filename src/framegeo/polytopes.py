@@ -9,7 +9,10 @@ qhull at k = 1 with the interval [-t, t].  Exact volumes, for k <= K_EXACT
 and any number of rows, triangulate the hull of the +/- vertices.  The
 section's vertices are read off the facets of the hull of the +/- v_i (facet
 dualization), so a trial's two volumes come from one certified hull of the
-+/- v_i.  A hit-or-miss Monte Carlo estimator covers every dimension: it
++/- v_i.  An H-rep body keeps those vertices once they are computed: for
+k <= K_EXACT and functionals that span R^k its support function is the
+maximum of |<s, u>| over them, and otherwise a linear program.  A
+hit-or-miss Monte Carlo estimator covers every dimension: it
 samples an H-rep body in sqrt(k) times its John ellipsoid and a V-rep body in
 the Lowner ellipsoid of its vertices.
 """
@@ -17,7 +20,7 @@ the Lowner ellipsoid of its vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -52,12 +55,16 @@ class Polytope:
 
     ``vrep`` rows are vertex representatives (the body is the convex hull of
     them and their negatives); ``hrep`` rows g cut {y : |<g, y>| <= 1}.  At
-    least one representation must be present.
+    least one representation must be present.  Both are read-only, so an
+    H-rep body may keep its vertices, once computed, in a private field that
+    takes no part in equality or repr.
     """
 
     k: int
     vrep: Optional[np.ndarray] = None
     hrep: Optional[np.ndarray] = None
+    _vertices: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -198,23 +205,39 @@ def cross_projection(frame: FrameSet, tol: float = TAU_CERT) -> Polytope:
 def _polar_vertices(hull, tol: float = TAU_GEO) -> np.ndarray:
     """Polar vertices of a hull of +/- points, one per pair: each facet a.x + b = 0
     (b < 0: the origin is interior) gives a / (-b); antipodal facets and qhull's
-    splits of non-simplicial ones repeat a vertex, so candidates are collapsed."""
+    splits of non-simplicial ones repeat a vertex, so candidates are collapsed,
+    within ``tol`` relative to their largest entry so that any scale works."""
     offsets = hull.equations[:, -1]
     if not np.all(offsets < 0.0):
         raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
-    return _collapse_rows(hull.equations[:, :-1] / -offsets[:, None], tol)
+    cands = hull.equations[:, :-1] / -offsets[:, None]
+    return _collapse_rows(cands, tol * np.abs(cands).max())
 
 
-def enumerate_vertices(p: Polytope, tol: float = TAU_GEO) -> Polytope:
+def _section_vertices(p: Polytope) -> Optional[np.ndarray]:
+    """Vertices of the H-rep body ``p``, one per +/- pair, computed once and
+    kept on ``p``; None where no finite vertex set is known: k > K_EXACT, or
+    functionals that do not span R^k."""
+    if p._vertices is None:
+        G = p.hrep
+        m, k = G.shape
+        if k > K_EXACT or m < k or np.linalg.matrix_rank(G) < k:
+            return None
+        verts = _polar_vertices(_hull(G))
+        verts.setflags(write=False)
+        object.__setattr__(p, "_vertices", verts)
+    return p._vertices
+
+
+def enumerate_vertices(p: Polytope) -> Polytope:
     """All vertices of {y : |<g_i, y>| <= 1}, read off the facets of conv(+/- g_i)."""
     if p.hrep is None:
         raise ValueError("enumerate_vertices needs an H-representation")
-    G = p.hrep
-    m, k = G.shape
-    _require_exact(k)
-    if m < k or np.linalg.matrix_rank(G) < k:
+    _require_exact(p.k)
+    verts = _section_vertices(p)
+    if verts is None:
         raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
-    return Polytope(k=k, vrep=_polar_vertices(_hull(G), tol))
+    return Polytope(k=p.k, vrep=verts)
 
 
 def volume(p: Polytope) -> float:
@@ -242,14 +265,18 @@ def _frame_volumes(frame: FrameSet) -> tuple[float, float]:
 def support_function(p: Polytope, direction) -> float:
     """h(u) = max over the body of <u, y>.
 
-    V-rep: the maximum of |<w_i, u>| over vertex representatives.  H-rep:
-    the optimal value of the bounded linear program over the constraints.
+    V-rep: the maximum of |<w_i, u>| over vertex representatives.  H-rep,
+    for k <= K_EXACT and functionals that span R^k: the same maximum over
+    the body's vertices, computed once per body.  Any other H-rep body: the
+    optimal value of the linear program over the constraints, which raises
+    UnboundedBodyError where the support is infinite.
     """
     u = np.asarray(direction, dtype=float)
     if u.shape != (p.k,):
         raise ValueError(f"direction must have shape ({p.k},)")
-    if p.vrep is not None:
-        return float(np.max(np.abs(p.vrep @ u)))
+    verts = p.vrep if p.vrep is not None else _section_vertices(p)
+    if verts is not None:
+        return float(np.max(np.abs(verts @ u)))
     G = p.hrep
     res = linprog(c=-u, A_ub=np.vstack([G, -G]), b_ub=np.ones(2 * G.shape[0]),
                   bounds=[(None, None)] * p.k, method="highs")

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from framegeo.ellipsoids import lowner_symmetric
 from framegeo.experiments import (conjecture_scan, random_subspace,
@@ -18,9 +19,8 @@ from framegeo.experiments import (conjecture_scan, random_subspace,
 from framegeo.frames import certify_unit_decomposition, project_standard_basis
 from framegeo.majorization import (NormProfile, construct_realization,
                                    is_realizable, random_realizable_profile)
-from framegeo.polytopes import (cross_projection, enumerate_vertices,
-                                equality_subspace, polar, polytope_from_frame,
-                                support_function)
+from framegeo.polytopes import (cross_projection, equality_subspace,
+                                polytope_from_frame, support_function)
 
 EQUALITY_CASES = [(2, 1), (4, 2), (6, 2), (6, 3), (8, 4)]
 
@@ -135,15 +135,19 @@ def test_criterion_5_section_is_polar_of_projection(capsys):
         n, k = pairs[s % len(pairs)]
         frame = project_standard_basis(random_subspace(n, k, trial_seed(777, s)))
         section = polytope_from_frame(frame)
-        # the polar's vertices come from a hull, which shares no code with
-        # the section's linear program
-        dual_vertices = enumerate_vertices(polar(cross_projection(frame))).vrep
+        # The polar of the projection is {y : |<w, y>| <= 1} over its vertex
+        # representatives w.  Its support comes from a linear program written
+        # here, which shares no code with the library's vertex maximum.
+        W = cross_projection(frame).vrep
+        A_ub, b_ub = np.vstack([W, -W]), np.ones(2 * W.shape[0])
         rng = np.random.default_rng(trial_seed(778, s))
         for _ in range(200):
             u = rng.standard_normal(k)
             u /= np.linalg.norm(u)
-            worst = max(worst, abs(support_function(section, u)
-                                   - np.max(np.abs(dual_vertices @ u))))
+            res = linprog(c=-u, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * k,
+                          method="highs")
+            assert res.status == 0, res.message
+            worst = max(worst, abs(support_function(section, u) + res.fun))
     ok = worst <= 1e-8
     _emit(capsys, 5, "support functions of the section and the polar of the "
           "projection agree", ok,

@@ -6,6 +6,7 @@ import pytest
 from scipy.spatial import QhullError
 
 import framegeo.polytopes
+from framegeo import jsonio
 from framegeo.ellipsoids import Ellipsoid, lowner_symmetric
 from framegeo.frames import CertificationError, FrameSet, project_standard_basis
 from framegeo.experiments import (conjecture_scan, random_subspace,
@@ -311,7 +312,9 @@ def test_support_of_cube_is_l1_norm():
 
 
 def test_support_direction_validation_and_unbounded():
+    # a slab has no vertices, yet its support is finite across it
     slab = Polytope(k=2, hrep=np.array([[1.0, 0.0]]))
+    assert support_function(slab, [1.0, 0.0]) == 1.0
     with pytest.raises(UnboundedBodyError):
         support_function(slab, [0.0, 1.0])
     with pytest.raises(ValueError):
@@ -344,6 +347,64 @@ def test_polar_swaps_representations_and_involutes():
     back = polar(polar(hull_of(4, 2)))
     assert np.array_equal(back.vrep, hull_of(4, 2).vrep)
     assert volume(polar(p)) == pytest.approx(volume(hull_of(4, 2)), rel=1e-9)
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``framegeo.polytopes.<name>``; returns the list each call appends to."""
+    calls = []
+    wrapped = getattr(framegeo.polytopes, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(framegeo.polytopes, name, counted)
+    return calls
+
+
+def test_section_support_reads_kept_vertices_in_the_exact_range(monkeypatch):
+    lps = _count_calls(monkeypatch, "linprog")
+    hulls = _count_calls(monkeypatch, "ConvexHull")
+    directions = np.random.default_rng(5).standard_normal((16, 4))
+    p = polytope_from_frame(project_standard_basis(random_subspace(8, 4, 5)))
+    values = [support_function(p, u) for u in directions]
+    assert (len(lps), len(hulls)) == (0, 1)
+    assert values == [float(np.max(np.abs(enumerate_vertices(p).vrep @ u)))
+                      for u in directions]
+    volume(p)
+    assert (len(lps), len(hulls)) == (0, 2)
+    # above the exact range there is no vertex set: one LP per direction
+    q = polytope_from_frame(project_standard_basis(random_subspace(8, 6, 5)))
+    for u in np.random.default_rng(6).standard_normal((3, 6)):
+        support_function(q, u)
+    assert (len(lps), len(hulls)) == (3, 2)
+
+
+def test_kept_vertices_change_no_value_of_the_body():
+    fresh = section_of(8, 4)
+    filled = section_of(8, 4)
+    support_function(filled, np.ones(4))
+    assert repr(filled) == repr(fresh)
+    assert np.array_equal(polar(filled).vrep, polar(fresh).vrep)
+    assert polar(filled).hrep is None
+    assert jsonio.polytope_to_dict(filled) == jsonio.polytope_to_dict(fresh)
+    # a dataclass compares its array fields with ==, which is one truth
+    # value only for one entry, so equality is checked at k = 1
+    fresh, filled = Polytope(k=1, hrep=[[2.0]]), Polytope(k=1, hrep=[[2.0]])
+    support_function(filled, [1.0])
+    assert filled == fresh
+
+
+@pytest.mark.parametrize("c", [1e-9, 1.0, 1e9])
+@pytest.mark.parametrize("k", [1, 2])
+def test_hrep_body_at_any_scale(k, c):
+    # the cube [-1/2, 1/2]^k scaled by 1/c
+    p = Polytope(k=k, hrep=2.0 * c * np.eye(k))
+    corners = np.array(list(itertools.product([0.5], *[[0.5, -0.5]] * (k - 1))))
+    assert_same_up_to_sign(enumerate_vertices(p).vrep * c, corners)
+    assert volume(p) * c ** k == pytest.approx(1.0, rel=1e-12)
+    u = np.arange(1.0, k + 1.0)
+    assert support_function(p, u) * c == pytest.approx(0.5 * u.sum(), rel=1e-12)
 
 
 def test_polar_requires_interior_origin():
