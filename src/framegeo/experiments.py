@@ -10,8 +10,10 @@ one hull of its +/- vectors, then checks the volume ratios against the bounds:
     vol(cross projection)     / vol(D^k)   >= (k/n)^{k/2}
 
 together with the sandwich between polytope and ellipsoid ratios and, as
-report entries but not CSV columns, Vaaler's vol(cube section) >= 2^k and
-Blaschke-Santalo's vol(cube section) * vol(cross projection) <= vol(B^k)^2.
+report entries but not CSV columns, Vaaler's vol(cube section) >= 2^k,
+Blaschke-Santalo's vol(cube section) * vol(cross projection) <= vol(B^k)^2
+and, for k <= 3 where it is proved, Mahler's lower bound on that product,
+4^k / k!.
 The conjecture scan additionally tracks the two-power bounds 2^{±(n-k)/2}; the
 upper one for cube sections is proved (a violation indicates a solver or
 volume bug), the lower one for cross projections is exploratory and is
@@ -162,6 +164,9 @@ def _verify(subspace: Subspace, volumes: bool, eps: float, tol: float,
                       vaaler=bool(cube >= 1.0 - tol),
                       # relative: k = 1 is an equality case
                       blaschke_santalo=bool(product <= ball ** 2 * (1.0 + tol)))
+        if k <= 3:  # proved for k = 2 (Mahler) and k = 3 (Iriyeh-Shibata)
+            # relative: k = 1 and the cube/cross-polytope pairs are equality cases
+            passes["mahler"] = bool(product >= 4.0 ** k / math.factorial(k) * (1.0 - tol))
         extras["volume_product"] = product
     return ExperimentReport(trial_id=trial_id, n=n, k=k, seed=seed,
                             ratios=ratios, bounds=bounds, passes=passes,

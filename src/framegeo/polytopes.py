@@ -6,10 +6,13 @@ cross-polytope projection, the absolute convex hull of the v_i (a
 V-representation).  Both representations store one row per +/- pair.
 Every hull of +/- rows comes from one helper, ``_hull``, which stands in for
 qhull at k = 1 with the interval [-t, t].  Exact volumes, for k <= K_EXACT
-and any number of rows, triangulate the hull of the +/- vertices.  The
-section's vertices are read off the facets of the hull of the +/- v_i (facet
-dualization), so a trial's two volumes come from one certified hull of the
-+/- v_i.  An H-rep body keeps those vertices once they are computed: for
+and any number of rows, take one hull: a V-rep body's is the volume of the
+hull of its +/- vertices, and an H-rep body's is the volume of the polar of
+the hull of its +/- functionals, summed over a pulling triangulation of the
+polar's boundary read off the hull's facets.  So a trial's two volumes come
+from one certified hull of the +/- v_i, and no hull of the section's
+vertices is built.  Those vertices are read off the same facets (facet
+dualization), and an H-rep body keeps them once they are computed: for
 k <= K_EXACT and functionals that span R^k its support function is the
 maximum of |<s, u>| over them, and otherwise a linear program.  A
 hit-or-miss Monte Carlo estimator covers every dimension: it
@@ -19,6 +22,8 @@ the Lowner ellipsoid of its vertices.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -63,8 +68,7 @@ class Polytope:
     k: int
     vrep: Optional[np.ndarray] = None
     hrep: Optional[np.ndarray] = None
-    _vertices: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                            compare=False)
+    _vertices: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -82,6 +86,20 @@ class Polytope:
                 raise ValueError(f"{name} contains non-finite entries")
             rep.setflags(write=False)
             object.__setattr__(self, name, rep)
+
+    def _key(self):
+        # np.array_equal on finite arrays: + 0.0 turns -0.0 into 0.0, so
+        # equal arrays have equal bytes and the key also serves as the hash
+        return (self.k, *(None if rep is None else (rep.shape, (rep + 0.0).tobytes())
+                          for rep in (self.vrep, self.hrep)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Polytope):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 class VolumeEstimate(NamedTuple):
@@ -202,16 +220,77 @@ def cross_projection(frame: FrameSet, tol: float = TAU_CERT) -> Polytope:
     return Polytope(k=frame.k, vrep=reps[keep])
 
 
-def _polar_vertices(hull, tol: float = TAU_GEO) -> np.ndarray:
-    """Polar vertices of a hull of +/- points, one per pair: each facet a.x + b = 0
-    (b < 0: the origin is interior) gives a / (-b); antipodal facets and qhull's
-    splits of non-simplicial ones repeat a vertex, so candidates are collapsed,
-    within ``tol`` relative to their largest entry so that any scale works."""
+def _polar_points(hull) -> np.ndarray:
+    """One polar vertex per facet of a hull of +/- points: the facet
+    a.x + b = 0 (b < 0: the origin is interior) gives a / (-b)."""
     offsets = hull.equations[:, -1]
     if not np.all(offsets < 0.0):
         raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
-    cands = hull.equations[:, :-1] / -offsets[:, None]
+    return hull.equations[:, :-1] / -offsets[:, None]
+
+
+def _polar_vertices(hull, tol: float = TAU_GEO) -> np.ndarray:
+    """Polar vertices of a hull of +/- points, one per pair: antipodal facets
+    and qhull's splits of non-simplicial ones repeat a vertex, so the facets'
+    points are collapsed, within ``tol`` relative to their largest entry so
+    that any scale works."""
+    cands = _polar_points(hull)
     return _collapse_rows(cands, tol * np.abs(cands).max())
+
+
+@functools.lru_cache(maxsize=None)
+def _flag_plan(k: int):
+    """The nonempty proper subsets of a facet's k vertex slots, as rows of
+    slots padded with -1, and for each of the k! orderings of the slots the
+    rows of its first j slots, j = 1 .. k-1: shape (k!, k-1)."""
+    subsets = [s for j in range(1, k) for s in itertools.combinations(range(k), j)]
+    slots = np.array([s + (-1,) * (k - 1 - len(s)) for s in subsets])
+    prefixes = np.array([[subsets.index(tuple(sorted(order[:j]))) for j in range(1, k)]
+                         for order in itertools.permutations(range(k))])
+    for plan in (slots, prefixes):  # shared by every caller
+        plan.setflags(write=False)
+    return slots, prefixes
+
+
+def _polar_volume(hull) -> float:
+    """Volume of the polar of a hull of +/- points, read off the hull's facets.
+
+    A flag of the polar pairs a facet F of the hull (a polar vertex u_F)
+    with an ordering p_1, ..., p_k of F's vertices.  For j < k the face dual
+    to {p_1 .. p_j} gets as its apex the polar vertex of the lowest-index
+    facet that holds all of them; F is the apex at j = k.  Coning each face
+    from its apex over the faces that miss it triangulates the polar's
+    boundary (a pulling triangulation): with the origin, each flag whose
+    apex changes at every step is a simplex of volume |det(apexes)| / k!,
+    and every other flag is degenerate.  qhull's splits of a non-simplicial
+    facet share one polar vertex, so the flags across them have zero
+    volume.  At k = 1 the polar of [-t, t] is [-1/t, 1/t].
+    """
+    points = _polar_points(hull)
+    k = points.shape[1]
+    if k == 1:
+        return 4.0 / hull.volume
+    slots, prefixes = _flag_plan(k)
+    vertices = np.sort(hull.simplices, axis=1)
+    facets = vertices.shape[0]
+    # each subset's sorted vertices as one int key, shifted so that 0 pads
+    digits = np.where(slots >= 0, vertices[:, slots] + 1, 0)
+    keys = np.ravel_multi_index(tuple(np.moveaxis(digits, -1, 0)),
+                                (hull.points.shape[0] + 1,) * (k - 1))
+    # keys run facet by facet, so a key's first occurrence is its lowest facet
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    apex = (first // len(slots))[inverse].reshape(facets, len(slots))
+    chain = np.empty((facets, len(prefixes), k), dtype=apex.dtype)
+    chain[..., :-1] = apex[:, prefixes]
+    chain[..., -1] = np.arange(facets)[:, None]
+    flags = chain[np.all(chain[..., 1:] != chain[..., :-1], axis=2)]
+    return float(np.abs(np.linalg.det(points[flags])).sum() / math.factorial(k))
+
+
+def _spans(G: np.ndarray) -> bool:
+    """Whether the functionals G span R^k, so that their body is bounded."""
+    m, k = G.shape
+    return m >= k and np.linalg.matrix_rank(G) == k
 
 
 def _section_vertices(p: Polytope) -> Optional[np.ndarray]:
@@ -219,11 +298,9 @@ def _section_vertices(p: Polytope) -> Optional[np.ndarray]:
     kept on ``p``; None where no finite vertex set is known: k > K_EXACT, or
     functionals that do not span R^k."""
     if p._vertices is None:
-        G = p.hrep
-        m, k = G.shape
-        if k > K_EXACT or m < k or np.linalg.matrix_rank(G) < k:
+        if p.k > K_EXACT or not _spans(p.hrep):
             return None
-        verts = _polar_vertices(_hull(G))
+        verts = _polar_vertices(_hull(p.hrep))
         verts.setflags(write=False)
         object.__setattr__(p, "_vertices", verts)
     return p._vertices
@@ -241,25 +318,25 @@ def enumerate_vertices(p: Polytope) -> Polytope:
 
 
 def volume(p: Polytope) -> float:
-    """Exact volume via the convex hull of the symmetrized vertex set.
-
-    The vertices of an H-rep body span R^k, because ``enumerate_vertices``
-    has proved the body bounded; only V-rep bodies are checked for rank.
-    """
+    """Exact volume: a V-rep body's is that of the hull of its +/- vertices,
+    an H-rep body's that of the polar of the hull of its +/- functionals."""
     _require_exact(p.k)
-    if p.vrep is not None and np.linalg.matrix_rank(p.vrep) < p.k:
-        raise DegenerateBodyError("body is not full-dimensional")
-    verts = p.vrep if p.vrep is not None else enumerate_vertices(p).vrep
-    return float(_hull(verts).volume)
+    if p.vrep is not None:
+        if np.linalg.matrix_rank(p.vrep) < p.k:
+            raise DegenerateBodyError("body is not full-dimensional")
+        return float(_hull(p.vrep).volume)
+    if not _spans(p.hrep):
+        raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
+    return _polar_volume(_hull(p.hrep))
 
 
 def _frame_volumes(frame: FrameSet) -> tuple[float, float]:
-    """Exact (cube section, cross projection) volumes of a certified frame:
-    one hull of its +/- vectors has the cross projection's volume, and its
-    facets give the vertices of the section, its polar."""
+    """Exact (cube section, cross projection) volumes of a certified frame,
+    both from one hull of its +/- vectors: the hull's own volume and that of
+    its polar, the section."""
     _require_exact(frame.k)
     hull = _hull(_certified_rows(frame, TAU_CERT))
-    return float(_hull(_polar_vertices(hull)).volume), float(hull.volume)
+    return _polar_volume(hull), float(hull.volume)
 
 
 def support_function(p: Polytope, direction) -> float:

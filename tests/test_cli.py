@@ -116,11 +116,15 @@ def test_verify_ellipsoid_only(capsys):
 
 
 @pytest.mark.parametrize("entry,fake_volumes", [
-    # a section below Vaaler's 2^k
-    ("vaaler", lambda section, cross, k: (0.99 * 2.0 ** k, cross)),
+    # a section below Vaaler's 2^k, with the volume product kept
+    ("vaaler",
+     lambda section, cross, k: (0.99 * 2.0 ** k, section * cross / (0.99 * 2.0 ** k))),
     # a volume product above Blaschke-Santalo's vol(B^k)^2
     ("blaschke_santalo",
      lambda section, cross, k: (section, 1.01 * unit_ball_volume(k) ** 2 / section)),
+    # a volume product below Mahler's 4^k / k!
+    ("mahler",
+     lambda section, cross, k: (0.99 * 4.0 ** k / math.factorial(k) / cross, cross)),
 ])
 def test_verify_names_the_violated_proved_inequality(capsys, monkeypatch, entry,
                                                       fake_volumes):
