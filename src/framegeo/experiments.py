@@ -205,6 +205,10 @@ class ConjectureScanSummary:
     bound_ball2: float       # proved upper bound 2^{(n-k)/2} for cube sections
     ball2_violations: tuple  # trial ids exceeding the proved bound (solver/volume bug)
     counterexample: Optional[dict]  # first trial below the exploratory bound, if any
+    min_cross_trial: int     # trial id and seed of the minimum cross ratio
+    min_cross_seed: int
+    max_cube_trial: int      # trial id and seed of the maximum cube ratio
+    max_cube_seed: int
 
 
 def conjecture_scan(n: int, k: int, trials: int, seed: int) -> ConjectureScanSummary:
@@ -214,7 +218,8 @@ def conjecture_scan(n: int, k: int, trials: int, seed: int) -> ConjectureScanSum
     are collected as evidence of a solver or volume bug).  The running
     minimum of the cross-projection ratio is compared against 2^{(k-n)/2}
     without being asserted; the first trial below that bound, if any, is
-    serialized as a counterexample candidate.
+    serialized as a counterexample candidate.  The trial id and seed of each
+    extreme are kept, so ``random_subspace(n, k, seed)`` re-runs it alone.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -222,14 +227,17 @@ def conjecture_scan(n: int, k: int, trials: int, seed: int) -> ConjectureScanSum
     bound_ball2 = 2.0 ** ((n - k) / 2)
     min_cross = math.inf
     max_cube = -math.inf
+    min_cross_at = max_cube_at = (None, None)
     violations = []
     counterexample = None
     for t in range(trials):
         s = trial_seed(seed, t)
         sub = random_subspace(n, k, s)
         cube_ratio, cross_ratio, _ = _polytope_ratios(project_standard_basis(sub))
-        max_cube = max(max_cube, cube_ratio)
-        min_cross = min(min_cross, cross_ratio)
+        if cube_ratio > max_cube:
+            max_cube, max_cube_at = cube_ratio, (t, s)
+        if cross_ratio < min_cross:
+            min_cross, min_cross_at = cross_ratio, (t, s)
         if cube_ratio > bound_ball2 + _SCAN_SLACK:
             violations.append(t)
         if cross_ratio < bound_2pow - _SCAN_SLACK and counterexample is None:
@@ -243,7 +251,11 @@ def conjecture_scan(n: int, k: int, trials: int, seed: int) -> ConjectureScanSum
                                  min_cross_ratio=min_cross, bound_2pow=bound_2pow,
                                  max_cube_ratio=max_cube, bound_ball2=bound_ball2,
                                  ball2_violations=tuple(violations),
-                                 counterexample=counterexample)
+                                 counterexample=counterexample,
+                                 min_cross_trial=min_cross_at[0],
+                                 min_cross_seed=min_cross_at[1],
+                                 max_cube_trial=max_cube_at[0],
+                                 max_cube_seed=max_cube_at[1])
 
 
 @dataclass(frozen=True)

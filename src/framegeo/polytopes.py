@@ -14,7 +14,9 @@ from one certified hull of the +/- v_i, and no hull of the section's
 vertices is built.  Those vertices are read off the same facets (facet
 dualization), and an H-rep body keeps them once they are computed: for
 k <= K_EXACT and functionals that span R^k its support function is the
-maximum of |<s, u>| over them, and otherwise a linear program.  A
+maximum of |<s, u>| over them, and otherwise a linear program.  Every
+linear program is posed on whitened rows (``_whiten``), so a large finite
+optimum is not taken for an unbounded one.  A
 hit-or-miss Monte Carlo estimator covers every dimension: it
 samples an H-rep body in sqrt(k) times its John ellipsoid and a V-rep body in
 the Lowner ellipsoid of its vertices.
@@ -194,17 +196,33 @@ def absolute_hull_gauge(generators, point) -> float:
     The minimum of sum |lambda_i| subject to sum lambda_i w_i = point; the
     point lies in the hull of the +/- generators exactly when the value is
     at most 1.  Returns inf when the point is outside the generators' span.
+    The program is solved on the whitened generators W T at T^T point.
     """
     W = np.asarray(generators, dtype=float)
     y = np.asarray(point, dtype=float)
-    m = W.shape[0]
-    res = linprog(c=np.ones(2 * m), A_eq=np.hstack([W.T, -W.T]), b_eq=y,
+    T = _whiten(W)
+    WT = W @ T
+    res = linprog(c=np.ones(2 * W.shape[0]), A_eq=np.hstack([WT.T, -WT.T]), b_eq=T.T @ y,
                   bounds=(0, None), method="highs")
     if res.status == 2:
         return math.inf
     if res.status != 0:
         raise ArithmeticError(f"gauge program failed: {res.message}")
     return float(res.fun)
+
+
+def _whiten(rows: np.ndarray) -> np.ndarray:
+    """Invertible T = V diag(1/sigma_i) for rows = U Sigma V^T, taking 1 for
+    each sigma_i within rounding of zero (and each of the k - m missing when
+    m < k).  ``rows @ T`` has orthonormal columns on the rows' span, so a
+    program over y posed as one over T^{-1} y stays well scaled however
+    ill-conditioned the rows are."""
+    m, k = rows.shape
+    s, vh = np.linalg.svd(rows, full_matrices=True)[1:]
+    scale = np.ones(k)
+    big = s > s.max(initial=0.0) * max(m, k) * np.finfo(float).eps
+    scale[:s.size][big] = 1.0 / s[big]
+    return vh.T * scale
 
 
 def cross_projection(frame: FrameSet, tol: float = TAU_CERT) -> Polytope:
@@ -345,8 +363,8 @@ def support_function(p: Polytope, direction) -> float:
     V-rep: the maximum of |<w_i, u>| over vertex representatives.  H-rep,
     for k <= K_EXACT and functionals that span R^k: the same maximum over
     the body's vertices, computed once per body.  Any other H-rep body: the
-    optimal value of the linear program over the constraints, which raises
-    UnboundedBodyError where the support is infinite.
+    optimal value of the linear program over the whitened constraints G T
+    at T^T u, which raises UnboundedBodyError where the support is infinite.
     """
     u = np.asarray(direction, dtype=float)
     if u.shape != (p.k,):
@@ -355,7 +373,9 @@ def support_function(p: Polytope, direction) -> float:
     if verts is not None:
         return float(np.max(np.abs(verts @ u)))
     G = p.hrep
-    res = linprog(c=-u, A_ub=np.vstack([G, -G]), b_ub=np.ones(2 * G.shape[0]),
+    T = _whiten(G)
+    GT = G @ T
+    res = linprog(c=-(T.T @ u), A_ub=np.vstack([GT, -GT]), b_ub=np.ones(2 * G.shape[0]),
                   bounds=[(None, None)] * p.k, method="highs")
     if res.status == 3:
         raise UnboundedBodyError("support is unbounded in this direction")

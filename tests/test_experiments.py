@@ -262,6 +262,17 @@ def test_conjecture_scan_line_in_plane():
     assert summary.min_cross_ratio < 1.0 < summary.max_cube_ratio
 
 
+def test_conjecture_scan_extremes_rerun_alone():
+    summary = conjecture_scan(8, 3, trials=12, seed=4)
+    for trial, seed, key, value in [
+            (summary.min_cross_trial, summary.min_cross_seed,
+             "cross_projection_ratio", summary.min_cross_ratio),
+            (summary.max_cube_trial, summary.max_cube_seed,
+             "cube_section_ratio", summary.max_cube_ratio)]:
+        assert seed == trial_seed(4, trial)
+        assert verify_volume_bounds(random_subspace(8, 3, seed)).ratios[key] == value
+
+
 def test_conjecture_scan_bound_attained_by_diagonal_line():
     r = verify_volume_bounds(equality_subspace(2, 1))
     assert r.ratios["cross_projection_ratio"] == pytest.approx(2.0 ** -0.5, rel=1e-12)

@@ -331,6 +331,23 @@ def test_gauge_values_on_cross_polytope():
 
 def test_gauge_outside_span_is_infinite():
     assert absolute_hull_gauge(np.array([[1.0, 0.0]]), [0.0, 1.0]) == math.inf
+    # more rows than k, whose third singular value is rounding
+    rows = np.random.default_rng(4).standard_normal((7, 2)) @ np.array([[1.0, 2.0, 0.0],
+                                                                         [0.0, 1.0, 3.0]])
+    assert absolute_hull_gauge(rows, [0.0, 0.0, 1.0]) == math.inf
+    assert math.isfinite(absolute_hull_gauge(rows, rows[0] + rows[3]))
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+def test_lps_return_large_finite_optimum(delta):
+    # rows e1, e1 + delta e2, e3 .. e6: e2 is (g2 - g1) / delta, so both the
+    # gauge and the support at e2 are 2 / delta, not unbounded
+    G = np.eye(6)
+    G[1, 0] = 1.0
+    G[1, 1] = delta
+    e2 = np.eye(6)[1]
+    assert absolute_hull_gauge(G, e2) == pytest.approx(2.0 / delta, rel=1e-12)
+    assert support_function(Polytope(k=6, hrep=G), e2) == pytest.approx(2.0 / delta, rel=1e-12)
 
 
 def test_support_of_cube_is_l1_norm():
