@@ -116,13 +116,14 @@ def lowner_symmetric(points, eps: float = DEFAULT_EPS,
 
     Maximizes log det M(u) for M(u) = sum_i u_i p_i p_i^T over the simplex,
     in two phases; every step starts from a fresh Cholesky factorization of
-    M and the leverages g_i = p_i^T M^{-1} p_i.  The start puts weight 1/k
-    on the first k pivots of a column-pivoted QR of P^T: each is the point
-    furthest from the span of those before it, so M is positive-definite
-    whenever the points span R^k.  From there a Haar frame at (40, 5) takes
-    about 12 steps on average, against about 45 from uniform weights on all
-    40 points, which must drop the ~31 points off the optimal support one
-    away step at a time.
+    M and the leverages g_i = p_i^T M^{-1} p_i.  One column-pivoted QR of
+    P^T decides spanning and gives the start: its i-th pivot is the point
+    furthest from the span of those before, at distance |R_ii|, so the rank
+    is the count of |R_ii| > |R_00| max(m, k) eps (matrix_rank's threshold),
+    and weight 1/k on the first k pivots makes M positive-definite.  From
+    there a Haar frame at (40, 5) takes about 12 steps on average, against
+    about 45 from uniform weights on all 40 points, which must drop the ~31
+    points off the optimal support one away step at a time.
       * Coarse phase, while the gap max(max_i g_i - k, k - min_support g_i)
         exceeds k / 10: a Frank-Wolfe step toward the point with the largest
         leverage or a Wolfe away step shrinking the weight of the support
@@ -157,12 +158,15 @@ def lowner_symmetric(points, eps: float = DEFAULT_EPS,
     P = P_in[keep]
     k = P_in.shape[1]
     m = P.shape[0]
-    rank = int(np.linalg.matrix_rank(P)) if m else 0
+    R, pivots = lapack.dgeqp3(P.T)[:2]
+    diag = np.abs(np.diagonal(R))
+    tol = diag.max(initial=0.0) * max(m, k) * np.finfo(float).eps
+    rank = int(np.count_nonzero(diag > tol))
     if rank < k:
         raise SpanError(f"points span a {rank}-dimensional subspace of R^{k}", rank)
 
     u = np.zeros(m)
-    u[lapack.dgeqp3(P.T)[1][:k] - 1] = 1.0 / k
+    u[pivots[:k] - 1] = 1.0 / k
     threshold = k * (1.0 + eps)
     floor = k * (1.0 - eps)
     for iterations in range(max_iterations + 1):

@@ -121,15 +121,14 @@ class GramMatrix:
 class CertificationResult:
     """Outcome of a unit-decomposition check.
 
-    ``deviation`` is the max-norm of sum(v_i v_i^T) - I_k; ``rank`` is the
-    numerical rank of the vector family (spanning R^k is implied whenever
-    the certification itself passes, so the rank is informational).
+    ``deviation`` is the max-norm of sum(v_i v_i^T) - I_k.  Every eigenvalue
+    of that sum is within k * deviation of 1, so for tol < 1/k (the default
+    TAU_CERT) a family that passes spans R^k; no rank test is made.
     """
 
     ok: bool
     deviation: float
     tol: float
-    rank: int
 
     def __bool__(self) -> bool:
         return self.ok
@@ -155,8 +154,7 @@ def certify_unit_decomposition(frame: FrameSet, tol: float = TAU_CERT) -> Certif
     V = frame.vectors
     dev = V.T @ V - np.eye(frame.k)
     deviation = float(np.max(np.abs(dev)))
-    rank = int(np.linalg.matrix_rank(V))
-    return CertificationResult(ok=deviation <= tol, deviation=deviation, tol=tol, rank=rank)
+    return CertificationResult(ok=deviation <= tol, deviation=deviation, tol=tol)
 
 
 def project_standard_basis(subspace: Subspace) -> FrameSet:

@@ -88,15 +88,14 @@ def _first_violation(entries: np.ndarray, k: int, tol: float) -> int:
 
 def is_realizable(profile: NormProfile, n: int | None = None,
                   tol: float = TAU_MAJ) -> bool:
-    """Whether some unit decomposition of R^k has these squared norms."""
+    """Whether some unit decomposition of R^k has these squared norms, by the
+    prefix-sum test that ``construct_realization`` applies."""
     if n is not None and n != profile.n:
         raise FrameStructureError(f"profile has {profile.n} entries, expected n={n}")
     if profile.k > profile.n:
         raise FrameStructureError(
             f"k={profile.k} exceeds the number of entries n={profile.n}")
-    indicator = np.zeros(profile.n)
-    indicator[:profile.k] = 1.0
-    return majorizes(indicator, profile.entries, tol)
+    return _first_violation(profile.entries, profile.k, tol) < 0
 
 
 def _rotate_rows(B: np.ndarray, i: int, j: int, norms: np.ndarray, target: float) -> None:

@@ -14,10 +14,11 @@ from one certified hull of the +/- v_i, and no hull of the section's
 vertices is built.  Those vertices are read off the same facets (facet
 dualization), and an H-rep body keeps them once they are computed: for
 k <= K_EXACT and functionals that span R^k its support function is the
-maximum of |<s, u>| over them, and otherwise a linear program.  Every
-linear program is posed on whitened rows (``_whiten``), so a large finite
-optimum is not taken for an unbounded one.  A
-hit-or-miss Monte Carlo estimator covers every dimension: it
+maximum of |<s, u>| over them.  Otherwise the support of {|<g_i, y>| <= 1}
+at u is the gauge of conv(+/- g_i) at u (LP duality), so the package has
+one linear program, ``absolute_hull_gauge``.  It is posed on whitened rows
+(``_whiten``), so a large finite optimum is not taken for an unbounded
+one.  A hit-or-miss Monte Carlo estimator covers every dimension: it
 samples an H-rep body in sqrt(k) times its John ellipsoid and a V-rep body in
 the Lowner ellipsoid of its vertices.
 """
@@ -168,26 +169,24 @@ def _require_exact(k: int) -> None:
             f"use estimate_volume")
 
 
-def _certified_rows(frame: FrameSet, tol: float):
-    """Certify the frame and collapse its vectors; returns the representatives."""
-    cert = certify_unit_decomposition(frame, tol)
+def _certified_rows(frame: FrameSet):
+    """Certify the frame and collapse its vectors; returns the representatives,
+    which span R^k since the frame certifies."""
+    cert = certify_unit_decomposition(frame, TAU_CERT)
     if not cert.ok:
         raise CertificationError(
-            f"frame must certify as a unit decomposition within {tol:g}: "
+            f"frame must certify as a unit decomposition within {TAU_CERT:g}: "
             f"deviation {cert.deviation:.3e}", cert.deviation)
-    reps = _collapse_rows(frame.vectors)
-    if reps.shape[0] == 0:
-        raise DegenerateBodyError("all frame vectors are zero")
-    return reps
+    return _collapse_rows(frame.vectors)
 
 
-def polytope_from_frame(frame: FrameSet, tol: float = TAU_CERT) -> Polytope:
+def polytope_from_frame(frame: FrameSet) -> Polytope:
     """Cube section {y : |<v_i, y>| <= 1} of a certified frame (H-rep).
 
     Zero vectors impose no constraint and are dropped; duplicate functionals
     are collapsed.
     """
-    return Polytope(k=frame.k, hrep=_certified_rows(frame, tol))
+    return Polytope(k=frame.k, hrep=_certified_rows(frame))
 
 
 def absolute_hull_gauge(generators, point) -> float:
@@ -225,7 +224,7 @@ def _whiten(rows: np.ndarray) -> np.ndarray:
     return vh.T * scale
 
 
-def cross_projection(frame: FrameSet, tol: float = TAU_CERT) -> Polytope:
+def cross_projection(frame: FrameSet) -> Polytope:
     """Projection of the cross-polytope: absolute convex hull of the frame (V-rep).
 
     Duplicates are collapsed and non-extreme points are removed, so the
@@ -233,7 +232,7 @@ def cross_projection(frame: FrameSet, tol: float = TAU_CERT) -> Polytope:
     spans R^k, so the vertices are those of the convex hull of the +/-
     representatives.
     """
-    reps = _certified_rows(frame, tol)
+    reps = _certified_rows(frame)
     keep = np.unique(_hull(reps).vertices % reps.shape[0])
     return Polytope(k=frame.k, vrep=reps[keep])
 
@@ -306,7 +305,8 @@ def _polar_volume(hull) -> float:
 
 
 def _spans(G: np.ndarray) -> bool:
-    """Whether the functionals G span R^k, so that their body is bounded."""
+    """Whether the rows G span R^k: functionals that bound their body, or
+    vertex representatives of a full-dimensional one."""
     m, k = G.shape
     return m >= k and np.linalg.matrix_rank(G) == k
 
@@ -340,7 +340,7 @@ def volume(p: Polytope) -> float:
     an H-rep body's that of the polar of the hull of its +/- functionals."""
     _require_exact(p.k)
     if p.vrep is not None:
-        if np.linalg.matrix_rank(p.vrep) < p.k:
+        if not _spans(p.vrep):
             raise DegenerateBodyError("body is not full-dimensional")
         return float(_hull(p.vrep).volume)
     if not _spans(p.hrep):
@@ -353,7 +353,7 @@ def _frame_volumes(frame: FrameSet) -> tuple[float, float]:
     both from one hull of its +/- vectors: the hull's own volume and that of
     its polar, the section."""
     _require_exact(frame.k)
-    hull = _hull(_certified_rows(frame, TAU_CERT))
+    hull = _hull(_certified_rows(frame))
     return _polar_volume(hull), float(hull.volume)
 
 
@@ -362,9 +362,9 @@ def support_function(p: Polytope, direction) -> float:
 
     V-rep: the maximum of |<w_i, u>| over vertex representatives.  H-rep,
     for k <= K_EXACT and functionals that span R^k: the same maximum over
-    the body's vertices, computed once per body.  Any other H-rep body: the
-    optimal value of the linear program over the whitened constraints G T
-    at T^T u, which raises UnboundedBodyError where the support is infinite.
+    the body's vertices, computed once per body.  Any other H-rep body: by
+    LP duality, the gauge of conv(+/- g_i) at u (``absolute_hull_gauge``);
+    where that is inf the support is too, and UnboundedBodyError is raised.
     """
     u = np.asarray(direction, dtype=float)
     if u.shape != (p.k,):
@@ -372,21 +372,15 @@ def support_function(p: Polytope, direction) -> float:
     verts = p.vrep if p.vrep is not None else _section_vertices(p)
     if verts is not None:
         return float(np.max(np.abs(verts @ u)))
-    G = p.hrep
-    T = _whiten(G)
-    GT = G @ T
-    res = linprog(c=-(T.T @ u), A_ub=np.vstack([GT, -GT]), b_ub=np.ones(2 * G.shape[0]),
-                  bounds=[(None, None)] * p.k, method="highs")
-    if res.status == 3:
+    h = absolute_hull_gauge(p.hrep, u)
+    if h == math.inf:
         raise UnboundedBodyError("support is unbounded in this direction")
-    if res.status != 0:
-        raise ArithmeticError(f"support program failed: {res.message}")
-    return float(-res.fun)
+    return h
 
 
 def polar(p: Polytope) -> Polytope:
     """Polar body: vertex representatives and functionals swap roles."""
-    if p.vrep is not None and np.linalg.matrix_rank(p.vrep) < p.k:
+    if p.vrep is not None and not _spans(p.vrep):
         raise DegenerateBodyError(
             "origin is not interior: vertex representatives do not span R^k")
     new_v = None if p.hrep is None else np.array(p.hrep)

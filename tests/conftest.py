@@ -1,5 +1,6 @@
 import time
 
+import numpy as np
 import pytest
 
 from framegeo.experiments import random_subspace, trial_seed, verify_volume_bounds
@@ -22,3 +23,17 @@ def random_batch():
         reports.append(verify_volume_bounds(random_subspace(n, k, seed),
                                             trial_id=t, seed=seed))
     return reports, time.perf_counter() - start
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Wrap ``np.linalg.matrix_rank``; returns the list each call appends to."""
+    calls = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def counted(*args, **kwargs):
+        calls.append("matrix_rank")
+        return matrix_rank(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+    return calls

@@ -126,11 +126,31 @@ def test_zero_vectors_are_dropped():
     assert np.max(np.abs(fit.ellipsoid.matrix - ref.ellipsoid.matrix)) <= 1e-12
 
 
-def test_rank_deficient_points_raise():
-    pts = np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, -1.0]])
+@pytest.mark.parametrize("pts", [
+    np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, -1.0]]),
+    np.random.default_rng(21).standard_normal((8, 3)) @ np.diag([1.0, 0.0, 0.0]),
+    np.random.default_rng(22).standard_normal((8, 3)) @ np.diag([1.0, 1.0, 0.0]),
+    np.random.default_rng(23).standard_normal((8, 1)) @ np.array([[1.0, -2.0, 0.5]]),
+    np.random.default_rng(24).standard_normal((8, 2)) @ np.array([[1.0, 2.0, 0.0],
+                                                                  [0.0, 1.0, 3.0]]),
+], ids=["line_in_R2", "axis_in_R3", "plane_in_R3", "line_in_R3", "plane_mixed_in_R3"])
+def test_rank_deficient_points_raise(pts):
     with pytest.raises(SpanError) as err:
         lowner_symmetric(pts)
-    assert err.value.rank == 1
+    assert err.value.rank == np.linalg.matrix_rank(pts) < pts.shape[1]
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-9, 1e-10])
+def test_points_near_a_plane_raise_span_error_fast(s):
+    # 8 Gaussian points in R^3 whose second coordinate is the first plus s
+    # times noise.  M(u) squares the condition number, so within a few steps
+    # it is not positive-definite in floating point and the fit raises
+    # instead of running to its iteration cap
+    rng = np.random.default_rng(9)
+    pts = rng.standard_normal((8, 3))
+    pts[:, 1] = pts[:, 0] + s * rng.standard_normal(8)
+    with pytest.raises(SpanError):
+        lowner_symmetric(pts, max_iterations=1000)
 
 
 def test_eps_must_be_positive():

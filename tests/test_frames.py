@@ -16,7 +16,6 @@ def test_standard_basis_certifies_exactly():
     cert = certify_unit_decomposition(frame)
     assert cert.ok and bool(cert)
     assert cert.deviation == 0.0
-    assert cert.rank == 3
 
 
 def test_diagonal_line_frame():

@@ -12,6 +12,7 @@ from framegeo import jsonio
 from framegeo.ellipsoids import Ellipsoid, lowner_symmetric
 from framegeo.frames import CertificationError, FrameSet, project_standard_basis
 from framegeo.experiments import random_subspace, trial_seed, verify_volume_bounds
+from framegeo.majorization import construct_realization, random_realizable_profile
 from framegeo.polytopes import (DegenerateBodyError, Polytope,
                                 UnboundedBodyError, UnsupportedDimensionError,
                                 _collapse_rows, absolute_hull_gauge,
@@ -426,6 +427,32 @@ def test_section_support_reads_kept_vertices_in_the_exact_range(monkeypatch):
     for u in np.random.default_rng(6).standard_normal((3, 6)):
         support_function(q, u)
     assert (len(lps), len(hulls)) == (3, 2)
+
+
+def test_prescribed_norm_query_runs_at_most_two_rank_tests(rank_calls):
+    # only the section's span check runs a rank test, once to keep its
+    # vertices and once for its volume; certification and the Lowner fit
+    # run none
+    profile = random_realizable_profile(8, 4, seed=trial_seed(1, 0))
+    frame = construct_realization(profile)
+    section = polytope_from_frame(frame)
+    cross = cross_projection(frame)
+    for u in np.random.default_rng(3).standard_normal((16, 4)):
+        support_function(section, u)
+        support_function(cross, u)
+    volume(section)
+    estimate_volume(section, samples=2000, seed=3)
+    assert len(rank_calls) <= 2
+
+
+@pytest.mark.parametrize("n,seed", [(8, 61), (9, 62)])
+def test_support_above_the_exact_range_matches_brute_force_vertices(n, seed):
+    # at k = 6 the support is the gauge LP; the oracle shares no code with it
+    p = polytope_from_frame(project_standard_basis(random_subspace(n, 6, seed)))
+    verts = oracle_section_vertices(p.hrep)
+    for u in np.random.default_rng(seed).standard_normal((10, 6)):
+        assert support_function(p, u) == pytest.approx(float(np.max(np.abs(verts @ u))),
+                                                       rel=1e-9)
 
 
 def test_kept_vertices_change_no_value_of_the_body():
