@@ -12,15 +12,17 @@ the hull of its +/- functionals, summed over a pulling triangulation of the
 polar's boundary read off the hull's facets.  So a trial's two volumes come
 from one certified hull of the +/- v_i, and no hull of the section's
 vertices is built.  Those vertices are read off the same facets (facet
-dualization), and an H-rep body keeps them once they are computed: for
-k <= K_EXACT and functionals that span R^k its support function is the
-maximum of |<s, u>| over them.  Otherwise the support of {|<g_i, y>| <= 1}
-at u is the gauge of conv(+/- g_i) at u (LP duality), so the package has
-one linear program, ``absolute_hull_gauge``.  It is posed on whitened rows
-(``_whiten``), so a large finite optimum is not taken for an unbounded
-one.  A hit-or-miss Monte Carlo estimator covers every dimension: it
-samples an H-rep body in sqrt(k) times its John ellipsoid and a V-rep body in
-the Lowner ellipsoid of its vertices.
+dualization), and an H-rep body keeps them, with that hull, once they are
+computed: for k <= K_EXACT and functionals that span R^k its support
+function is the maximum of |<s, u>| over them, and its volume reuses the
+hull.  Otherwise the support of {|<g_i, y>| <= 1} at u is the gauge of
+conv(+/- g_i) at u (LP duality), so the package has one linear program,
+``absolute_hull_gauge``.  It is posed on the orthonormal rows of the
+generators' SVD, so a large finite optimum is not taken for an unbounded
+one, and solved by a small dense simplex whose optimum is certified by a
+matching dual solution.  A hit-or-miss Monte Carlo estimator covers every
+dimension: it samples an H-rep body in sqrt(k) times its John ellipsoid and a
+V-rep body in the Lowner ellipsoid of its vertices.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.linalg import lapack
+# not called: bench/tracing.py counts LP calls by patching this name
+from scipy.optimize import linprog  # noqa: F401
 from scipy.spatial import ConvexHull, cKDTree
 
 from .ellipsoids import (Ellipsoid, SpanError, ellipsoid_volume,
@@ -43,6 +47,8 @@ from .frames import (TAU_CERT, CertificationError, FrameSet, Subspace,
 TAU_GEO = 1e-9  # geometric dedup / feasibility tolerance
 K_EXACT = 5     # exact volume supported up to this dimension
 _ESTIMATE_EPS = 1e-7
+_LP_TOL = 1e-12  # relative tolerance of the gauge simplex and its certificate
+_LP_PIVOTS_PER_COLUMN = 50
 
 
 class DegenerateBodyError(ValueError):
@@ -64,14 +70,14 @@ class Polytope:
     ``vrep`` rows are vertex representatives (the body is the convex hull of
     them and their negatives); ``hrep`` rows g cut {y : |<g, y>| <= 1}.  At
     least one representation must be present.  Both are read-only, so an
-    H-rep body may keep its vertices, once computed, in a private field that
-    takes no part in equality or repr.
+    H-rep body may keep its vertices and hull, once computed, in a private
+    field that takes no part in equality or repr.
     """
 
     k: int
     vrep: Optional[np.ndarray] = None
     hrep: Optional[np.ndarray] = None
-    _vertices: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _kept: Optional[_Section] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -194,34 +200,70 @@ def absolute_hull_gauge(generators, point) -> float:
 
     The minimum of sum |lambda_i| subject to sum lambda_i w_i = point; the
     point lies in the hull of the +/- generators exactly when the value is
-    at most 1.  Returns inf when the point is outside the generators' span.
-    The program is solved on the whitened generators W T at T^T point.
+    at most 1.  Returns inf when the point is outside the generators' span:
+    when its component off the row space of W = U Sigma V^T exceeds TAU_GEO
+    times its norm, the row space being spanned by the r rows of V^T whose
+    sigma_i are above rounding.  Otherwise the program is posed on the
+    orthonormal rows of U_r^T, at Sigma_r^-1 V_r^T point, so a large finite
+    optimum stays well scaled, and solved by ``_least_l1``, a dense simplex
+    that certifies its optimum.
     """
     W = np.asarray(generators, dtype=float)
     y = np.asarray(point, dtype=float)
-    T = _whiten(W)
-    WT = W @ T
-    res = linprog(c=np.ones(2 * W.shape[0]), A_eq=np.hstack([WT.T, -WT.T]), b_eq=T.T @ y,
-                  bounds=(0, None), method="highs")
-    if res.status == 2:
+    m, k = W.shape
+    u, s, vh = np.linalg.svd(W, full_matrices=False)
+    r = int(np.count_nonzero(s > s.max(initial=0.0) * max(m, k) * np.finfo(float).eps))
+    coords = vh[:r] @ y
+    if np.linalg.norm(y - coords @ vh[:r]) > TAU_GEO * np.linalg.norm(y):
         return math.inf
-    if res.status != 0:
-        raise ArithmeticError(f"gauge program failed: {res.message}")
-    return float(res.fun)
+    return _least_l1(u[:, :r].T, coords / s[:r]) if r else 0.0
 
 
-def _whiten(rows: np.ndarray) -> np.ndarray:
-    """Invertible T = V diag(1/sigma_i) for rows = U Sigma V^T, taking 1 for
-    each sigma_i within rounding of zero (and each of the k - m missing when
-    m < k).  ``rows @ T`` has orthonormal columns on the rows' span, so a
-    program over y posed as one over T^{-1} y stays well scaled however
-    ill-conditioned the rows are."""
-    m, k = rows.shape
-    s, vh = np.linalg.svd(rows, full_matrices=True)[1:]
-    scale = np.ones(k)
-    big = s > s.max(initial=0.0) * max(m, k) * np.finfo(float).eps
-    scale[:s.size][big] = 1.0 / s[big]
-    return vh.T * scale
+def _least_l1(A: np.ndarray, b: np.ndarray) -> float:
+    """min sum |lambda| subject to A lambda = b, for A (r x m) of rank r.
+
+    A primal simplex over the columns +/- a_j.  The first basis is free: the
+    first r pivots of a column-pivoted QR of A, each signed so that its
+    coefficient in b is nonnegative.  Each step solves B^T y = 1 for the
+    dual y and enters the lowest-index column with |<a_j, y>| > 1 + _LP_TOL;
+    the ratio test breaks ties by the lowest column index (Bland's rule, so
+    degenerate pivots cannot cycle).  At exit the basic solution z and y
+    certify the optimum: B z = b with z >= 0, |A^T y| <= 1 + _LP_TOL and
+    sum z = <b, y>, all within _LP_TOL relative to the value.  A failed
+    certificate, or more than _LP_PIVOTS_PER_COLUMN * (m + r) pivots, raises
+    ArithmeticError.
+    """
+    r, m = A.shape
+    basis = lapack.dgeqp3(A)[1][:r] - 1
+    sign = np.where(np.linalg.solve(A[:, basis], b) < 0.0, -1.0, 1.0)
+    for _ in range(_LP_PIVOTS_PER_COLUMN * (m + r)):
+        B = A[:, basis] * sign
+        inverse = np.linalg.inv(B)
+        z = inverse @ b
+        y = inverse.sum(axis=0)
+        reduced = y @ A
+        over = np.flatnonzero(np.abs(reduced) > 1.0 + _LP_TOL)
+        if over.size == 0:
+            break
+        j = over[0]
+        entering = math.copysign(1.0, reduced[j])
+        step = inverse @ (entering * A[:, j])
+        rising = np.flatnonzero(step > _LP_TOL * np.abs(step).max())
+        if rising.size == 0:
+            raise ArithmeticError("gauge program failed: no leaving column")
+        # degenerate entries are zeros, so that ties are exact
+        level = np.where(z > _LP_TOL * np.abs(z).max(), z, 0.0)[rising] / step[rising]
+        ties = rising[level == level.min()]
+        leaving = ties[np.argmin(basis[ties])]
+        basis[leaving], sign[leaving] = j, entering
+    else:
+        raise ArithmeticError("gauge program failed: pivot limit reached")
+    value = float(z.sum())
+    slack = _LP_TOL * value
+    if not (np.abs(B @ z - b).max() <= slack and z.min() >= -slack
+            and abs(value - b @ y) <= slack):
+        raise ArithmeticError("gauge program failed: the optimum does not certify")
+    return value
 
 
 def cross_projection(frame: FrameSet) -> Polytope:
@@ -311,17 +353,29 @@ def _spans(G: np.ndarray) -> bool:
     return m >= k and np.linalg.matrix_rank(G) == k
 
 
-def _section_vertices(p: Polytope) -> Optional[np.ndarray]:
-    """Vertices of the H-rep body ``p``, one per +/- pair, computed once and
-    kept on ``p``; None where no finite vertex set is known: k > K_EXACT, or
-    functionals that do not span R^k."""
-    if p._vertices is None:
-        if p.k > K_EXACT or not _spans(p.hrep):
-            return None
-        verts = _polar_vertices(_hull(p.hrep))
+class _Section:
+    """What an H-rep body keeps once computed: the hull of its +/- functionals,
+    whose polar it is, or None when they do not span R^k; and its vertices,
+    one per +/- pair, read off that hull on first use."""
+
+    def __init__(self, hull):
+        self.hull = hull
+
+    @functools.cached_property
+    def vertices(self) -> np.ndarray:
+        verts = _polar_vertices(self.hull)
         verts.setflags(write=False)
-        object.__setattr__(p, "_vertices", verts)
-    return p._vertices
+        return verts
+
+
+def _section(p: Polytope) -> Optional[_Section]:
+    """What the H-rep body ``p`` keeps, computed once and kept on ``p``; None
+    above K_EXACT, where no hull is built."""
+    if p._kept is None:
+        if p.k > K_EXACT:
+            return None
+        object.__setattr__(p, "_kept", _Section(_hull(p.hrep) if _spans(p.hrep) else None))
+    return p._kept
 
 
 def enumerate_vertices(p: Polytope) -> Polytope:
@@ -329,10 +383,10 @@ def enumerate_vertices(p: Polytope) -> Polytope:
     if p.hrep is None:
         raise ValueError("enumerate_vertices needs an H-representation")
     _require_exact(p.k)
-    verts = _section_vertices(p)
-    if verts is None:
+    kept = _section(p)
+    if kept.hull is None:
         raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
-    return Polytope(k=p.k, vrep=verts)
+    return Polytope(k=p.k, vrep=kept.vertices)
 
 
 def volume(p: Polytope) -> float:
@@ -343,9 +397,10 @@ def volume(p: Polytope) -> float:
         if not _spans(p.vrep):
             raise DegenerateBodyError("body is not full-dimensional")
         return float(_hull(p.vrep).volume)
-    if not _spans(p.hrep):
+    kept = _section(p)
+    if kept.hull is None:
         raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
-    return _polar_volume(_hull(p.hrep))
+    return _polar_volume(kept.hull)
 
 
 def _frame_volumes(frame: FrameSet) -> tuple[float, float]:
@@ -369,9 +424,11 @@ def support_function(p: Polytope, direction) -> float:
     u = np.asarray(direction, dtype=float)
     if u.shape != (p.k,):
         raise ValueError(f"direction must have shape ({p.k},)")
-    verts = p.vrep if p.vrep is not None else _section_vertices(p)
-    if verts is not None:
-        return float(np.max(np.abs(verts @ u)))
+    if p.vrep is not None:
+        return float(np.max(np.abs(p.vrep @ u)))
+    kept = _section(p)
+    if kept is not None and kept.hull is not None:
+        return float(np.max(np.abs(kept.vertices @ u)))
     h = absolute_hull_gauge(p.hrep, u)
     if h == math.inf:
         raise UnboundedBodyError("support is unbounded in this direction")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 import framegeo.polytopes
@@ -351,6 +352,60 @@ def test_lps_return_large_finite_optimum(delta):
     assert support_function(Polytope(k=6, hrep=G), e2) == pytest.approx(2.0 / delta, rel=1e-12)
 
 
+def _highs_gauge(W, point):
+    """The gauge program as one HiGHS LP on the raw generators, lambda = x - x'
+    with x, x' >= 0, and its dual, max <point, y> over |<w_i, y>| <= 1 (the
+    support of the polar at the point); inf, inf outside the span."""
+    m = W.shape[0]
+    primal = linprog(np.ones(2 * m), A_eq=np.hstack([W.T, -W.T]), b_eq=point,
+                     bounds=(0, None), method="highs")
+    dual = linprog(-np.asarray(point), A_ub=np.vstack([W, -W]), b_ub=np.ones(2 * m),
+                   bounds=(None, None), method="highs")
+    if primal.status == 2:
+        assert dual.status == 3, dual.message
+        return math.inf, math.inf
+    assert (primal.status, dual.status) == (0, 0), (primal.message, dual.message)
+    return primal.fun, -dual.fun
+
+
+def _gauge_oracle_cases():
+    """Generator sets with points on which the simplex meets degenerate
+    pivots: a generator, a sum of two, half of one, and random points."""
+    rng = np.random.default_rng(2027)
+    sets = [construct_realization(random_realizable_profile(8, 4, trial_seed(13, t))).vectors
+            for t in range(6)]
+    sets += [rng.standard_normal(shape) for shape in ((8, 4), (12, 6), (5, 3), (6, 6))]
+    for _ in range(3):
+        G = rng.standard_normal((6, 4))
+        G = np.vstack([G, G[:2], -G[2:4], np.zeros((2, 4))])  # duplicated, negated, zero
+        sets.append(G[rng.permutation(len(G))])
+    sets += [project_standard_basis(equality_subspace(n, k)).vectors
+             for n, k in ((4, 2), (6, 3), (8, 4), (12, 6), (12, 4))]
+    sets += [rng.standard_normal((m, 6)) for m in (2, 3, 4, 5)]  # rank m < k
+    for W in sets:
+        m, k = W.shape
+        points = [W[m // 2], W[0] + W[1], 0.5 * W[m - 1], W.T @ rng.standard_normal(m),
+                  *rng.standard_normal((3, k))]
+        for point in points:
+            yield W, point
+
+
+def test_gauge_matches_highs_and_its_dual_bound():
+    infinite = 0
+    for W, point in _gauge_oracle_cases():
+        value = absolute_hull_gauge(W, point)
+        primal, dual = _highs_gauge(W, point)
+        if math.isinf(primal):
+            assert value == math.inf
+            infinite += 1
+            continue
+        # the returned value is the optimum: HiGHS's, and the best dual bound
+        assert value == pytest.approx(primal, rel=1e-12, abs=1e-300)
+        assert value == pytest.approx(dual, rel=1e-12, abs=1e-300)
+    # every random point off a rank-deficient span
+    assert infinite == 4 * 3
+
+
 def test_support_of_cube_is_l1_norm():
     cube_h = Polytope(k=2, hrep=np.eye(2))
     cube_v = Polytope(k=2, vrep=np.array([[1.0, 1.0], [1.0, -1.0]]))
@@ -414,25 +469,29 @@ def _count_calls(monkeypatch, name):
 def test_section_support_reads_kept_vertices_in_the_exact_range(monkeypatch):
     lps = _count_calls(monkeypatch, "linprog")
     hulls = _count_calls(monkeypatch, "ConvexHull")
+    gauges = _count_calls(monkeypatch, "absolute_hull_gauge")
     directions = np.random.default_rng(5).standard_normal((16, 4))
     p = polytope_from_frame(project_standard_basis(random_subspace(8, 4, 5)))
     values = [support_function(p, u) for u in directions]
-    assert (len(lps), len(hulls)) == (0, 1)
+    assert (len(gauges), len(hulls)) == (0, 1)
     assert values == [float(np.max(np.abs(enumerate_vertices(p).vrep @ u)))
                       for u in directions]
+    # the volume reuses the hull the body kept with its vertices
     volume(p)
-    assert (len(lps), len(hulls)) == (0, 2)
-    # above the exact range there is no vertex set: one LP per direction
+    assert (len(gauges), len(hulls)) == (0, 1)
+    # above the exact range there is no vertex set: one gauge program per
+    # direction, and none of them is a scipy LP
     q = polytope_from_frame(project_standard_basis(random_subspace(8, 6, 5)))
     for u in np.random.default_rng(6).standard_normal((3, 6)):
         support_function(q, u)
-    assert (len(lps), len(hulls)) == (3, 2)
+    assert (len(gauges), len(hulls), len(lps)) == (3, 1, 0)
 
 
-def test_prescribed_norm_query_runs_at_most_two_rank_tests(rank_calls):
-    # only the section's span check runs a rank test, once to keep its
-    # vertices and once for its volume; certification and the Lowner fit
-    # run none
+def test_prescribed_norm_query_runs_one_rank_test_and_two_hulls(rank_calls, monkeypatch):
+    # the cross projection makes one hull; the section's span check and hull
+    # run once, to keep its vertices, and its volume reuses both;
+    # certification and the Lowner fit run none
+    hulls = _count_calls(monkeypatch, "ConvexHull")
     profile = random_realizable_profile(8, 4, seed=trial_seed(1, 0))
     frame = construct_realization(profile)
     section = polytope_from_frame(frame)
@@ -442,7 +501,18 @@ def test_prescribed_norm_query_runs_at_most_two_rank_tests(rank_calls):
         support_function(cross, u)
     volume(section)
     estimate_volume(section, samples=2000, seed=3)
-    assert len(rank_calls) <= 2
+    assert (len(rank_calls), len(hulls)) == (1, 2)
+
+
+def test_slab_keeps_its_verdict_that_the_functionals_do_not_span(rank_calls):
+    slab = Polytope(k=2, hrep=np.array([[1.0, 0.0], [2.0, 0.0]]))
+    for _ in range(5):
+        assert support_function(slab, [1.0, 0.0]) == pytest.approx(0.5, rel=1e-12)
+    with pytest.raises(UnboundedBodyError):
+        volume(slab)
+    with pytest.raises(UnboundedBodyError):
+        enumerate_vertices(slab)
+    assert len(rank_calls) == 1
 
 
 @pytest.mark.parametrize("n,seed", [(8, 61), (9, 62)])
