@@ -171,8 +171,7 @@ def project_standard_basis(subspace: Subspace) -> FrameSet:
 def gram_matrix(frame: FrameSet) -> GramMatrix:
     """The n x n matrix of pairwise inner products <v_i, v_j>."""
     V = frame.vectors
-    g = V @ V.T
-    return GramMatrix(n=frame.n, entries=0.5 * (g + g.T))
+    return GramMatrix(n=frame.n, entries=V @ V.T)
 
 
 def is_projection_matrix(gram: GramMatrix, target_rank: int,

@@ -86,12 +86,9 @@ def _first_violation(entries: np.ndarray, k: int, tol: float) -> int:
     return -1
 
 
-def is_realizable(profile: NormProfile, n: int | None = None,
-                  tol: float = TAU_MAJ) -> bool:
+def is_realizable(profile: NormProfile, tol: float = TAU_MAJ) -> bool:
     """Whether some unit decomposition of R^k has these squared norms, by the
     prefix-sum test that ``construct_realization`` applies."""
-    if n is not None and n != profile.n:
-        raise FrameStructureError(f"profile has {profile.n} entries, expected n={n}")
     if profile.k > profile.n:
         raise FrameStructureError(
             f"k={profile.k} exceeds the number of entries n={profile.n}")
@@ -125,7 +122,7 @@ def _rotate_rows(B: np.ndarray, i: int, j: int, norms: np.ndarray, target: float
     norms[j] = float(row_j @ row_j)
 
 
-def construct_realization(profile: NormProfile, n: int | None = None) -> FrameSet:
+def construct_realization(profile: NormProfile) -> FrameSet:
     """Build a unit decomposition whose squared norms match the profile.
 
     Starting from the standard basis padded with zero rows (squared norms
@@ -139,8 +136,6 @@ def construct_realization(profile: NormProfile, n: int | None = None) -> FrameSe
     original entry order.  Raises ArithmeticError when a squared norm of
     the result misses its target by more than TAU_SH.
     """
-    if n is not None and n != profile.n:
-        raise FrameStructureError(f"profile has {profile.n} entries, expected n={n}")
     k, size = profile.k, profile.n
     if k > size:
         raise FrameStructureError(f"k={k} exceeds the number of entries n={size}")

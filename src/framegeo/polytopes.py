@@ -3,24 +3,25 @@
 A certified frame v_1, ..., v_n in R^k defines two polar bodies: the cube
 section {y : |<v_i, y>| <= 1 for all i} (an H-representation) and the
 cross-polytope projection, the absolute convex hull of the v_i (a
-V-representation).  Both representations store one row per +/- pair.
-Every hull of +/- rows comes from one helper, ``_hull``, which stands in for
-qhull at k = 1 with the interval [-t, t].  Exact volumes, for k <= K_EXACT
-and any number of rows, take one hull: a V-rep body's is the volume of the
-hull of its +/- vertices, and an H-rep body's is the volume of the polar of
-the hull of its +/- functionals, summed over a pulling triangulation of the
-polar's boundary read off the hull's facets.  So a trial's two volumes come
-from one certified hull of the +/- v_i, and no hull of the section's
-vertices is built.  Those vertices are read off the same facets (facet
-dualization), and an H-rep body keeps them, with that hull, once they are
-computed: for k <= K_EXACT and functionals that span R^k its support
-function is the maximum of |<s, u>| over them, and its volume reuses the
-hull.  Otherwise the support of {|<g_i, y>| <= 1} at u is the gauge of
-conv(+/- g_i) at u (LP duality), so the package has one linear program,
-``absolute_hull_gauge``.  It is posed on the orthonormal rows of the
-generators' SVD, so a large finite optimum is not taken for an unbounded
-one, and solved by a small dense simplex whose optimum is certified by a
-matching dual solution.  A hit-or-miss Monte Carlo estimator covers every
+V-representation).  Both representations store one row per +/- pair, and
+rows are merged only where a body stores them.  Every hull of +/- rows
+comes from one helper, ``_hull``, which stands in for qhull at k = 1 with
+the interval [-t, t].  Exact volumes, for k <= K_EXACT and any number of
+rows, take one hull: a V-rep body's is the volume of the hull of its +/-
+vertices, and an H-rep body's is the volume of the polar of the hull of its
++/- functionals, summed over a pulling triangulation of the polar's
+boundary read off the hull's facets.  So a trial's two volumes come from
+one hull of the raw +/- v_i of a certified frame (qhull takes repeated,
+zero and interior points), and no hull of the section's vertices is built.
+An H-rep body keeps only the hull of its functionals, once built: for
+k <= K_EXACT and functionals that span R^k, each facet gives a vertex of
+the body (facet dualization), its support function is the maximum of
+|<s, u>| over those points, and its volume reuses the hull.  Otherwise the
+support of {|<g_i, y>| <= 1} at u is the gauge of conv(+/- g_i) at u (LP
+duality), so the package has one linear program, ``absolute_hull_gauge``.
+It is posed on the orthonormal rows of the generators' SVD, so a large
+finite optimum is not taken for an unbounded one, and solved by a small
+dense simplex whose optimum is certified by a matching dual solution.  A hit-or-miss Monte Carlo estimator covers every
 dimension: it samples an H-rep body in sqrt(k) times its John ellipsoid and a
 V-rep body in the Lowner ellipsoid of its vertices.
 """
@@ -70,14 +71,15 @@ class Polytope:
     ``vrep`` rows are vertex representatives (the body is the convex hull of
     them and their negatives); ``hrep`` rows g cut {y : |<g, y>| <= 1}.  At
     least one representation must be present.  Both are read-only, so an
-    H-rep body may keep its vertices and hull, once computed, in a private
-    field that takes no part in equality or repr.
+    H-rep body may keep the hull of its +/- functionals, once built, in a
+    private field that takes no part in equality or repr: a one-tuple of
+    that hull, or of None when the functionals do not span R^k.
     """
 
     k: int
     vrep: Optional[np.ndarray] = None
     hrep: Optional[np.ndarray] = None
-    _kept: Optional[_Section] = field(default=None, init=False, repr=False)
+    _kept: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -175,15 +177,14 @@ def _require_exact(k: int) -> None:
             f"use estimate_volume")
 
 
-def _certified_rows(frame: FrameSet):
-    """Certify the frame and collapse its vectors; returns the representatives,
-    which span R^k since the frame certifies."""
+def _certified_vectors(frame: FrameSet) -> np.ndarray:
+    """Certify the frame; returns its vectors, which span R^k since it certifies."""
     cert = certify_unit_decomposition(frame, TAU_CERT)
     if not cert.ok:
         raise CertificationError(
             f"frame must certify as a unit decomposition within {TAU_CERT:g}: "
             f"deviation {cert.deviation:.3e}", cert.deviation)
-    return _collapse_rows(frame.vectors)
+    return frame.vectors
 
 
 def polytope_from_frame(frame: FrameSet) -> Polytope:
@@ -192,7 +193,7 @@ def polytope_from_frame(frame: FrameSet) -> Polytope:
     Zero vectors impose no constraint and are dropped; duplicate functionals
     are collapsed.
     """
-    return Polytope(k=frame.k, hrep=_certified_rows(frame))
+    return Polytope(k=frame.k, hrep=_collapse_rows(_certified_vectors(frame)))
 
 
 def absolute_hull_gauge(generators, point) -> float:
@@ -274,7 +275,7 @@ def cross_projection(frame: FrameSet) -> Polytope:
     spans R^k, so the vertices are those of the convex hull of the +/-
     representatives.
     """
-    reps = _certified_rows(frame)
+    reps = _collapse_rows(_certified_vectors(frame))
     keep = np.unique(_hull(reps).vertices % reps.shape[0])
     return Polytope(k=frame.k, vrep=reps[keep])
 
@@ -330,12 +331,15 @@ def _polar_volume(hull) -> float:
     if k == 1:
         return 4.0 / hull.volume
     slots, prefixes = _flag_plan(k)
-    vertices = np.sort(hull.simplices, axis=1)
+    # number the hull's vertices 0 .. V-1 in point order, so that the int64
+    # keys below grow with V, not with the interior points the hull was given
+    labels, numbers = np.unique(hull.simplices, return_inverse=True)
+    vertices = np.sort(numbers.reshape(hull.simplices.shape), axis=1)
     facets = vertices.shape[0]
     # each subset's sorted vertices as one int key, shifted so that 0 pads
     digits = np.where(slots >= 0, vertices[:, slots] + 1, 0)
     keys = np.ravel_multi_index(tuple(np.moveaxis(digits, -1, 0)),
-                                (hull.points.shape[0] + 1,) * (k - 1))
+                                (labels.size + 1,) * (k - 1))
     # keys run facet by facet, so a key's first occurrence is its lowest facet
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     apex = (first // len(slots))[inverse].reshape(facets, len(slots))
@@ -353,29 +357,15 @@ def _spans(G: np.ndarray) -> bool:
     return m >= k and np.linalg.matrix_rank(G) == k
 
 
-class _Section:
-    """What an H-rep body keeps once computed: the hull of its +/- functionals,
-    whose polar it is, or None when they do not span R^k; and its vertices,
-    one per +/- pair, read off that hull on first use."""
-
-    def __init__(self, hull):
-        self.hull = hull
-
-    @functools.cached_property
-    def vertices(self) -> np.ndarray:
-        verts = _polar_vertices(self.hull)
-        verts.setflags(write=False)
-        return verts
-
-
-def _section(p: Polytope) -> Optional[_Section]:
-    """What the H-rep body ``p`` keeps, computed once and kept on ``p``; None
-    above K_EXACT, where no hull is built."""
+def _functional_hull(p: Polytope):
+    """The hull of the H-rep body's +/- functionals, whose polar the body is,
+    built once and kept on ``p``; None when they do not span R^k, and above
+    K_EXACT, where no hull is built."""
+    if p.k > K_EXACT:
+        return None
     if p._kept is None:
-        if p.k > K_EXACT:
-            return None
-        object.__setattr__(p, "_kept", _Section(_hull(p.hrep) if _spans(p.hrep) else None))
-    return p._kept
+        object.__setattr__(p, "_kept", (_hull(p.hrep) if _spans(p.hrep) else None,))
+    return p._kept[0]
 
 
 def enumerate_vertices(p: Polytope) -> Polytope:
@@ -383,10 +373,10 @@ def enumerate_vertices(p: Polytope) -> Polytope:
     if p.hrep is None:
         raise ValueError("enumerate_vertices needs an H-representation")
     _require_exact(p.k)
-    kept = _section(p)
-    if kept.hull is None:
+    hull = _functional_hull(p)
+    if hull is None:
         raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
-    return Polytope(k=p.k, vrep=kept.vertices)
+    return Polytope(k=p.k, vrep=_polar_vertices(hull))
 
 
 def volume(p: Polytope) -> float:
@@ -397,10 +387,10 @@ def volume(p: Polytope) -> float:
         if not _spans(p.vrep):
             raise DegenerateBodyError("body is not full-dimensional")
         return float(_hull(p.vrep).volume)
-    kept = _section(p)
-    if kept.hull is None:
+    hull = _functional_hull(p)
+    if hull is None:
         raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
-    return _polar_volume(kept.hull)
+    return _polar_volume(hull)
 
 
 def _frame_volumes(frame: FrameSet) -> tuple[float, float]:
@@ -408,7 +398,7 @@ def _frame_volumes(frame: FrameSet) -> tuple[float, float]:
     both from one hull of its +/- vectors: the hull's own volume and that of
     its polar, the section."""
     _require_exact(frame.k)
-    hull = _hull(_certified_rows(frame))
+    hull = _hull(_certified_vectors(frame))
     return _polar_volume(hull), float(hull.volume)
 
 
@@ -417,7 +407,8 @@ def support_function(p: Polytope, direction) -> float:
 
     V-rep: the maximum of |<w_i, u>| over vertex representatives.  H-rep,
     for k <= K_EXACT and functionals that span R^k: the same maximum over
-    the body's vertices, computed once per body.  Any other H-rep body: by
+    the body's vertices, one per facet of the hull it keeps (a vertex may
+    repeat, which changes no maximum).  Any other H-rep body: by
     LP duality, the gauge of conv(+/- g_i) at u (``absolute_hull_gauge``);
     where that is inf the support is too, and UnboundedBodyError is raised.
     """
@@ -426,9 +417,9 @@ def support_function(p: Polytope, direction) -> float:
         raise ValueError(f"direction must have shape ({p.k},)")
     if p.vrep is not None:
         return float(np.max(np.abs(p.vrep @ u)))
-    kept = _section(p)
-    if kept is not None and kept.hull is not None:
-        return float(np.max(np.abs(kept.vertices @ u)))
+    hull = _functional_hull(p)
+    if hull is not None:
+        return float(np.max(np.abs(_polar_points(hull) @ u)))
     h = absolute_hull_gauge(p.hrep, u)
     if h == math.inf:
         raise UnboundedBodyError("support is unbounded in this direction")
@@ -474,7 +465,8 @@ def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
         A = lowner_symmetric(p.vrep, eps=_ESTIMATE_EPS).ellipsoid.matrix
         reach = np.einsum("ij,jk,ik->i", p.vrep, A, p.vrep).max()
         container = Ellipsoid(k=k, matrix=A / reach)
-        functionals = enumerate_vertices(polar(p)).vrep if k <= K_EXACT else None
+        # the facets of the vertices' hull are the polar's vertices
+        functionals = _polar_points(_hull(p.vrep)) if k <= K_EXACT else None
     vol_container = ellipsoid_volume(container)
     L_inv = np.linalg.inv(np.linalg.cholesky(container.matrix))
 

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import block_diag
 
 from framegeo.ellipsoids import lowner_symmetric
 from framegeo.experiments import (conjecture_scan, random_subspace,
@@ -137,17 +138,18 @@ def test_criterion_5_section_is_polar_of_projection(capsys):
         section = polytope_from_frame(frame)
         # The polar of the projection is {y : |<w, y>| <= 1} over its vertex
         # representatives w.  Its support comes from a linear program written
-        # here, which shares no code with the library's vertex maximum.
+        # here, which shares no code with the library's vertex maximum: one
+        # block y_j per direction u_j, maximizing sum_j <u_j, y_j>, so that
+        # each block's optimum is the support at u_j.
         W = cross_projection(frame).vrep
-        A_ub, b_ub = np.vstack([W, -W]), np.ones(2 * W.shape[0])
-        rng = np.random.default_rng(trial_seed(778, s))
-        for _ in range(200):
-            u = rng.standard_normal(k)
-            u /= np.linalg.norm(u)
-            res = linprog(c=-u, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * k,
-                          method="highs")
-            assert res.status == 0, res.message
-            worst = max(worst, abs(support_function(section, u) + res.fun))
+        U = np.random.default_rng(trial_seed(778, s)).standard_normal((200, k))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        A_ub = block_diag([np.vstack([W, -W])] * len(U), format="csr")
+        res = linprog(c=-U.ravel(), A_ub=A_ub, b_ub=np.ones(A_ub.shape[0]),
+                      bounds=(None, None), method="highs")
+        assert res.status == 0, res.message
+        lp = np.einsum("jk,jk->j", U, res.x.reshape(U.shape))
+        worst = max(worst, *(abs(support_function(section, u) - h) for u, h in zip(U, lp)))
     ok = worst <= 1e-8
     _emit(capsys, 5, "support functions of the section and the polar of the "
           "projection agree", ok,

@@ -311,16 +311,33 @@ def test_one_trial_certifies_once_and_hulls_the_frame_once(monkeypatch, trial, h
     assert counts == {"hulls": hulls, "certifications": 1, "projections": 1, "fits": fits}
 
 
-@pytest.mark.parametrize("trial", [
+one_trial = pytest.mark.parametrize("trial", [
     lambda: verify_volume_bounds(random_subspace(6, 3, trial_seed(7, 0))),
     lambda: verify_ellipsoid_bounds(random_subspace(40, 5, trial_seed(3, 0))),
     lambda: conjecture_scan(14, 4, trials=1, seed=1),
 ], ids=["verify_6_3", "ellipsoid_40_5", "scan_14_4"])
+
+
+@one_trial
 def test_one_trial_runs_no_matrix_rank(rank_calls, trial):
     # a certified frame spans R^k, and the fit reads its rank off the
     # pivoted QR it starts from
     trial()
     assert rank_calls == []
+
+
+@one_trial
+def test_one_trial_merges_no_rows(monkeypatch, trial):
+    # qhull takes the raw +/- v_i, repeats and zeros included; rows are
+    # merged only where a body stores them
+    calls = []
+    for name in ("_collapse_rows", "cKDTree"):
+        def counted(*args, _name=name, _fn=getattr(framegeo.polytopes, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(framegeo.polytopes, name, counted)
+    trial()
+    assert calls == []
 
 
 def test_conjecture_scan_validation():

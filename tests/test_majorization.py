@@ -50,10 +50,7 @@ def test_is_realizable_basics():
     assert not is_realizable(NormProfile(k=2, entries=np.array([0.5, 0.5, 0.5])))
 
 
-def test_is_realizable_checks_n_and_k():
-    profile = NormProfile(k=2, entries=np.full(4, 0.5))
-    with pytest.raises(FrameStructureError):
-        is_realizable(profile, n=5)
+def test_is_realizable_checks_k():
     with pytest.raises(FrameStructureError):
         is_realizable(NormProfile(k=3, entries=np.array([1.0, 1.0])))
 

@@ -11,7 +11,8 @@ from scipy.spatial import ConvexHull
 import framegeo.polytopes
 from framegeo import jsonio
 from framegeo.ellipsoids import Ellipsoid, lowner_symmetric
-from framegeo.frames import CertificationError, FrameSet, project_standard_basis
+from framegeo.frames import (CertificationError, FrameSet, Subspace,
+                             project_standard_basis)
 from framegeo.experiments import random_subspace, trial_seed, verify_volume_bounds
 from framegeo.majorization import construct_realization, random_realizable_profile
 from framegeo.polytopes import (DegenerateBodyError, Polytope,
@@ -182,7 +183,8 @@ def test_trial_volumes_match_the_public_bodies(n, k, seed):
     sub = equality_subspace(n, k) if seed is None else random_subspace(n, k, seed)
     frame = project_standard_basis(sub)
     ratios = verify_volume_bounds(sub).ratios
-    assert ratios["cube_section_ratio"] * 2.0 ** k == volume(polytope_from_frame(frame))
+    assert ratios["cube_section_ratio"] * 2.0 ** k == pytest.approx(
+        volume(polytope_from_frame(frame)), rel=1e-14, abs=0.0)
     cross = ratios["cross_projection_ratio"] * 2.0 ** k / math.factorial(k)
     assert cross == pytest.approx(volume(cross_projection(frame)), rel=1e-14, abs=0.0)
 
@@ -231,6 +233,26 @@ def test_section_volume_is_exact_on_a_non_simplicial_hull(k):
     corners = np.array(list(itertools.product([1.0, -1.0], repeat=k)))
     assert volume(Polytope(k=k, hrep=corners)) == pytest.approx(
         2.0 ** k / math.factorial(k), rel=1e-12)
+
+
+def test_section_volume_with_more_points_than_int64_keys_by_point_index():
+    # 28 000 functionals at k = 5: the cross-polytope's corners and interior
+    # points.  Keyed by the index of each of the 56 000 +/- points, a face of
+    # 4 facet vertices would need 56 001^4 > 2^63 keys.  The section is the
+    # cube [-1, 1]^5.
+    inner = np.random.default_rng(9).uniform(-0.1, 0.1, (28_000 - 5, 5))
+    assert volume(Polytope(k=5, hrep=np.vstack([np.eye(5), inner]))) == pytest.approx(
+        32.0, rel=1e-12)
+
+
+def test_trial_hulls_a_frame_padded_with_zero_vectors():
+    # the trial hulls the raw +/- v_i, here 5 unit vectors and 27 995 zeros;
+    # the section is [-1, 1]^5 and the projection the cross-polytope
+    basis = np.zeros((5, 28_000))
+    basis[:, :5] = np.eye(5)
+    ratios = verify_volume_bounds(Subspace(n=28_000, k=5, basis=basis)).ratios
+    assert [ratios["cube_section_ratio"], ratios["cross_projection_ratio"]] == pytest.approx(
+        [1.0, 1.0], rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -474,9 +496,9 @@ def test_section_support_reads_kept_vertices_in_the_exact_range(monkeypatch):
     p = polytope_from_frame(project_standard_basis(random_subspace(8, 4, 5)))
     values = [support_function(p, u) for u in directions]
     assert (len(gauges), len(hulls)) == (0, 1)
-    assert values == [float(np.max(np.abs(enumerate_vertices(p).vrep @ u)))
-                      for u in directions]
-    # the volume reuses the hull the body kept with its vertices
+    assert values == pytest.approx([float(np.max(np.abs(enumerate_vertices(p).vrep @ u)))
+                                    for u in directions], rel=1e-14, abs=0.0)
+    # the volume reuses the hull the body kept
     volume(p)
     assert (len(gauges), len(hulls)) == (0, 1)
     # above the exact range there is no vertex set: one gauge program per
@@ -489,9 +511,11 @@ def test_section_support_reads_kept_vertices_in_the_exact_range(monkeypatch):
 
 def test_prescribed_norm_query_runs_one_rank_test_and_two_hulls(rank_calls, monkeypatch):
     # the cross projection makes one hull; the section's span check and hull
-    # run once, to keep its vertices, and its volume reuses both;
-    # certification and the Lowner fit run none
+    # run once, on its first support value, and its volume reuses both;
+    # certification and the Lowner fit run none.  Rows are merged only where
+    # the two bodies store them.
     hulls = _count_calls(monkeypatch, "ConvexHull")
+    collapses = _count_calls(monkeypatch, "_collapse_rows")
     profile = random_realizable_profile(8, 4, seed=trial_seed(1, 0))
     frame = construct_realization(profile)
     section = polytope_from_frame(frame)
@@ -501,7 +525,7 @@ def test_prescribed_norm_query_runs_one_rank_test_and_two_hulls(rank_calls, monk
         support_function(cross, u)
     volume(section)
     estimate_volume(section, samples=2000, seed=3)
-    assert (len(rank_calls), len(hulls)) == (1, 2)
+    assert (len(rank_calls), len(hulls), len(collapses)) == (1, 2, 2)
 
 
 def test_slab_keeps_its_verdict_that_the_functionals_do_not_span(rank_calls):
@@ -702,7 +726,7 @@ def test_volume_of_a_near_degenerate_k5_section(seed):
     frame = project_standard_basis(random_subspace(14, 5, seed))
     section = polytope_from_frame(frame)
     got = volume(section)
-    assert framegeo.polytopes._frame_volumes(frame)[0] == got
+    assert framegeo.polytopes._frame_volumes(frame)[0] == pytest.approx(got, rel=1e-14, abs=0.0)
     # oracle: a joggled hull of the +/- vertices, good to about 1e-9
     verts = enumerate_vertices(section).vrep
     joggled = ConvexHull(np.vstack([verts, -verts]), qhull_options="QJ").volume
