@@ -7,12 +7,12 @@ hull) maximizes the D-optimal design objective log det(sum_i u_i p_i p_i^T)
 over the weight simplex.  The design starts on k spanning points, the
 first k pivots of a column-pivoted QR of the points (the core-set start of
 Kumar and Yildirim), not on all m, since the optimal support is small and
-an away step drops at most one point.  Frank-Wolfe steps with away steps
-(Todd and Yildirim) bring the optimality gap down to a tenth of k; damped
-Newton steps on the surviving support then finish it, which removes the
-slow linear tail of the first-order method.  The exit certificate is the
-first-order one either way: every point inside (1 + eps) times the cover,
-every support point outside (1 - eps) times it.
+an away step drops at most one point.  A step is one damped Newton trial
+on the support (which removes the slow linear tail of first-order steps)
+if it raises log det by more than the Armijo amount, and otherwise, or when
+a point off the support lies outside the cover, a Frank-Wolfe or away step
+(Todd and Yildirim).  The exit certificate: every point inside (1 + eps)
+times the cover, every support point outside (1 - eps) times it.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from .frames import FrameSet, Subspace, project_standard_basis
 
 DEFAULT_EPS = 1e-7
 MAX_ITERATIONS = 10 ** 6
-_NEWTON_GAP = 0.1          # Newton steps once the gap is at most this times k
-_ARMIJO = 1e-4             # fraction of the predicted log det rise a step must keep
-_MIN_STEP = 2.0 ** -30     # shortest Newton step tried before falling back
+_ARMIJO = 1e-4  # fraction of the predicted log det rise a Newton step must keep
 
 
 class SpanError(ValueError):
@@ -106,16 +104,15 @@ def ellipsoid_volume(e: Ellipsoid) -> float:
 
 def polar_ellipsoid(e: Ellipsoid) -> Ellipsoid:
     """Polar body of an origin-centered ellipsoid: A maps to A^{-1}."""
-    inv = np.linalg.inv(e.matrix)
-    return Ellipsoid(k=e.k, matrix=0.5 * (inv + inv.T))
+    return Ellipsoid(k=e.k, matrix=np.linalg.inv(e.matrix))
 
 
 def lowner_symmetric(points, eps: float = DEFAULT_EPS,
                      max_iterations: int = MAX_ITERATIONS) -> LownerFit:
     """Minimum-volume origin-centered ellipsoid covering +/- p for each point.
 
-    Maximizes log det M(u) for M(u) = sum_i u_i p_i p_i^T over the simplex,
-    in two phases; every step starts from a fresh Cholesky factorization of
+    Maximizes log det M(u) for M(u) = sum_i u_i p_i p_i^T over the simplex;
+    every step starts from a fresh Cholesky factorization of
     M and the leverages g_i = p_i^T M^{-1} p_i.  One column-pivoted QR of
     P^T decides spanning and gives the start: its i-th pivot is the point
     furthest from the span of those before, at distance |R_ii|, so the rank
@@ -123,21 +120,20 @@ def lowner_symmetric(points, eps: float = DEFAULT_EPS,
     and weight 1/k on the first k pivots makes M positive-definite.  From
     there a Haar frame at (40, 5) takes about 12 steps on average, against
     about 45 from uniform weights on all 40 points, which must drop the ~31
-    points off the optimal support one away step at a time.
-      * Coarse phase, while the gap max(max_i g_i - k, k - min_support g_i)
-        exceeds k / 10: a Frank-Wolfe step toward the point with the largest
-        leverage or a Wolfe away step shrinking the weight of the support
-        point with the smallest leverage, whichever gap is larger, with the
-        exact line search lambda = (g - k) / (k (g - 1)).
-      * Newton phase: a damped Newton step for log det M on the support S
-        with sum(u_S) = 1, from the KKT system [[-(Q o Q), 1], [1^T, 0]]
+    points off the optimal support one away step at a time.  A step is
+      * one damped Newton trial for log det M on the support S with
+        sum(u_S) = 1, from the KKT system [[-(Q o Q), 1], [1^T, 0]]
         (Q = P_S M^{-1} P_S^T) solved by least squares, since repeated
-        points or more than k (k + 1) / 2 of them make it singular.  A step
-        stops where a weight reaches zero and drops that point, and
-        backtracks until log det rises by the Armijo amount.  When a point
-        off the support has g_i > k (1 + eps), or the Newton direction
-        gives no ascent, one coarse step is taken instead.
-    ``max_iterations`` counts steps of both kinds.  On exit A = (k M(u))^{-1}
+        points or more than k (k + 1) / 2 of them make it singular.  The
+        trial stops where a weight reaches zero and drops that point, and
+        is kept only if log det rises by more than the Armijo amount;
+      * or, where the trial is rejected or a point off the support has
+        g_i > k (1 + eps), a Frank-Wolfe step toward the point with the
+        largest leverage or a Wolfe away step shrinking the weight of the
+        support point with the smallest leverage, whichever leverage is
+        further from k, with the exact line search
+        lambda = (g - k) / (k (g - 1)).
+    ``max_iterations`` counts steps.  On exit A = (k M(u))^{-1}
     satisfies max_i <A p_i, p_i> <= 1 + eps, and every surviving support
     point has <A p_i, p_i> >= 1 - eps; ``iterations`` and ``gap`` of the
     result are the steps taken and the final gap.
@@ -187,9 +183,9 @@ def lowner_symmetric(points, eps: float = DEFAULT_EPS,
             raise ConvergenceError(
                 f"no convergence within {max_iterations} iterations "
                 f"(remaining gap {gap:.3e})", float(gap))
-        if (gap > _NEWTON_GAP * k or np.any((g > threshold) & ~support)
+        if (np.any((g > threshold) & ~support)
                 or not _newton_step(P, u, np.flatnonzero(support), L, Y, g, k)):
-            _coarse_step(u, g, i_fw, i_aw, k)
+            _frank_wolfe_step(u, g, i_fw, i_aw, k)
         u /= u.sum()
 
     L_inv = lapack.dtrtri(L, lower=1)[0]
@@ -206,7 +202,7 @@ def _cholesky(M):
     return L if info == 0 else None
 
 
-def _coarse_step(u, g, i_fw: int, i_aw: int, k: int) -> None:
+def _frank_wolfe_step(u, g, i_fw: int, i_aw: int, k: int) -> None:
     """Frank-Wolfe step toward i_fw or away step from i_aw, updating u in place.
 
     Takes the step whose leverage is further from k, with the exact line
@@ -229,10 +225,11 @@ def _coarse_step(u, g, i_fw: int, i_aw: int, k: int) -> None:
 
 
 def _newton_step(P, u, S, L, Y, g, k: int) -> bool:
-    """Damped Newton ascent step for log det M on the support S, in place.
+    """One damped Newton trial for log det M on the support S, in place.
 
-    L is the Cholesky factor of M(u) and Y = L^{-1} P^T.  Returns False,
-    leaving u alone, when the direction gives no ascent.
+    L is the Cholesky factor of M(u) and Y = L^{-1} P^T; the trial stops
+    where a weight reaches zero.  Returns False, leaving u alone, unless the
+    trial raises log det by strictly more than the Armijo amount.
     """
     s = S.size
     YS = Y[:, S]
@@ -253,19 +250,17 @@ def _newton_step(P, u, S, L, Y, g, k: int) -> bool:
     to_zero[shrinking] = -uS[shrinking] / d[shrinking]
     j_cap = int(to_zero.argmin())
     t = min(1.0, float(to_zero[j_cap]))
+    trial = np.maximum(uS + t * d, 0.0)
+    if t == to_zero[j_cap]:
+        trial[j_cap] = 0.0
     logdet = 2.0 * float(np.log(L.diagonal()).sum())
     PS = P[S]
-    while t >= _MIN_STEP:
-        trial = np.maximum(uS + t * d, 0.0)
-        if t == to_zero[j_cap]:
-            trial[j_cap] = 0.0
-        L_t = _cholesky((PS.T * trial) @ PS)
-        if (L_t is not None and 2.0 * float(np.log(L_t.diagonal()).sum())
-                >= logdet + _ARMIJO * t * slope):
-            u[S] = trial
-            return True
-        t *= 0.5
-    return False
+    L_t = _cholesky((PS.T * trial) @ PS)
+    if (L_t is None or not 2.0 * float(np.log(L_t.diagonal()).sum())
+            > logdet + _ARMIJO * t * slope):
+        return False
+    u[S] = trial
+    return True
 
 
 def john_of_cube_section(subspace: Subspace, eps: float = DEFAULT_EPS) -> Ellipsoid:

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .ellipsoids import (DEFAULT_EPS, ellipsoid_volume, lowner_symmetric,
-                         polar_ellipsoid, unit_ball_volume)
+                         unit_ball_volume)
 from .frames import Subspace, project_standard_basis
 from . import frames as _frames
 from . import majorization as _majorization
@@ -145,8 +145,9 @@ def _verify(subspace: Subspace, volumes: bool, eps: float, tol: float,
         cube, cross, product = _polytope_ratios(frame)
     fit = lowner_symmetric(frame.vectors, eps=eps)
     ball = unit_ball_volume(k)
-    ratios = {"lowner_ratio": ellipsoid_volume(fit.ellipsoid) / ball,
-              "john_ratio": ellipsoid_volume(polar_ellipsoid(fit.ellipsoid)) / ball}
+    lowner = ellipsoid_volume(fit.ellipsoid) / ball
+    # the John ellipsoid is the cover's polar, and vol(E) vol(E polar) = vol(B^k)^2
+    ratios = {"lowner_ratio": lowner, "john_ratio": 1.0 / lowner}
     if volumes:
         ratios.update(cube_section_ratio=cube, cross_projection_ratio=cross)
     bounds, passes, equality = {}, {}, {}

@@ -40,14 +40,13 @@ from scipy.linalg import lapack
 from scipy.optimize import linprog  # noqa: F401
 from scipy.spatial import ConvexHull, cKDTree
 
-from .ellipsoids import (Ellipsoid, SpanError, ellipsoid_volume,
+from .ellipsoids import (DEFAULT_EPS, Ellipsoid, SpanError, ellipsoid_volume,
                          lowner_symmetric)
 from .frames import (TAU_CERT, CertificationError, FrameSet, Subspace,
                      certify_unit_decomposition)
 
 TAU_GEO = 1e-9  # geometric dedup / feasibility tolerance
 K_EXACT = 5     # exact volume supported up to this dimension
-_ESTIMATE_EPS = 1e-7
 _LP_TOL = 1e-12  # relative tolerance of the gauge simplex and its certificate
 _LP_PIVOTS_PER_COLUMN = 50
 
@@ -456,13 +455,16 @@ def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
     if p.hrep is not None:
         functionals = p.hrep
         try:
-            u = lowner_symmetric(functionals, eps=_ESTIMATE_EPS).weights
+            u = lowner_symmetric(functionals, eps=DEFAULT_EPS).weights
         except SpanError:
             raise UnboundedBodyError(
                 "functionals do not span R^k; the body is unbounded") from None
         container = Ellipsoid(k=k, matrix=(functionals.T * (u / u.sum())) @ functionals)
     else:
-        A = lowner_symmetric(p.vrep, eps=_ESTIMATE_EPS).ellipsoid.matrix
+        try:
+            A = lowner_symmetric(p.vrep, eps=DEFAULT_EPS).ellipsoid.matrix
+        except SpanError:
+            raise DegenerateBodyError("body is not full-dimensional") from None
         reach = np.einsum("ij,jk,ik->i", p.vrep, A, p.vrep).max()
         container = Ellipsoid(k=k, matrix=A / reach)
         # the facets of the vertices' hull are the polar's vertices

@@ -176,6 +176,17 @@ def test_slow_tail_frame_converges_in_few_steps():
     assert 0.0 <= fit.gap <= 5 * DEFAULT_EPS
 
 
+@pytest.mark.parametrize("m,k,seed", [(12, 3, 29), (20, 4, 9), (20, 4, 52)])
+def test_heavy_tailed_points_converge_without_null_steps(m, k, seed):
+    # well-conditioned points with Cauchy-scaled norms; a line search that
+    # halves its Newton step until it moves no weight accepts that null
+    # step over and over, and the fit runs to its iteration cap
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((m, k)) * rng.standard_cauchy((m, 1))
+    fit = lowner_symmetric(pts, eps=1e-10, max_iterations=200)
+    assert_certificate(pts, fit, eps=1e-10)
+
+
 def test_pivoted_start_takes_few_steps_on_haar_frames():
     # uniform weights on all 40 points would take about 45 steps here: an
     # away step drops at most one of the ~31 points off the optimal support

@@ -648,6 +648,14 @@ def test_estimate_volume_of_hull_with_many_vertex_pairs():
     assert abs(est.value - volume(body)) <= 4.0 * est.standard_error
 
 
+def test_estimate_volume_of_a_flat_vrep_body_is_degenerate():
+    flat = Polytope(k=2, vrep=np.array([[1.0, 0.0], [2.0, 0.0]]))
+    with pytest.raises(DegenerateBodyError):
+        volume(flat)
+    with pytest.raises(DegenerateBodyError):
+        estimate_volume(flat, samples=100, seed=0)
+
+
 def test_estimate_volume_grows_a_vrep_container_to_hold_every_vertex(monkeypatch):
     # the solver certifies its cover only to 1 + eps; here it is off by 4x
     body = cross_projection(project_standard_basis(random_subspace(8, 4, 14)))
