@@ -11,26 +11,23 @@ subspaces achieve whenever k divides n.
 
 import numpy as np
 
-from framegeo import (check_covering_bound, ellipsoid_volume,
-                      john_of_cube_section, lowner_symmetric,
-                      project_standard_basis, random_subspace,
-                      equality_subspace, unit_ball_volume)
+from framegeo import (ellipsoid_volume, john_of_cube_section,
+                      lowner_symmetric, project_standard_basis,
+                      random_subspace, equality_subspace, unit_ball_volume,
+                      verify_ellipsoid_bounds)
 
 print(f"{'n':>3} {'k':>3} {'lowner ratio':>14} {'bound (k/n)^(k/2)':>18} "
       f"{'john ratio':>12} {'bound':>10} {'uniform':>8}")
 
 for n, k, seed in [(4, 2, 0), (6, 2, 1), (7, 3, 2), (8, 4, 3)]:
     subspace = random_subspace(n, k, seed)
-    frame = project_standard_basis(subspace)
-    fit = lowner_symmetric(frame.vectors)
-    ball = unit_ball_volume(k)
-    lowner_ratio = ellipsoid_volume(fit.ellipsoid) / ball
+    report = verify_ellipsoid_bounds(subspace)
     john = john_of_cube_section(subspace)
-    john_ratio = ellipsoid_volume(john) / ball
-    report = check_covering_bound(frame, fit.ellipsoid)
-    print(f"{n:>3} {k:>3} {lowner_ratio:>14.6f} {report.bound:>18.6f} "
+    john_ratio = ellipsoid_volume(john) / unit_ball_volume(k)
+    print(f"{n:>3} {k:>3} {report.ratios['lowner_ratio']:>14.6f} "
+          f"{report.bounds['lowner_ratio']:>18.6f} "
           f"{john_ratio:>12.6f} {(n / k) ** (k / 2):>10.6f} "
-          f"{str(report.equality_profile):>8}")
+          f"{str(report.profile_uniform):>8}")
 
 print("\nblock-averaging subspaces attain the bounds:")
 for n, k in [(4, 2), (6, 3), (8, 4)]:

@@ -25,11 +25,9 @@ from .majorization import (
 )
 from .ellipsoids import (
     ConvergenceError,
-    CoveringReport,
     Ellipsoid,
     LownerFit,
     SpanError,
-    check_covering_bound,
     ellipsoid_volume,
     john_of_cube_section,
     lowner_symmetric,
@@ -74,9 +72,9 @@ __all__ = [
     "orthogonal_completion", "project_standard_basis",
     "NormProfile", "NotRealizableError", "construct_realization", "is_realizable",
     "majorizes", "random_realizable_profile",
-    "ConvergenceError", "CoveringReport", "Ellipsoid", "LownerFit", "SpanError",
-    "check_covering_bound", "ellipsoid_volume", "john_of_cube_section",
-    "lowner_symmetric", "polar_ellipsoid", "unit_ball_volume",
+    "ConvergenceError", "Ellipsoid", "LownerFit", "SpanError",
+    "ellipsoid_volume", "john_of_cube_section", "lowner_symmetric",
+    "polar_ellipsoid", "unit_ball_volume",
     "DegenerateBodyError", "Polytope", "UnboundedBodyError",
     "UnsupportedDimensionError", "VolumeEstimate", "absolute_hull_gauge",
     "cross_projection", "enumerate_vertices", "equality_subspace",

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .frames import FrameSet, Subspace, project_standard_basis
+from .frames import Subspace, project_standard_basis
 
 DEFAULT_EPS = 1e-7
 MAX_ITERATIONS = 10 ** 6
@@ -76,17 +76,6 @@ class LownerFit(NamedTuple):
     weights: np.ndarray
     iterations: int
     gap: float
-
-
-@dataclass(frozen=True)
-class CoveringReport:
-    """Covering and volume-ratio report for a frame against (k/n)^{k/2}."""
-
-    covers: bool
-    ratio: float
-    bound: float
-    equality_profile: bool
-    bound_holds: bool
 
 
 def unit_ball_volume(k: int) -> float:
@@ -275,22 +264,3 @@ def john_of_cube_section(subspace: Subspace, eps: float = DEFAULT_EPS) -> Ellips
     fit = lowner_symmetric(frame.vectors, eps=eps)
     return polar_ellipsoid(fit.ellipsoid)
 
-
-def check_covering_bound(frame: FrameSet, e: Ellipsoid, tol: float = 1e-6) -> CoveringReport:
-    """Volume bound report for an ellipsoid covering a unit decomposition.
-
-    Any origin-centered ellipsoid containing the frame vectors has volume at
-    least (k/n)^{k/2} times the unit-ball volume, with equality exactly when
-    every squared norm equals k/n.  The caller is responsible for passing a
-    certified frame; ``bound_holds`` records whether the inequality held
-    whenever ``covers`` did.
-    """
-    quad = np.einsum("ij,jk,ik->i", frame.vectors, e.matrix, frame.vectors)
-    covers = bool(np.all(quad <= 1.0 + tol))
-    ratio = ellipsoid_volume(e) / unit_ball_volume(e.k)
-    bound = (frame.k / frame.n) ** (frame.k / 2)
-    profile = frame.squared_norms()
-    equality_profile = bool(np.max(np.abs(profile - frame.k / frame.n)) <= tol)
-    bound_holds = (not covers) or ratio >= bound - tol
-    return CoveringReport(covers=covers, ratio=ratio, bound=bound,
-                          equality_profile=equality_profile, bound_holds=bound_holds)

@@ -14,10 +14,15 @@ report entries but not CSV columns, Vaaler's vol(cube section) >= 2^k,
 Blaschke-Santalo's vol(cube section) * vol(cross projection) <= vol(B^k)^2
 and, for k <= 3 where it is proved, Mahler's lower bound on that product,
 4^k / k!.
-The conjecture scan additionally tracks the two-power bounds 2^{±(n-k)/2}; the
-upper one for cube sections is proved (a violation indicates a solver or
-volume bug), the lower one for cross projections is exploratory and is
-reported without being asserted.
+Every check is relative to its bound b: an upper bound holds when the value
+is at most b + tol |b|, a lower one when it is at least b - tol |b|, and a
+ratio is at equality when both hold.  An absolute margin would pass any ratio
+at (200, 20), where (k/n)^{k/2} = 1e-10, and fail the John ratio at equality
+at (200, 100), where (n/k)^{k/2} = 2^50.
+The conjecture scan additionally tracks the two-power bounds 2^{±(n-k)/2},
+with the same relative rule; the upper one for cube sections is proved (a
+violation indicates a solver or volume bug), the lower one for cross
+projections is exploratory and is reported without being asserted.
 """
 
 from __future__ import annotations
@@ -36,24 +41,23 @@ from . import majorization as _majorization
 from . import polytopes as _polytopes
 
 BOUND_TOL = 1e-6
-_SCAN_SLACK = 1e-9  # the scan's margin on both two-power bounds
+_SCAN_SLACK = 1e-9  # the scan's relative margin on both two-power bounds
 _MASK64 = (1 << 64) - 1
 
-# (report key, CSV short name, bound is an upper bound): an upper bound is
-# (n/k)^{k/2}, a lower one (k/n)^{k/2}.  Every report holds the two
-# ellipsoid rows, which carry the CSV's bound_kn and bound_nk.
+# (report key, CSV short name) of the four volume ratios.  Every report
+# holds the two ellipsoid rows, which carry the CSV's bound_kn and bound_nk.
 _RATIOS = (
-    ("lowner_ratio", "lowner", False),
-    ("john_ratio", "john", True),
-    ("cube_section_ratio", "cube", True),
-    ("cross_projection_ratio", "cross", False),
+    ("lowner_ratio", "lowner"),
+    ("john_ratio", "john"),
+    ("cube_section_ratio", "cube"),
+    ("cross_projection_ratio", "cross"),
 )
 
 CSV_COLUMNS = (
     "n", "k", "trial_id", "seed",
-    *(column for column, _, _ in _RATIOS),
+    *(column for column, _ in _RATIOS),
     "bound_kn", "bound_nk",
-    *("pass_" + short for _, short, _ in _RATIOS),
+    *("pass_" + short for _, short in _RATIOS),
     "equality_flags", "profile_uniform",
 )
 
@@ -119,8 +123,10 @@ class ExperimentReport:
         return all(self.passes.values())
 
 
-def _equality_flag(ratio: float, bound: float, tol: float) -> bool:
-    return abs(ratio - bound) <= tol * abs(bound)
+def _holds(value: float, bound: float, is_upper: bool, tol: float) -> bool:
+    """value <= bound (upper) or value >= bound (lower), within tol * |bound|."""
+    slack = tol * abs(bound)
+    return bool(value <= bound + slack if is_upper else value >= bound - slack)
 
 
 def _profile_uniform(frame, tol: float) -> bool:
@@ -146,28 +152,31 @@ def _verify(subspace: Subspace, volumes: bool, eps: float, tol: float,
     fit = lowner_symmetric(frame.vectors, eps=eps)
     ball = unit_ball_volume(k)
     lowner = ellipsoid_volume(fit.ellipsoid) / ball
-    # the John ellipsoid is the cover's polar, and vol(E) vol(E polar) = vol(B^k)^2
-    ratios = {"lowner_ratio": lowner, "john_ratio": 1.0 / lowner}
+    lower, upper = (k / n) ** (k / 2), (n / k) ** (k / 2)
+    # name -> (value, bound, is_upper); the John ellipsoid is the cover's
+    # polar, and vol(E) vol(E polar) = vol(B^k)^2
+    checks = {"lowner_ratio": (lowner, lower, False),
+              "john_ratio": (1.0 / lowner, upper, True)}
     if volumes:
-        ratios.update(cube_section_ratio=cube, cross_projection_ratio=cross)
-    bounds, passes, equality = {}, {}, {}
-    for column, _, is_upper in _RATIOS:
-        if column in ratios:
-            value = ratios[column]
-            bound = bounds[column] = (n / k if is_upper else k / n) ** (k / 2)
-            passes[column] = bool(value <= bound + tol if is_upper else value >= bound - tol)
-            equality[column] = _equality_flag(value, bound, tol)
+        checks.update(cube_section_ratio=(cube, upper, True),
+                      cross_projection_ratio=(cross, lower, False),
+                      chain_cube=(cube, 1.0 / lowner, True),
+                      chain_cross=(cross, lowner, False),
+                      vaaler=(cube, 1.0, False),
+                      blaschke_santalo=(product, ball ** 2, True))
+        if k <= 3:  # proved for k = 2 (Mahler) and k = 3 (Iriyeh-Shibata)
+            checks["mahler"] = (product, 4.0 ** k / math.factorial(k), False)
+    rows = {column: checks[column] for column, _ in _RATIOS if column in checks}
+    ratios = {column: value for column, (value, _, _) in rows.items()}
+    bounds = {column: bound for column, (_, bound, _) in rows.items()}
+    passes = {name: _holds(value, bound, is_upper, tol)
+              for name, (value, bound, is_upper) in checks.items()}
+    equality = {column: (_holds(value, bound, True, tol)
+                         and _holds(value, bound, False, tol))
+                for column, (value, bound, _) in rows.items()}
     extras = {"ellipsoid_equality_concordant":
               equality["lowner_ratio"] == equality["john_ratio"]}
     if volumes:
-        passes.update(chain_cube=bool(cube <= ratios["john_ratio"] + tol),
-                      chain_cross=bool(cross >= ratios["lowner_ratio"] - tol),
-                      vaaler=bool(cube >= 1.0 - tol),
-                      # relative: k = 1 is an equality case
-                      blaschke_santalo=bool(product <= ball ** 2 * (1.0 + tol)))
-        if k <= 3:  # proved for k = 2 (Mahler) and k = 3 (Iriyeh-Shibata)
-            # relative: k = 1 and the cube/cross-polytope pairs are equality cases
-            passes["mahler"] = bool(product >= 4.0 ** k / math.factorial(k) * (1.0 - tol))
         extras["volume_product"] = product
     return ExperimentReport(trial_id=trial_id, n=n, k=k, seed=seed,
                             ratios=ratios, bounds=bounds, passes=passes,
@@ -239,9 +248,10 @@ def conjecture_scan(n: int, k: int, trials: int, seed: int) -> ConjectureScanSum
             max_cube, max_cube_at = cube_ratio, (t, s)
         if cross_ratio < min_cross:
             min_cross, min_cross_at = cross_ratio, (t, s)
-        if cube_ratio > bound_ball2 + _SCAN_SLACK:
+        if not _holds(cube_ratio, bound_ball2, True, _SCAN_SLACK):
             violations.append(t)
-        if cross_ratio < bound_2pow - _SCAN_SLACK and counterexample is None:
+        if (not _holds(cross_ratio, bound_2pow, False, _SCAN_SLACK)
+                and counterexample is None):
             counterexample = {
                 "trial_id": t,
                 "seed": s,
@@ -316,10 +326,10 @@ def render_csv(reports) -> str:
     ]
     for r in reports:
         row = [str(r.n), str(r.k), str(r.trial_id), str(r.seed),
-               *(_csv_float(r.ratios.get(column)) for column, _, _ in _RATIOS),
-               *(_csv_float(r.bounds.get(column)) for column, _, _ in _RATIOS[:2]),
-               *(_csv_flag(r.passes.get(column)) for column, _, _ in _RATIOS),
-               "|".join(short for column, short, _ in _RATIOS if r.equality.get(column)),
+               *(_csv_float(r.ratios.get(column)) for column, _ in _RATIOS),
+               *(_csv_float(r.bounds.get(column)) for column, _ in _RATIOS[:2]),
+               *(_csv_flag(r.passes.get(column)) for column, _ in _RATIOS),
+               "|".join(short for column, short in _RATIOS if r.equality.get(column)),
                str(bool(r.profile_uniform))]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -2,9 +2,9 @@
 
 Each demo runs as a subprocess with this checkout's ``src`` first on
 ``PYTHONPATH`` and must exit 0; together they take a few seconds.
-``05_conjecture_scan.py`` is left out: it takes about 12 s, and its path
+``05_conjecture_scan.py`` is left out: it takes about 5 s, and its path
 (``conjecture_scan`` over many small subspaces) is already covered by
-acceptance criterion 7.
+acceptance criterion 7; CI runs it as a step of its own.
 """
 
 import os

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from framegeo.ellipsoids import (DEFAULT_EPS, ConvergenceError, Ellipsoid,
-                                 SpanError, check_covering_bound,
-                                 ellipsoid_volume, john_of_cube_section,
-                                 lowner_symmetric, polar_ellipsoid,
-                                 unit_ball_volume)
+                                 SpanError, ellipsoid_volume,
+                                 john_of_cube_section, lowner_symmetric,
+                                 polar_ellipsoid, unit_ball_volume)
 from framegeo.frames import Subspace, project_standard_basis
 from framegeo.polytopes import equality_subspace
-from framegeo.experiments import random_subspace, trial_seed
+from framegeo.experiments import random_subspace, trial_seed, verify_ellipsoid_bounds
 
 
 def assert_certificate(pts, fit, eps=DEFAULT_EPS):
@@ -253,32 +252,11 @@ def test_points_within_rounding_of_a_line_raise_span_error():
         lowner_symmetric(pts)
 
 
-def test_covering_bound_report_on_equality_case():
-    frame = project_standard_basis(equality_subspace(6, 3))
-    fit = lowner_symmetric(frame.vectors)
-    report = check_covering_bound(frame, fit.ellipsoid)
-    assert report.covers
-    assert report.bound == pytest.approx(0.5 ** 1.5, rel=1e-12)
-    assert report.ratio == pytest.approx(report.bound, rel=1e-9)
-    assert report.equality_profile
-    assert report.bound_holds
-
-
-def test_covering_bound_detects_non_cover():
-    frame = project_standard_basis(equality_subspace(4, 2))
-    tiny = Ellipsoid(k=2, matrix=100.0 * np.eye(2))
-    report = check_covering_bound(frame, tiny)
-    assert not report.covers
-    assert report.bound_holds  # vacuous when the ellipsoid does not cover
-
-
 @pytest.mark.parametrize("n,k,seed", [(5, 2, 0), (7, 3, 1), (8, 4, 2)])
 def test_projected_frames_respect_volume_bound(n, k, seed):
-    frame = project_standard_basis(random_subspace(n, k, seed))
-    fit = lowner_symmetric(frame.vectors)
-    report = check_covering_bound(frame, fit.ellipsoid)
-    assert report.covers and report.bound_holds
-    assert report.ratio >= report.bound - 1e-6
+    report = verify_ellipsoid_bounds(random_subspace(n, k, seed))
+    assert report.bounds["lowner_ratio"] == pytest.approx((k / n) ** (k / 2), rel=1e-12)
+    assert report.passes["lowner_ratio"]
 
 
 def test_k2_grid_oracle_local_optimality():

@@ -8,6 +8,7 @@ import pytest
 
 import framegeo.experiments
 import framegeo.polytopes
+from framegeo.ellipsoids import Ellipsoid, lowner_symmetric
 from framegeo.experiments import (CSV_COLUMNS, ConjectureScanSummary,
                                   ExperimentReport, SuiteSpec, conjecture_scan,
                                   random_subspace, render_csv, run_suite,
@@ -125,6 +126,38 @@ def test_equality_flag_tracks_uniform_profile():
     reports.append(verify_volume_bounds(equality_subspace(4, 2)))
     for r in reports:
         assert r.equality["lowner_ratio"] == r.profile_uniform
+
+
+@pytest.mark.parametrize("n,k", [(7, 3), (10, 4), (11, 5), (9, 2)])
+def test_uniform_profile_reaches_both_ellipsoid_bounds_where_k_does_not_divide_n(n, k):
+    r = verify_ellipsoid_bounds(skew_subspace(np.full(n, k / n), k=k))
+    assert r.equality["lowner_ratio"] and r.equality["john_ratio"]
+    assert r.proved_ok and r.profile_uniform
+    assert abs(r.ratios["lowner_ratio"] - (k / n) ** (k / 2)) <= 1e-12
+
+
+def test_checks_are_relative_to_a_huge_bound():
+    # (n/k)^{k/2} = 2^50 at (200, 100); the John ratio at equality lies
+    # 25 above it, 2.2e-14 relative
+    r = verify_ellipsoid_bounds(equality_subspace(200, 100))
+    assert all(r.passes.values()) and all(r.equality.values())
+
+
+def test_checks_are_relative_to_a_tiny_bound(monkeypatch):
+    # (k/n)^{k/2} = 1e-10 at (200, 20): a cover of half that volume is no
+    # cover of the frame, and a margin of 1e-6 would pass it
+    k = 20
+
+    def shrunk(points, eps):
+        fit = lowner_symmetric(points, eps=eps)
+        matrix = fit.ellipsoid.matrix * 4.0 ** (1 / k)
+        return fit._replace(ellipsoid=Ellipsoid(k=k, matrix=matrix))
+
+    monkeypatch.setattr(framegeo.experiments, "lowner_symmetric", shrunk)
+    r = verify_ellipsoid_bounds(equality_subspace(200, k))
+    assert r.ratios["lowner_ratio"] == pytest.approx(r.bounds["lowner_ratio"] / 2, rel=1e-9)
+    assert not r.passes["lowner_ratio"]
+    assert not r.proved_ok
 
 
 def test_volume_report_requires_exact_range():

@@ -207,6 +207,21 @@ def test_every_hull_entry_point_handles_k1():
         volume(Polytope(k=1, vrep=np.array([[0.0]])))
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_codimension_one_cross_projection_matches_cauchy(n):
+    # Cauchy's projection formula over the cross-polytope's 2^n facets
+    # (unit normals eps / sqrt(n), each of volume sqrt(n) / (n - 1)!) gives
+    # the shadow on the hyperplane with unit normal a:
+    # sum_eps |<eps, a>| / (2 (n - 1)!)
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    for t in range(20):
+        sub = random_subspace(n, n - 1, trial_seed(n, t))
+        a = np.linalg.svd(sub.basis)[2][-1]
+        cauchy = np.abs(signs @ a).sum() / (2 * math.factorial(n - 1))
+        shadow = volume(cross_projection(project_standard_basis(sub)))
+        assert shadow == pytest.approx(cauchy, rel=1e-12)
+
+
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (8, 4), (10, 5)])
 def test_equality_section_has_one_vertex_per_cube_corner_pair(n, k):
     p = section_of(n, k)
