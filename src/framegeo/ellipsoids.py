@@ -127,22 +127,20 @@ def lowner_symmetric(points, eps: float = DEFAULT_EPS,
     point has <A p_i, p_i> >= 1 - eps; ``iterations`` and ``gap`` of the
     result are the steps taken and the final gap.
 
-    Zero input vectors carry no constraint and are dropped before solving;
-    their returned weight is zero.  Points that do not span R^k raise
-    SpanError, and so do points whose weighted moment matrix M(u) loses
-    positive definiteness in floating point (reported as rank k - 1).
+    Zero input vectors carry no constraint and get weight zero: their
+    leverage is 0 < k, so no Frank-Wolfe step picks them, and the start
+    pivots no zero point while the rank is k.  Points that do not span R^k
+    raise SpanError, and so do points whose weighted moment matrix M(u)
+    loses positive definiteness in floating point (reported as rank k - 1).
     """
-    P_in = np.asarray(points, dtype=float)
-    if P_in.ndim != 2 or P_in.shape[0] == 0:
+    P = np.asarray(points, dtype=float)
+    if P.ndim != 2 or P.shape[0] == 0:
         raise ValueError("points must be a nonempty (m, k) array")
-    if not np.all(np.isfinite(P_in)):
+    if not np.all(np.isfinite(P)):
         raise ValueError("points contain non-finite entries")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    keep = np.einsum("ij,ij->i", P_in, P_in) > 0.0
-    P = P_in[keep]
-    k = P_in.shape[1]
-    m = P.shape[0]
+    m, k = P.shape
     R, pivots = lapack.dgeqp3(P.T)[:2]
     diag = np.abs(np.diagonal(R))
     tol = diag.max(initial=0.0) * max(m, k) * np.finfo(float).eps
@@ -179,9 +177,7 @@ def lowner_symmetric(points, eps: float = DEFAULT_EPS,
 
     L_inv = lapack.dtrtri(L, lower=1)[0]
     ell = Ellipsoid(k=k, matrix=(L_inv.T @ L_inv) / k)
-    weights = np.zeros(P_in.shape[0])
-    weights[keep] = u
-    return LownerFit(ellipsoid=ell, weights=weights,
+    return LownerFit(ellipsoid=ell, weights=u,
                      iterations=iterations, gap=float(gap))
 
 

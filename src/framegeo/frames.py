@@ -5,7 +5,8 @@ outer products v_i v_i^T sum to the identity on R^k.  Equivalently, the
 k x n matrix whose columns are the v_i has orthonormal rows, i.e. it is a
 sub-matrix of an orthogonal matrix of order n.  The operations here certify
 that identity numerically, relate frames to projections of the standard
-basis of R^n, and extend certified frames to full orthogonal matrices.
+basis of R^n, and extend certified frames to full orthogonal matrices by
+one complete QR factorization.
 """
 
 from __future__ import annotations
@@ -192,29 +193,17 @@ def is_projection_matrix(gram: GramMatrix, target_rank: int,
 def orthogonal_completion(frame: FrameSet, tol: float = TAU_CERT) -> np.ndarray:
     """Extend a certified frame's k x n matrix to an orthogonal matrix of order n.
 
-    Rows k..n-1 are built greedily: at each step the canonical basis vector
-    of R^n with the largest residual after orthogonalization against the
-    rows accumulated so far is orthonormalized (with one re-orthogonalization
-    pass) and appended.  The top k x n block of the result is the frame's
-    matrix, bit for bit.
+    Rows k..n-1 are the last n - k columns of a complete QR factorization
+    of the n x k matrix V of frame vectors: they are orthonormal and
+    orthogonal to the column span of V, which the certification has shown
+    to be k orthonormal columns within ``tol``.  The top k x n block of the
+    result is the frame's matrix, bit for bit.
     """
     cert = certify_unit_decomposition(frame, tol)
     if not cert.ok:
         raise CertificationError(
             f"frame is not a unit decomposition within {tol:g}: "
             f"deviation {cert.deviation:.3e}", cert.deviation)
-    n, k = frame.n, frame.k
-    rows = np.zeros((n, n))
-    rows[:k] = frame.vectors.T
-    for m in range(k, n):
-        Q = rows[:m]
-        resid = np.eye(n) - Q.T @ Q
-        j = int(np.argmax(np.einsum("ij,ij->j", resid, resid)))
-        vec = resid[:, j]
-        vec = vec - Q.T @ (Q @ vec)
-        norm = float(np.linalg.norm(vec))
-        if norm < 1e-8:
-            raise ArithmeticError(
-                "orthogonal completion lost rank; the frame rows are ill-conditioned")
-        rows[m] = vec / norm
-    return rows
+    V = frame.vectors
+    Q = np.linalg.qr(V, mode="complete")[0]
+    return np.vstack([V.T, Q[:, frame.k:].T])

@@ -2,10 +2,12 @@
 
 A nonnegative profile (c_1, ..., c_n) is the squared-norm sequence of some
 unit decomposition of R^k exactly when the indicator vector with k ones
-majorizes it.  The constructive direction is implemented with plane
-rotations acting on the rows of an n x k matrix with orthonormal columns:
-each rotation moves one row's squared norm exactly onto its target while
-preserving the column Gram identity.
+majorizes it.  One prefix-sum rule decides ``majorizes``, ``is_realizable``
+and the violated prefix that ``construct_realization`` reports.  The
+constructive direction is implemented with plane rotations acting on the
+rows of an n x k matrix with orthonormal columns: each rotation moves one
+row's squared norm exactly onto its target while preserving the column
+Gram identity.
 """
 
 from __future__ import annotations
@@ -56,43 +58,45 @@ class NormProfile:
         return self.entries.shape[0]
 
 
-def majorizes(a, b, tol: float = TAU_MAJ) -> bool:
-    """True when every descending prefix sum of ``a`` dominates the one of
-    ``b`` within ``tol`` and the totals agree within ``tol``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise FrameStructureError("majorizes expects two 1-d vectors of equal length")
-    if a.size == 0:
-        return True
+def _first_violation(a, b, tol: float) -> int:
+    """First violated condition of ``a`` majorizing ``b``: the shortest prefix
+    length m >= 1 whose descending sum of ``b`` exceeds that of ``a`` by more
+    than ``tol``, 0 when the totals differ by more than ``tol``, or -1 when
+    none is violated."""
     pa = np.cumsum(np.sort(a)[::-1])
     pb = np.cumsum(np.sort(b)[::-1])
-    if abs(pa[-1] - pb[-1]) > tol:
-        return False
-    return bool(np.all(pa >= pb - tol))
-
-
-def _first_violation(entries: np.ndarray, k: int, tol: float) -> int:
-    """First violated realizability condition: prefix length m >= 1, 0 for a
-    total-sum mismatch, or -1 when none is violated."""
-    prefix = np.cumsum(np.sort(entries)[::-1])
-    n = entries.size
-    cap = np.minimum(np.arange(1, n + 1), k)
-    bad = np.nonzero(prefix > cap + tol)[0]
+    bad = np.flatnonzero(pb > pa + tol)
     if bad.size:
         return int(bad[0]) + 1
-    if abs(prefix[-1] - k) > tol:
+    if pa.size and abs(pa[-1] - pb[-1]) > tol:
         return 0
     return -1
 
 
+def majorizes(a, b, tol: float = TAU_MAJ) -> bool:
+    """True when every descending prefix sum of ``a`` dominates the one of
+    ``b`` within ``tol`` and the totals agree within ``tol``.  Non-finite
+    entries raise FrameStructureError."""
+    a = _float_array(a, "a")
+    b = _float_array(b, "b")
+    if a.ndim != 1 or a.shape != b.shape:
+        raise FrameStructureError("majorizes expects two 1-d vectors of equal length")
+    return _first_violation(a, b, tol) < 0
+
+
+def _indicator(profile: NormProfile) -> np.ndarray:
+    """The vector of k ones and n - k zeros; the profile is realizable
+    exactly when this vector majorizes it."""
+    k, n = profile.k, profile.n
+    if k > n:
+        raise FrameStructureError(f"k={k} exceeds the number of entries n={n}")
+    return np.repeat([1.0, 0.0], [k, n - k])
+
+
 def is_realizable(profile: NormProfile, tol: float = TAU_MAJ) -> bool:
-    """Whether some unit decomposition of R^k has these squared norms, by the
-    prefix-sum test that ``construct_realization`` applies."""
-    if profile.k > profile.n:
-        raise FrameStructureError(
-            f"k={profile.k} exceeds the number of entries n={profile.n}")
-    return _first_violation(profile.entries, profile.k, tol) < 0
+    """Whether some unit decomposition of R^k has these squared norms: the
+    indicator vector with k ones majorizes them."""
+    return majorizes(_indicator(profile), profile.entries, tol)
 
 
 def _rotate_rows(B: np.ndarray, i: int, j: int, norms: np.ndarray, target: float) -> None:
@@ -137,9 +141,7 @@ def construct_realization(profile: NormProfile) -> FrameSet:
     the result misses its target by more than TAU_SH.
     """
     k, size = profile.k, profile.n
-    if k > size:
-        raise FrameStructureError(f"k={k} exceeds the number of entries n={size}")
-    bad = _first_violation(profile.entries, k, TAU_MAJ)
+    bad = _first_violation(_indicator(profile), profile.entries, TAU_MAJ)
     if bad == 0:
         raise NotRealizableError(
             f"profile sums to {profile.entries.sum():.12g}, expected k={k}", 0)

@@ -129,6 +129,24 @@ def test_orthogonal_completion_random(n, k, seed):
     assert abs(abs(np.linalg.det(M)) - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("n,k", [(4, 1), (6, 3), (9, 4), (7, 7), (40, 5), (200, 20)])
+def test_orthogonal_completion_of_inexact_frames(n, k):
+    # noise of this size leaves sum(v_i v_i^T) - I_k near the certification
+    # tolerance, so the completion must not need exactly orthonormal columns
+    rng = np.random.default_rng(n * 100 + k)
+    certified = 0
+    for seed in range(8):
+        V = project_standard_basis(random_subspace(n, k, seed)).vectors
+        frame = FrameSet.from_vectors(V + rng.standard_normal((n, k)) * 3e-10 / np.sqrt(n))
+        if not certify_unit_decomposition(frame).ok:
+            continue
+        certified += 1
+        M = orthogonal_completion(frame)
+        assert np.array_equal(M[:k], frame.vectors.T)
+        assert np.max(np.abs(M @ M.T - np.eye(n))) <= 10 * TAU_CERT
+    assert certified > 0
+
+
 def test_orthogonal_completion_requires_certification():
     frame = FrameSet.from_vectors(0.5 * np.eye(3))
     with pytest.raises(CertificationError) as err:

@@ -3,7 +3,7 @@ import pytest
 
 import framegeo.majorization as majorization
 from framegeo.frames import FrameStructureError
-from framegeo.majorization import (TAU_SH, NormProfile, NotRealizableError,
+from framegeo.majorization import (TAU_MAJ, TAU_SH, NormProfile, NotRealizableError,
                                    construct_realization, is_realizable,
                                    majorizes, random_realizable_profile)
 from framegeo.frames import certify_unit_decomposition, gram_matrix
@@ -41,6 +41,17 @@ def test_majorizes_requires_matching_totals():
 def test_majorizes_shape_errors():
     with pytest.raises(FrameStructureError):
         majorizes([1.0, 0.0], [1.0])
+
+
+def test_majorizes_rejects_non_finite_input():
+    with pytest.raises(FrameStructureError):
+        majorizes([np.inf, 0.0], [np.inf, 0.0])
+    with pytest.raises(FrameStructureError):
+        majorizes([np.nan, 0.0], [0.5, 0.5])
+
+
+def test_majorizes_empty_vectors():
+    assert majorizes([], [])
 
 
 def test_is_realizable_basics():
@@ -110,6 +121,43 @@ def test_not_realizable_reports_first_prefix():
     with pytest.raises(NotRealizableError) as err:
         construct_realization(NormProfile(k=1, entries=np.array([0.4, 0.4])))
     assert err.value.prefix == 0
+
+
+def _first_violated_prefix(entries, k, tol=TAU_MAJ):
+    """Realizability by plain Python sums: the first prefix length whose sum
+    of the largest entries exceeds min(m, k) by more than tol, 0 for a total
+    off k by more than tol, -1 when none is violated."""
+    total = 0.0
+    for m, c in enumerate(sorted(map(float, entries), reverse=True), 1):
+        total += c
+        if total > min(m, k) + tol:
+            return m
+    return 0 if abs(total - k) > tol else -1
+
+
+def test_realizability_is_majorization_by_the_indicator():
+    sizes = [(1, 1), (3, 1), (4, 2), (5, 2), (6, 3), (8, 4), (9, 5), (7, 7), (12, 3)]
+    rejected = 0
+    for t in range(500):
+        n, k = sizes[t % len(sizes)]
+        entries = random_realizable_profile(n, k, seed=trial_seed(31, t)).entries.copy()
+        kind = (t // len(sizes)) % 4
+        if kind == 1:
+            entries[t % n] = 1.0 + 2 * TAU_MAJ
+        elif kind == 2:
+            entries *= (k + 2 * TAU_MAJ) / entries.sum()
+        elif kind == 3:
+            entries *= (k - 2 * TAU_MAJ) / entries.sum()
+        profile = NormProfile(k=k, entries=entries)
+        indicator = [1.0] * k + [0.0] * (n - k)
+        expected = _first_violated_prefix(entries, k)
+        assert is_realizable(profile) == majorizes(indicator, entries) == (expected < 0)
+        if expected >= 0:
+            rejected += 1
+            with pytest.raises(NotRealizableError) as err:
+                construct_realization(profile)
+            assert err.value.prefix == expected
+    assert 300 <= rejected < 500
 
 
 def test_realization_profile_round_trip():
