@@ -42,11 +42,13 @@ EXIT_SOLVER = 3
 
 
 def _write_or_print(text: str, out: str | None) -> None:
+    """Write ``text``, ending in one newline, to ``out`` or to stdout."""
+    text = text if text.endswith("\n") else text + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        sys.stdout.write(text)
 
 
 def _cmd_realize(args) -> int:

@@ -129,8 +129,8 @@ def _holds(value: float, bound: float, is_upper: bool, tol: float) -> bool:
     return bool(value <= bound + slack if is_upper else value >= bound - slack)
 
 
-def _profile_uniform(frame, tol: float) -> bool:
-    return bool(np.max(np.abs(frame.squared_norms() - frame.k / frame.n)) <= tol)
+def _profile_uniform(frame) -> bool:
+    return bool(np.max(np.abs(frame.squared_norms() - frame.k / frame.n)) <= BOUND_TOL)
 
 
 def _polytope_ratios(frame) -> tuple[float, float, float]:
@@ -143,13 +143,13 @@ def _polytope_ratios(frame) -> tuple[float, float, float]:
             vol_section * vol_cross)
 
 
-def _verify(subspace: Subspace, volumes: bool, eps: float, tol: float,
-            trial_id: int, seed: int) -> ExperimentReport:
+def _verify(subspace: Subspace, volumes: bool, trial_id: int,
+            seed: int) -> ExperimentReport:
     n, k = subspace.n, subspace.k
     frame = project_standard_basis(subspace)
     if volumes:  # before the fit, so an unsupported k fails first
         cube, cross, product = _polytope_ratios(frame)
-    fit = lowner_symmetric(frame.vectors, eps=eps)
+    fit = lowner_symmetric(frame.vectors, eps=DEFAULT_EPS)
     ball = unit_ball_volume(k)
     lowner = ellipsoid_volume(fit.ellipsoid) / ball
     lower, upper = (k / n) ** (k / 2), (n / k) ** (k / 2)
@@ -169,10 +169,10 @@ def _verify(subspace: Subspace, volumes: bool, eps: float, tol: float,
     rows = {column: checks[column] for column, _ in _RATIOS if column in checks}
     ratios = {column: value for column, (value, _, _) in rows.items()}
     bounds = {column: bound for column, (_, bound, _) in rows.items()}
-    passes = {name: _holds(value, bound, is_upper, tol)
+    passes = {name: _holds(value, bound, is_upper, BOUND_TOL)
               for name, (value, bound, is_upper) in checks.items()}
-    equality = {column: (_holds(value, bound, True, tol)
-                         and _holds(value, bound, False, tol))
+    equality = {column: (_holds(value, bound, True, BOUND_TOL)
+                         and _holds(value, bound, False, BOUND_TOL))
                 for column, (value, bound, _) in rows.items()}
     extras = {"ellipsoid_equality_concordant":
               equality["lowner_ratio"] == equality["john_ratio"]}
@@ -181,24 +181,22 @@ def _verify(subspace: Subspace, volumes: bool, eps: float, tol: float,
     return ExperimentReport(trial_id=trial_id, n=n, k=k, seed=seed,
                             ratios=ratios, bounds=bounds, passes=passes,
                             equality=equality,
-                            profile_uniform=_profile_uniform(frame, tol),
+                            profile_uniform=_profile_uniform(frame),
                             extras=extras)
 
 
-def verify_ellipsoid_bounds(subspace: Subspace, eps: float = DEFAULT_EPS,
-                            tol: float = BOUND_TOL, trial_id: int = 0,
+def verify_ellipsoid_bounds(subspace: Subspace, trial_id: int = 0,
                             seed: int = 0) -> ExperimentReport:
     """Check the Lowner/John volume-ratio bounds on one subspace."""
-    return _verify(subspace, False, eps, tol, trial_id, seed)
+    return _verify(subspace, False, trial_id, seed)
 
 
-def verify_volume_bounds(subspace: Subspace, eps: float = DEFAULT_EPS,
-                         tol: float = BOUND_TOL, trial_id: int = 0,
+def verify_volume_bounds(subspace: Subspace, trial_id: int = 0,
                          seed: int = 0) -> ExperimentReport:
     """Check the polytope volume bounds, the ellipsoid bounds, and the sandwich
     between them on one subspace (k must be within the exact-volume range);
     both polytope volumes come from one certified hull of the frame's +/- v_i."""
-    return _verify(subspace, True, eps, tol, trial_id, seed)
+    return _verify(subspace, True, trial_id, seed)
 
 
 @dataclass(frozen=True)
@@ -301,8 +299,7 @@ def run_suite(config) -> tuple[list[ExperimentReport], str]:
         for t in range(spec.trials):
             s = trial_seed(spec.seed, t)
             sub = random_subspace(spec.n, spec.k, s)
-            reports.append(_verify(sub, "volume" in spec.experiments,
-                                   DEFAULT_EPS, BOUND_TOL, t, s))
+            reports.append(_verify(sub, "volume" in spec.experiments, t, s))
     reports.sort(key=lambda r: (r.n, r.k, r.trial_id))
     return reports, render_csv(reports)
 

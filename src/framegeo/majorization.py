@@ -2,12 +2,14 @@
 
 A nonnegative profile (c_1, ..., c_n) is the squared-norm sequence of some
 unit decomposition of R^k exactly when the indicator vector with k ones
-majorizes it.  One prefix-sum rule decides ``majorizes``, ``is_realizable``
-and the violated prefix that ``construct_realization`` reports.  The
-constructive direction is implemented with plane rotations acting on the
-rows of an n x k matrix with orthonormal columns: each rotation moves one
-row's squared norm exactly onto its target while preserving the column
-Gram identity.
+majorizes it, so the realizable profiles are the points of [0, 1]^n summing
+to k.  One prefix-sum rule decides ``majorizes``, ``is_realizable`` and the
+violated prefix that ``construct_realization`` reports, and
+``random_realizable_profile`` scales exponential draws onto that set in one
+water-filling step.  The constructive direction is implemented with plane
+rotations acting on the rows of an n x k matrix with orthonormal columns:
+each rotation moves one row's squared norm exactly onto its target while
+preserving the column Gram identity.
 """
 
 from __future__ import annotations
@@ -191,31 +193,18 @@ def construct_realization(profile: NormProfile) -> FrameSet:
 def random_realizable_profile(n: int, k: int, seed: int) -> NormProfile:
     """Deterministic sampler of realizable profiles (interior-biased).
 
-    Exponential variates are normalized to sum k; any mass above the cap of
-    1 per entry is redistributed proportionally among the entries with
-    headroom until no entry exceeds 1, resampling afresh if 100 rounds do
-    not settle.
+    Exponential variates x are scaled onto the realizable set, the points
+    of [0, 1]^n summing to k, in one water-filling step: c_i = min(1, lam x_i)
+    with the one factor lam that makes the entries sum to k.  The j largest
+    variates are capped, for the fewest j such that the largest of the rest,
+    scaled to sum k - j, is at most 1; that holds at j = k - 1 at the latest.
     """
     if not 1 <= k <= n:
         raise FrameStructureError(f"need 1 <= k <= n, got n={n}, k={k}")
-    rng = np.random.default_rng(seed)
-    for _ in range(1000):
-        x = rng.exponential(size=n)
-        x *= k / x.sum()
-        for _ in range(100):
-            if x.max() <= 1.0 + 1e-12:
-                break
-            over = x > 1.0
-            excess = float(np.sum(x[over] - 1.0))
-            x[over] = 1.0
-            under = x < 1.0
-            pool = float(x[under].sum())
-            if pool <= 0.0:
-                x[under] += excess / max(1, int(np.count_nonzero(under)))
-            else:
-                x[under] += excess * x[under] / pool
-        if x.max() <= 1.0 + 1e-12:
-            x = np.minimum(x, 1.0)
-            x *= k / x.sum()
-            return NormProfile(k=k, entries=x)
-    raise ArithmeticError(f"failed to sample a realizable profile for n={n}, k={k}")
+    x = np.random.default_rng(seed).exponential(size=n)
+    order = np.argsort(-x, kind="stable")
+    tail = np.cumsum(x[order][::-1])[::-1]  # tail[j]: sum of all but the j largest
+    j = int(np.argmax(x[order] * (k - np.arange(n)) <= tail))
+    x[order[:j]] = 1.0
+    x[order[j:]] *= (k - j) / tail[j]
+    return NormProfile(k=k, entries=np.minimum(x, 1.0))

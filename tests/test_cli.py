@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
@@ -171,6 +173,36 @@ def test_conjecture_scan_json(capsys):
     assert data["counterexample"] is None
     assert data["min_cross_ratio"] >= data["bound_2pow"] - 1e-9
     assert data["max_cube_ratio"] <= data["bound_ball2"] + 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["realize", "--c", "0.9,0.6,0.4,0.1", "--k", "2"],
+    ["equality-case", "--n", "6", "--k", "3"],
+    ["conjecture-scan", "--n", "4", "--k", "3", "--trials", "5", "--seed", "7"],
+    ["verify", "--n", "4", "--k", "2", "--trials", "3", "--seed", "5"],
+])
+def test_out_file_holds_the_bytes_stdout_shows(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == shown.encode("utf-8")
+    assert shown.endswith("\n") and not shown.endswith("\n\n")
+
+
+def test_readme_walkthrough_runs(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command-line interface", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("framegeo ")]
+    assert len(commands) == 8
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+    capsys.readouterr()
+    assert (tmp_path / "report.csv").read_text().count("\n") == 102
 
 
 def test_missing_input_file_is_a_usage_error(capsys):

@@ -183,6 +183,25 @@ def test_random_profile_deterministic_and_normalized():
     assert is_realizable(a)
 
 
+@pytest.mark.parametrize("n,k", [(1, 1), (3, 1), (4, 4), (8, 4), (9, 4), (9, 8),
+                                 (20, 19), (200, 100), (200, 190), (1000, 10),
+                                 (1000, 999)])
+def test_random_profile_is_one_scaling_of_its_draw_capped_at_one(n, k):
+    # the law, from the draw alone: c_i = min(1, lam x_i) for one lam, sum k
+    for t in range(20):
+        seed = trial_seed(5, t)
+        x = np.random.default_rng(seed).exponential(size=n)
+        c = random_realizable_profile(n, k, seed).entries
+        assert np.all(c >= 0.0) and np.all(c <= 1.0)
+        assert abs(c.sum() - k) <= 1e-12 * k
+        free = c < 1.0
+        if not free.any():
+            continue
+        lam = c[free] / x[free]
+        assert lam.max() - lam.min() <= 1e-12 * lam.max()
+        assert np.all(lam.max() * x[~free] >= 1.0 - 1e-12)
+
+
 def test_random_profile_square_case_is_all_ones():
     profile = random_realizable_profile(4, 4, seed=3)
     assert np.max(np.abs(profile.entries - 1.0)) <= 1e-9

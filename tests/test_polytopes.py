@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ import framegeo.polytopes
 from framegeo import jsonio
 from framegeo.ellipsoids import Ellipsoid, lowner_symmetric
 from framegeo.frames import (CertificationError, FrameSet, Subspace,
-                             project_standard_basis)
+                             orthogonal_completion, project_standard_basis)
 from framegeo.experiments import random_subspace, trial_seed, verify_volume_bounds
 from framegeo.majorization import construct_realization, random_realizable_profile
 from framegeo.polytopes import (DegenerateBodyError, Polytope,
                                 UnboundedBodyError, UnsupportedDimensionError,
-                                _collapse_rows, absolute_hull_gauge,
+                                _collapse_rows, _frame_volumes, absolute_hull_gauge,
                                 cross_projection, enumerate_vertices,
                                 equality_subspace, estimate_volume, polar,
                                 polytope_from_frame, support_function, volume)
@@ -220,6 +221,34 @@ def test_codimension_one_cross_projection_matches_cauchy(n):
         cauchy = np.abs(signs @ a).sum() / (2 * math.factorial(n - 1))
         shadow = volume(cross_projection(project_standard_basis(sub)))
         assert shadow == pytest.approx(cauchy, rel=1e-12)
+
+
+def ball_section_volume(a):
+    """Volume of the section of [-1, 1]^n by the hyperplane normal to ``a``:
+    2^n f(0) |a|, where f is the density of sum a_i U_i with U_i uniform on
+    [-1, 1] (Ball, "Cube slicing in R^n"),
+    f(0) = sum_eps (prod eps_i) (sum eps_i |a_i|)_+^(n-1) / ((n-1)! prod 2|a_i|).
+    The alternating sum cancels badly in floats, so it is exact in rationals."""
+    n = len(a)
+    w = [Fraction(abs(float(x))) for x in a]
+    total = Fraction(0)
+    for eps in itertools.product((-1, 1), repeat=n):
+        s = sum(e * x for e, x in zip(eps, w))
+        if s > 0:
+            total += math.prod(eps) * s ** (n - 1)
+    density = total / (math.factorial(n - 1) * math.prod(2 * x for x in w))
+    return 2.0 ** n * float(density) * float(np.linalg.norm(a))
+
+
+# criterion 7's scans at (3,2) and (4,3), then one master seed for each n
+@pytest.mark.parametrize("n,master", [(3, 2750), (4, 2761), (3, 3), (4, 4), (5, 5), (6, 6)])
+def test_codimension_one_cube_section_matches_ball(n, master):
+    for t in range(40):
+        frame = project_standard_basis(random_subspace(n, n - 1, trial_seed(master, t)))
+        exact = ball_section_volume(orthogonal_completion(frame)[-1])
+        for section in (_frame_volumes(frame)[0], volume(polytope_from_frame(frame))):
+            assert section == pytest.approx(exact, rel=1e-13)
+            assert section * (1 + 1e-9) != pytest.approx(exact, rel=1e-13)
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (8, 4), (10, 5)])
