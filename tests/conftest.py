@@ -37,3 +37,17 @@ def rank_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "matrix_rank", counted)
     return calls
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """Wrap ``np.linalg.lstsq``; returns the list each call appends to."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append("lstsq")
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
