@@ -158,6 +158,18 @@ def certify_unit_decomposition(frame: FrameSet, tol: float = TAU_CERT) -> Certif
     return CertificationResult(ok=deviation <= tol, deviation=deviation, tol=tol)
 
 
+def _certified_vectors(frame: FrameSet, cert: CertificationResult) -> np.ndarray:
+    """The frame's vectors, which span R^k, when ``cert``, the frame's
+    certification, passed; CertificationError with its deviation otherwise.
+    Callers certify, each through its own module's name for
+    ``certify_unit_decomposition``, where the benchmark tracer patches it."""
+    if not cert.ok:
+        raise CertificationError(
+            f"frame is not a unit decomposition within {cert.tol:g}: "
+            f"deviation {cert.deviation:.3e}", cert.deviation)
+    return frame.vectors
+
+
 def project_standard_basis(subspace: Subspace) -> FrameSet:
     """Orthogonal projections of the standard basis of R^n onto the subspace.
 
@@ -199,11 +211,6 @@ def orthogonal_completion(frame: FrameSet, tol: float = TAU_CERT) -> np.ndarray:
     to be k orthonormal columns within ``tol``.  The top k x n block of the
     result is the frame's matrix, bit for bit.
     """
-    cert = certify_unit_decomposition(frame, tol)
-    if not cert.ok:
-        raise CertificationError(
-            f"frame is not a unit decomposition within {tol:g}: "
-            f"deviation {cert.deviation:.3e}", cert.deviation)
-    V = frame.vectors
+    V = _certified_vectors(frame, certify_unit_decomposition(frame, tol))
     Q = np.linalg.qr(V, mode="complete")[0]
     return np.vstack([V.T, Q[:, frame.k:].T])

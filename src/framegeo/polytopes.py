@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -42,7 +42,7 @@ from scipy.spatial import ConvexHull, cKDTree
 
 from .ellipsoids import (DEFAULT_EPS, Ellipsoid, SpanError, ellipsoid_volume,
                          lowner_symmetric)
-from .frames import (TAU_CERT, CertificationError, FrameSet, Subspace,
+from .frames import (FrameSet, Subspace, _certified_vectors,
                      certify_unit_decomposition)
 
 TAU_GEO = 1e-9  # geometric dedup / feasibility tolerance
@@ -71,14 +71,12 @@ class Polytope:
     them and their negatives); ``hrep`` rows g cut {y : |<g, y>| <= 1}.  At
     least one representation must be present.  Both are read-only, so an
     H-rep body may keep the hull of its +/- functionals, once built, in a
-    private field that takes no part in equality or repr: a one-tuple of
-    that hull, or of None when the functionals do not span R^k.
+    cached property that takes no part in equality, hash or repr.
     """
 
     k: int
     vrep: Optional[np.ndarray] = None
     hrep: Optional[np.ndarray] = None
-    _kept: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -96,6 +94,15 @@ class Polytope:
                 raise ValueError(f"{name} contains non-finite entries")
             rep.setflags(write=False)
             object.__setattr__(self, name, rep)
+
+    @functools.cached_property
+    def _functional_hull(self):
+        """The hull of the H-rep body's +/- functionals, whose polar the body
+        is, built once; None when they do not span R^k, and above K_EXACT,
+        where no hull is built."""
+        if self.k > K_EXACT or not _spans(self.hrep):
+            return None
+        return _hull(self.hrep)
 
     def _key(self):
         # np.array_equal on finite arrays: + 0.0 turns -0.0 into 0.0, so
@@ -176,23 +183,14 @@ def _require_exact(k: int) -> None:
             f"use estimate_volume")
 
 
-def _certified_vectors(frame: FrameSet) -> np.ndarray:
-    """Certify the frame; returns its vectors, which span R^k since it certifies."""
-    cert = certify_unit_decomposition(frame, TAU_CERT)
-    if not cert.ok:
-        raise CertificationError(
-            f"frame must certify as a unit decomposition within {TAU_CERT:g}: "
-            f"deviation {cert.deviation:.3e}", cert.deviation)
-    return frame.vectors
-
-
 def polytope_from_frame(frame: FrameSet) -> Polytope:
     """Cube section {y : |<v_i, y>| <= 1} of a certified frame (H-rep).
 
     Zero vectors impose no constraint and are dropped; duplicate functionals
     are collapsed.
     """
-    return Polytope(k=frame.k, hrep=_collapse_rows(_certified_vectors(frame)))
+    vectors = _certified_vectors(frame, certify_unit_decomposition(frame))
+    return Polytope(k=frame.k, hrep=_collapse_rows(vectors))
 
 
 def absolute_hull_gauge(generators, point) -> float:
@@ -274,7 +272,7 @@ def cross_projection(frame: FrameSet) -> Polytope:
     spans R^k, so the vertices are those of the convex hull of the +/-
     representatives.
     """
-    reps = _collapse_rows(_certified_vectors(frame))
+    reps = _collapse_rows(_certified_vectors(frame, certify_unit_decomposition(frame)))
     keep = np.unique(_hull(reps).vertices % reps.shape[0])
     return Polytope(k=frame.k, vrep=reps[keep])
 
@@ -356,23 +354,12 @@ def _spans(G: np.ndarray) -> bool:
     return m >= k and np.linalg.matrix_rank(G) == k
 
 
-def _functional_hull(p: Polytope):
-    """The hull of the H-rep body's +/- functionals, whose polar the body is,
-    built once and kept on ``p``; None when they do not span R^k, and above
-    K_EXACT, where no hull is built."""
-    if p.k > K_EXACT:
-        return None
-    if p._kept is None:
-        object.__setattr__(p, "_kept", (_hull(p.hrep) if _spans(p.hrep) else None,))
-    return p._kept[0]
-
-
 def enumerate_vertices(p: Polytope) -> Polytope:
     """All vertices of {y : |<g_i, y>| <= 1}, read off the facets of conv(+/- g_i)."""
     if p.hrep is None:
         raise ValueError("enumerate_vertices needs an H-representation")
     _require_exact(p.k)
-    hull = _functional_hull(p)
+    hull = p._functional_hull
     if hull is None:
         raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
     return Polytope(k=p.k, vrep=_polar_vertices(hull))
@@ -386,7 +373,7 @@ def volume(p: Polytope) -> float:
         if not _spans(p.vrep):
             raise DegenerateBodyError("body is not full-dimensional")
         return float(_hull(p.vrep).volume)
-    hull = _functional_hull(p)
+    hull = p._functional_hull
     if hull is None:
         raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
     return _polar_volume(hull)
@@ -397,7 +384,7 @@ def _frame_volumes(frame: FrameSet) -> tuple[float, float]:
     both from one hull of its +/- vectors: the hull's own volume and that of
     its polar, the section."""
     _require_exact(frame.k)
-    hull = _hull(_certified_vectors(frame))
+    hull = _hull(_certified_vectors(frame, certify_unit_decomposition(frame)))
     return _polar_volume(hull), float(hull.volume)
 
 
@@ -416,7 +403,7 @@ def support_function(p: Polytope, direction) -> float:
         raise ValueError(f"direction must have shape ({p.k},)")
     if p.vrep is not None:
         return float(np.max(np.abs(p.vrep @ u)))
-    hull = _functional_hull(p)
+    hull = p._functional_hull
     if hull is not None:
         return float(np.max(np.abs(_polar_points(hull) @ u)))
     h = absolute_hull_gauge(p.hrep, u)

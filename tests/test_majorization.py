@@ -106,6 +106,43 @@ def test_construct_random_profiles(n, k):
         assert np.max(np.abs(frame.squared_norms() - profile.entries)) <= TAU_SH
 
 
+def test_realization_rotates_straddling_orthogonal_pairs_at_most_n_minus_1_times(monkeypatch):
+    # the unassigned rows are always unit rows, at most one partial row and
+    # zero rows, so every rotated pair is orthogonal, bit for bit
+    rotations = []
+    rotate = majorization._rotate_rows
+
+    def spy(B, i, j, norms, target):
+        rotations.append((float(B[i] @ B[j]), norms[i], norms[j], target))
+        rotate(B, i, j, norms, target)
+
+    monkeypatch.setattr(majorization, "_rotate_rows", spy)
+    sizes = [(3, 1), (4, 2), (6, 3), (9, 5), (10, 7), (12, 3), (20, 10), (40, 13)]
+    realized = spent = 0
+    for t, (n, k) in enumerate(sizes * 5):
+        entries = random_realizable_profile(n, k, seed=trial_seed(43, t)).entries
+        for kind in (entries, np.round(4.0 * entries) / 4.0, np.full(n, k / n)):
+            profile = NormProfile(k=k, entries=kind)
+            if not is_realizable(profile):
+                continue
+            rotations.clear()
+            construct_realization(profile)
+            realized += 1
+            spent += len(rotations)
+            assert len(rotations) <= n - 1
+            for inner, above, below, target in rotations:
+                assert inner == 0.0
+                assert below < target < above
+    assert realized >= 90 and spent >= 500
+
+
+def test_realization_at_a_large_size():
+    profile = random_realizable_profile(3000, 1000, seed=trial_seed(8, 0))
+    frame = construct_realization(profile)
+    assert np.max(np.abs(frame.squared_norms() - profile.entries)) <= TAU_SH
+    assert certify_unit_decomposition(frame).ok
+
+
 def test_construction_checks_its_output_against_tau_sh(monkeypatch):
     profile = NormProfile(k=2, entries=np.array([0.3, 0.9, 0.15, 0.65]))
     # no realization misses its profile by less than a negative tolerance
