@@ -161,7 +161,8 @@ def certify_unit_decomposition(frame: FrameSet, tol: float = TAU_CERT) -> Certif
 def _certified_vectors(frame: FrameSet, cert: CertificationResult) -> np.ndarray:
     """The frame's vectors, which span R^k, when ``cert``, the frame's
     certification, passed; CertificationError with its deviation otherwise.
-    Callers certify, each through its own module's name for
+    Its callers, ``orthogonal_completion``, ``polytope_from_frame`` and
+    ``cross_projection``, certify through their own module's name for
     ``certify_unit_decomposition``, where the benchmark tracer patches it."""
     if not cert.ok:
         raise CertificationError(

@@ -12,8 +12,6 @@ import numpy as np
 
 from .ellipsoids import Ellipsoid
 from .frames import FrameSet, Subspace
-from .majorization import NormProfile
-from .polytopes import Polytope
 
 
 def frame_to_dict(frame: FrameSet) -> dict:
@@ -34,38 +32,8 @@ def subspace_from_dict(data: dict) -> Subspace:
                     basis=np.array(data["basis"], dtype=float))
 
 
-def profile_to_dict(profile: NormProfile) -> dict:
-    return {"n": profile.n, "k": profile.k, "c": profile.entries.tolist()}
-
-
-def profile_from_dict(data: dict) -> NormProfile:
-    profile = NormProfile(k=int(data["k"]), entries=np.array(data["c"], dtype=float))
-    if "n" in data and int(data["n"]) != profile.n:
-        raise ValueError(f"profile length {profile.n} does not match n={data['n']}")
-    return profile
-
-
 def ellipsoid_to_dict(e: Ellipsoid) -> dict:
     return {"k": e.k, "matrix": e.matrix.tolist()}
-
-
-def ellipsoid_from_dict(data: dict) -> Ellipsoid:
-    return Ellipsoid(k=int(data["k"]), matrix=np.array(data["matrix"], dtype=float))
-
-
-def polytope_to_dict(p: Polytope) -> dict:
-    out = {"k": p.k}
-    if p.vrep is not None:
-        out["vrep"] = p.vrep.tolist()
-    if p.hrep is not None:
-        out["hrep"] = p.hrep.tolist()
-    return out
-
-
-def polytope_from_dict(data: dict) -> Polytope:
-    vrep = np.array(data["vrep"], dtype=float) if "vrep" in data else None
-    hrep = np.array(data["hrep"], dtype=float) if "hrep" in data else None
-    return Polytope(k=int(data["k"]), vrep=vrep, hrep=hrep)
 
 
 def dump(data: dict, path) -> None:

@@ -11,7 +11,7 @@ rows, take one hull: a V-rep body's is the volume of the hull of its +/-
 vertices, and an H-rep body's is the volume of the polar of the hull of its
 +/- functionals, summed over a pulling triangulation of the polar's
 boundary read off the hull's facets.  So a trial's two volumes come from
-one hull of the raw +/- v_i of a certified frame (qhull takes repeated,
+one hull of the raw +/- v_i of a projected frame (qhull takes repeated,
 zero and interior points), and no hull of the section's vertices is built.
 An H-rep body keeps only the hull of its functionals, once built: for
 k <= K_EXACT and functionals that span R^k, each facet gives a vertex of
@@ -63,7 +63,7 @@ class UnboundedBodyError(ValueError):
     """H-representation does not bound the body (functionals fail to span)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polytope:
     """Origin-symmetric polytope; rows store one representative per +/- pair.
 
@@ -71,7 +71,7 @@ class Polytope:
     them and their negatives); ``hrep`` rows g cut {y : |<g, y>| <= 1}.  At
     least one representation must be present.  Both are read-only, so an
     H-rep body may keep the hull of its +/- functionals, once built, in a
-    cached property that takes no part in equality, hash or repr.
+    cached property that takes no part in repr.  Bodies compare by identity.
     """
 
     k: int
@@ -103,20 +103,6 @@ class Polytope:
         if self.k > K_EXACT or not _spans(self.hrep):
             return None
         return _hull(self.hrep)
-
-    def _key(self):
-        # np.array_equal on finite arrays: + 0.0 turns -0.0 into 0.0, so
-        # equal arrays have equal bytes and the key also serves as the hash
-        return (self.k, *(None if rep is None else (rep.shape, (rep + 0.0).tobytes())
-                          for rep in (self.vrep, self.hrep)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Polytope):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 class VolumeEstimate(NamedTuple):
@@ -380,11 +366,12 @@ def volume(p: Polytope) -> float:
 
 
 def _frame_volumes(frame: FrameSet) -> tuple[float, float]:
-    """Exact (cube section, cross projection) volumes of a certified frame,
+    """Exact (cube section, cross projection) volumes of a frame projected
+    from a Subspace, whose basis check (TAU_ORTH < TAU_CERT) certified it,
     both from one hull of its +/- vectors: the hull's own volume and that of
     its polar, the section."""
     _require_exact(frame.k)
-    hull = _hull(_certified_vectors(frame, certify_unit_decomposition(frame)))
+    hull = _hull(frame.vectors)
     return _polar_volume(hull), float(hull.volume)
 
 

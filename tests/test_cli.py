@@ -15,7 +15,7 @@ from scipy.spatial import QhullError
 import framegeo.polytopes
 from framegeo import jsonio
 from framegeo.cli import main
-from framegeo.ellipsoids import ConvergenceError, unit_ball_volume
+from framegeo.ellipsoids import ConvergenceError, Ellipsoid, unit_ball_volume
 from framegeo.experiments import (SuiteSpec, random_subspace, run_suite, trial_seed,
                                   verify_volume_bounds)
 from framegeo.frames import project_standard_basis
@@ -63,7 +63,8 @@ def test_ellipsoid_lowner_on_equality_frame(tmp_path, capsys):
     assert main(["ellipsoid", "lowner", "--frame", frame_path, "--out", str(out)]) == 0
     ratio = float(capsys.readouterr().out)
     assert ratio == pytest.approx(0.5, rel=1e-9)
-    e = jsonio.ellipsoid_from_dict(jsonio.load(out))
+    data = jsonio.load(out)
+    e = Ellipsoid(k=data["k"], matrix=data["matrix"])
     assert np.max(np.abs(e.matrix - 2.0 * np.eye(2))) <= 1e-8
 
 

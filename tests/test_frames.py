@@ -80,6 +80,29 @@ def test_project_standard_basis_block_subspace():
     assert certify_unit_decomposition(frame, tol=10 * TAU_ORTH).ok
 
 
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 1), (6, 3), (14, 4), (40, 5), (200, 20)])
+def test_subspace_check_implies_certification_of_its_frame(n, k):
+    # a trial certifies its frame only through the Subspace's basis check:
+    # B B^T - I is the product certification forms, so a basis accepted at
+    # TAU_ORTH gives a frame certified at TAU_CERT
+    assert TAU_ORTH < TAU_CERT
+    rounding = 4 * n * np.finfo(float).eps
+    rng = np.random.default_rng(n * 100 + k)
+    for _ in range(20):
+        q = np.linalg.qr(rng.standard_normal((n, k)))[0].T
+        step = rng.standard_normal((k, n))
+
+        def deviation(t):
+            basis = q + t * step
+            return float(np.max(np.abs(basis @ basis.T - np.eye(k))))
+        # deviation is linear in t at this scale, up to rounding
+        t = 0.999 * TAU_ORTH / deviation(1e-10) * 1e-10
+        assert 0.99 * TAU_ORTH <= deviation(t) <= TAU_ORTH
+        cert = certify_unit_decomposition(
+            project_standard_basis(Subspace(n=n, k=k, basis=q + t * step)))
+        assert cert.ok and cert.deviation <= TAU_ORTH + rounding
+
+
 @pytest.mark.parametrize("n,k,seed", [(4, 2, 0), (6, 3, 1), (8, 5, 2), (9, 1, 3)])
 def test_projected_basis_gram_is_projection(n, k, seed):
     frame = project_standard_basis(random_subspace(n, k, seed))
