@@ -13,6 +13,7 @@ import numpy as np
 from framegeo import (Subspace, certify_unit_decomposition, gram_matrix,
                       is_projection_matrix, orthogonal_completion,
                       project_standard_basis)
+from framegeo.frames import TAU_CERT
 
 rng = np.random.default_rng(7)
 q, r = np.linalg.qr(rng.standard_normal((5, 2)))
@@ -24,7 +25,7 @@ print(np.array_str(frame.vectors, precision=4, suppress_small=True))
 
 cert = certify_unit_decomposition(frame)
 print(f"\ncertified: {bool(cert)} (deviation {cert.deviation:.2e}, "
-      f"tolerance {cert.tol:g})")
+      f"tolerance {TAU_CERT:g})")
 print(f"squared norms sum to k: {frame.squared_norms().sum():.12f}")
 
 gram = gram_matrix(frame)

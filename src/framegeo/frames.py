@@ -123,13 +123,12 @@ class CertificationResult:
     """Outcome of a unit-decomposition check.
 
     ``deviation`` is the max-norm of sum(v_i v_i^T) - I_k.  Every eigenvalue
-    of that sum is within k * deviation of 1, so for tol < 1/k (the default
-    TAU_CERT) a family that passes spans R^k; no rank test is made.
+    of that sum is within k * deviation of 1, so while TAU_CERT < 1/k a
+    family that passes spans R^k; no rank test is made.
     """
 
     ok: bool
     deviation: float
-    tol: float
 
     def __bool__(self) -> bool:
         return self.ok
@@ -142,20 +141,17 @@ class ProjectionMatrixCheck:
     ok: bool
     idempotency_deviation: float
     trace_deviation: float
-    tol: float
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def certify_unit_decomposition(frame: FrameSet, tol: float = TAU_CERT) -> CertificationResult:
-    """Check sum(v_i v_i^T) = I_k entrywise within ``tol``."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+def certify_unit_decomposition(frame: FrameSet) -> CertificationResult:
+    """Check sum(v_i v_i^T) = I_k entrywise within TAU_CERT."""
     V = frame.vectors
     dev = V.T @ V - np.eye(frame.k)
     deviation = float(np.max(np.abs(dev)))
-    return CertificationResult(ok=deviation <= tol, deviation=deviation, tol=tol)
+    return CertificationResult(ok=deviation <= TAU_CERT, deviation=deviation)
 
 
 def _certified_vectors(frame: FrameSet, cert: CertificationResult) -> np.ndarray:
@@ -166,7 +162,7 @@ def _certified_vectors(frame: FrameSet, cert: CertificationResult) -> np.ndarray
     ``certify_unit_decomposition``, where the benchmark tracer patches it."""
     if not cert.ok:
         raise CertificationError(
-            f"frame is not a unit decomposition within {cert.tol:g}: "
+            f"frame is not a unit decomposition within {TAU_CERT:g}: "
             f"deviation {cert.deviation:.3e}", cert.deviation)
     return frame.vectors
 
@@ -188,30 +184,28 @@ def gram_matrix(frame: FrameSet) -> GramMatrix:
     return GramMatrix(n=frame.n, entries=V @ V.T)
 
 
-def is_projection_matrix(gram: GramMatrix, target_rank: int,
-                         tol: float = TAU_CERT) -> ProjectionMatrixCheck:
-    """Check that a Gram matrix is idempotent with the prescribed trace."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+def is_projection_matrix(gram: GramMatrix, target_rank: int) -> ProjectionMatrixCheck:
+    """Check that a Gram matrix is idempotent with the prescribed trace, both
+    within TAU_CERT."""
     if target_rank < 0:
         raise ValueError("target_rank must be nonnegative")
     G = gram.entries
     idem = float(np.max(np.abs(G @ G - G)))
     trace_dev = float(abs(np.trace(G) - target_rank))
-    ok = idem <= tol and trace_dev <= tol
+    ok = idem <= TAU_CERT and trace_dev <= TAU_CERT
     return ProjectionMatrixCheck(ok=ok, idempotency_deviation=idem,
-                                 trace_deviation=trace_dev, tol=tol)
+                                 trace_deviation=trace_dev)
 
 
-def orthogonal_completion(frame: FrameSet, tol: float = TAU_CERT) -> np.ndarray:
+def orthogonal_completion(frame: FrameSet) -> np.ndarray:
     """Extend a certified frame's k x n matrix to an orthogonal matrix of order n.
 
     Rows k..n-1 are the last n - k columns of a complete QR factorization
     of the n x k matrix V of frame vectors: they are orthonormal and
     orthogonal to the column span of V, which the certification has shown
-    to be k orthonormal columns within ``tol``.  The top k x n block of the
+    to be k orthonormal columns within TAU_CERT.  The top k x n block of the
     result is the frame's matrix, bit for bit.
     """
-    V = _certified_vectors(frame, certify_unit_decomposition(frame, tol))
+    V = _certified_vectors(frame, certify_unit_decomposition(frame))
     Q = np.linalg.qr(V, mode="complete")[0]
     return np.vstack([V.T, Q[:, frame.k:].T])

@@ -8,10 +8,18 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .ellipsoids import Ellipsoid
-from .frames import FrameSet, Subspace
+from .frames import FrameSet, FrameStructureError, Subspace
+
+
+def _sizes(data) -> tuple[int, int]:
+    """``n`` and ``k`` of a decoded JSON object; its array is checked by the type built."""
+    if not isinstance(data, dict):
+        raise FrameStructureError(f"expected a JSON object, got {type(data).__name__}")
+    for name in ("n", "k"):
+        if isinstance(data[name], bool) or not isinstance(data[name], int):
+            raise FrameStructureError(f"{name} must be an integer, got {data[name]!r}")
+    return data["n"], data["k"]
 
 
 def frame_to_dict(frame: FrameSet) -> dict:
@@ -19,8 +27,8 @@ def frame_to_dict(frame: FrameSet) -> dict:
 
 
 def frame_from_dict(data: dict) -> FrameSet:
-    return FrameSet(n=int(data["n"]), k=int(data["k"]),
-                    vectors=np.array(data["vectors"], dtype=float))
+    n, k = _sizes(data)
+    return FrameSet(n=n, k=k, vectors=data["vectors"])
 
 
 def subspace_to_dict(subspace: Subspace) -> dict:
@@ -28,8 +36,8 @@ def subspace_to_dict(subspace: Subspace) -> dict:
 
 
 def subspace_from_dict(data: dict) -> Subspace:
-    return Subspace(n=int(data["n"]), k=int(data["k"]),
-                    basis=np.array(data["basis"], dtype=float))
+    n, k = _sizes(data)
+    return Subspace(n=n, k=k, basis=data["basis"])
 
 
 def ellipsoid_to_dict(e: Ellipsoid) -> dict:

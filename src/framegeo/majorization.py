@@ -61,30 +61,30 @@ class NormProfile:
         return self.entries.shape[0]
 
 
-def _first_violation(a, b, tol: float) -> int:
+def _first_violation(a, b) -> int:
     """First violated condition of ``a`` majorizing ``b``: the shortest prefix
     length m >= 1 whose descending sum of ``b`` exceeds that of ``a`` by more
-    than ``tol``, 0 when the totals differ by more than ``tol``, or -1 when
+    than TAU_MAJ, 0 when the totals differ by more than TAU_MAJ, or -1 when
     none is violated."""
     pa = np.cumsum(np.sort(a)[::-1])
     pb = np.cumsum(np.sort(b)[::-1])
-    bad = np.flatnonzero(pb > pa + tol)
+    bad = np.flatnonzero(pb > pa + TAU_MAJ)
     if bad.size:
         return int(bad[0]) + 1
-    if pa.size and abs(pa[-1] - pb[-1]) > tol:
+    if pa.size and abs(pa[-1] - pb[-1]) > TAU_MAJ:
         return 0
     return -1
 
 
-def majorizes(a, b, tol: float = TAU_MAJ) -> bool:
+def majorizes(a, b) -> bool:
     """True when every descending prefix sum of ``a`` dominates the one of
-    ``b`` within ``tol`` and the totals agree within ``tol``.  Non-finite
+    ``b`` within TAU_MAJ and the totals agree within TAU_MAJ.  Non-finite
     entries raise FrameStructureError."""
     a = _float_array(a, "a")
     b = _float_array(b, "b")
     if a.ndim != 1 or a.shape != b.shape:
         raise FrameStructureError("majorizes expects two 1-d vectors of equal length")
-    return _first_violation(a, b, tol) < 0
+    return _first_violation(a, b) < 0
 
 
 def _indicator(profile: NormProfile) -> np.ndarray:
@@ -96,10 +96,10 @@ def _indicator(profile: NormProfile) -> np.ndarray:
     return np.repeat([1.0, 0.0], [k, n - k])
 
 
-def is_realizable(profile: NormProfile, tol: float = TAU_MAJ) -> bool:
+def is_realizable(profile: NormProfile) -> bool:
     """Whether some unit decomposition of R^k has these squared norms: the
-    indicator vector with k ones majorizes them."""
-    return majorizes(_indicator(profile), profile.entries, tol)
+    indicator vector with k ones majorizes them within TAU_MAJ."""
+    return majorizes(_indicator(profile), profile.entries)
 
 
 def _rotate_rows(B: np.ndarray, i: int, j: int, norms: np.ndarray, target: float) -> None:
@@ -139,7 +139,7 @@ def construct_realization(profile: NormProfile) -> FrameSet:
     ArithmeticError when a squared norm misses its target by more than TAU_SH.
     """
     k, size = profile.k, profile.n
-    bad = _first_violation(_indicator(profile), profile.entries, TAU_MAJ)
+    bad = _first_violation(_indicator(profile), profile.entries)
     if bad == 0:
         raise NotRealizableError(
             f"profile sums to {profile.entries.sum():.12g}, expected k={k}", 0)

@@ -68,10 +68,11 @@ class Polytope:
     """Origin-symmetric polytope; rows store one representative per +/- pair.
 
     ``vrep`` rows are vertex representatives (the body is the convex hull of
-    them and their negatives); ``hrep`` rows g cut {y : |<g, y>| <= 1}.  At
-    least one representation must be present.  Both are read-only, so an
-    H-rep body may keep the hull of its +/- functionals, once built, in a
-    cached property that takes no part in repr.  Bodies compare by identity.
+    them and their negatives); ``hrep`` rows g cut {y : |<g, y>| <= 1}.  A
+    body has exactly one representation, the other is None.  It is
+    read-only, so an H-rep body may keep the hull of its +/- functionals,
+    once built, in a cached property that takes no part in repr.  Bodies
+    compare by identity.
     """
 
     k: int
@@ -81,19 +82,16 @@ class Polytope:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
-        if self.vrep is None and self.hrep is None:
-            raise ValueError("polytope needs a V- or H-representation")
-        for name in ("vrep", "hrep"):
-            rep = getattr(self, name)
-            if rep is None:
-                continue
-            rep = np.array(rep, dtype=float)
-            if rep.ndim != 2 or rep.shape[1] != self.k:
-                raise ValueError(f"{name} must have shape (m, {self.k})")
-            if not np.all(np.isfinite(rep)):
-                raise ValueError(f"{name} contains non-finite entries")
-            rep.setflags(write=False)
-            object.__setattr__(self, name, rep)
+        if (self.vrep is None) == (self.hrep is None):
+            raise ValueError("polytope needs exactly one of a V- and an H-representation")
+        name = "hrep" if self.vrep is None else "vrep"
+        rep = np.array(getattr(self, name), dtype=float)
+        if rep.ndim != 2 or rep.shape[1] != self.k:
+            raise ValueError(f"{name} must have shape (m, {self.k})")
+        if not np.all(np.isfinite(rep)):
+            raise ValueError(f"{name} contains non-finite entries")
+        rep.setflags(write=False)
+        object.__setattr__(self, name, rep)
 
     @functools.cached_property
     def _functional_hull(self):
@@ -272,13 +270,13 @@ def _polar_points(hull) -> np.ndarray:
     return hull.equations[:, :-1] / -offsets[:, None]
 
 
-def _polar_vertices(hull, tol: float = TAU_GEO) -> np.ndarray:
+def _polar_vertices(hull) -> np.ndarray:
     """Polar vertices of a hull of +/- points, one per pair: antipodal facets
     and qhull's splits of non-simplicial ones repeat a vertex, so the facets'
-    points are collapsed, within ``tol`` relative to their largest entry so
+    points are collapsed, within TAU_GEO relative to their largest entry so
     that any scale works."""
     cands = _polar_points(hull)
-    return _collapse_rows(cands, tol * np.abs(cands).max())
+    return _collapse_rows(cands, TAU_GEO * np.abs(cands).max())
 
 
 @functools.lru_cache(maxsize=None)
@@ -404,9 +402,7 @@ def polar(p: Polytope) -> Polytope:
     if p.vrep is not None and not _spans(p.vrep):
         raise DegenerateBodyError(
             "origin is not interior: vertex representatives do not span R^k")
-    new_v = None if p.hrep is None else np.array(p.hrep)
-    new_h = None if p.vrep is None else np.array(p.vrep)
-    return Polytope(k=p.k, vrep=new_v, hrep=new_h)
+    return Polytope(k=p.k, vrep=p.hrep, hrep=p.vrep)
 
 
 def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:

@@ -110,13 +110,13 @@ def test_criterion_4_profile_realization_round_trip(capsys):
         worst_norm = max(worst_norm, float(np.max(np.abs(
             frame.squared_norms() - profile.entries))))
         worst_cert = max(worst_cert,
-                         certify_unit_decomposition(frame, tol=1.0).deviation)
+                         certify_unit_decomposition(frame).deviation)
     not_realizable = 0
     for t in range(1000):
         n, k = pairs[t % len(pairs)]
         frame = project_standard_basis(random_subspace(n, k, trial_seed(4343, t)))
         profile = NormProfile(k=k, entries=frame.squared_norms())
-        if not is_realizable(profile, tol=1e-9):
+        if not is_realizable(profile):
             not_realizable += 1
     elapsed = time.perf_counter() - start
     ok = (worst_norm <= 1e-8 and worst_cert <= 1e-8 and not_realizable == 0

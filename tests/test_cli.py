@@ -211,6 +211,29 @@ def test_missing_input_file_is_a_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,field", [
+    (["ellipsoid", "lowner", "--frame"], "vectors"),
+    (["ellipsoid", "john", "--subspace"], "basis"),
+    (["volume", "cube-section", "--subspace"], "basis"),
+])
+@pytest.mark.parametrize("malform", [
+    lambda doc, field: [1, 2],
+    lambda doc, field: "abc",
+    lambda doc, field: {**doc, "n": [doc["n"]]},
+    lambda doc, field: {**doc, "k": str(doc["k"])},
+    lambda doc, field: {**doc, "k": True},
+    lambda doc, field: {**doc, field: {"rows": doc[field]}},
+], ids=["list", "string", "list-n", "string-k", "bool-k", "object-array"])
+def test_malformed_json_input_is_a_usage_error(tmp_path, capsys, command, field, malform):
+    # valid JSON of the wrong shape is bad input (exit 2), not a solver failure
+    good = (write_frame if field == "vectors" else write_subspace)(tmp_path, 4, 2)
+    path = tmp_path / "malformed.json"
+    jsonio.dump(malform(jsonio.load(good), field), path)
+    assert main([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_bad_arguments_exit_2(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2

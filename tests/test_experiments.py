@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import framegeo.experiments
+import framegeo.frames
+import framegeo.majorization
 import framegeo.polytopes
-from framegeo.ellipsoids import Ellipsoid, lowner_symmetric
-from framegeo.experiments import (CSV_COLUMNS, ConjectureScanSummary,
+from framegeo.ellipsoids import DEFAULT_EPS, Ellipsoid, lowner_symmetric
+from framegeo.experiments import (BOUND_TOL, CSV_COLUMNS, ConjectureScanSummary,
                                   ExperimentReport, SuiteSpec, conjecture_scan,
                                   random_subspace, render_csv, run_suite,
                                   splitmix64, suite_exit_status, trial_seed,
@@ -247,6 +249,19 @@ def test_csv_header_is_the_one_readme_documents():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("with the fixed column set")[1].split("```")[1]
     assert ",".join(CSV_COLUMNS) == "".join(block.split())
+
+
+def test_tolerance_ledger_records_every_tolerance_in_force():
+    # no function takes a per-call tolerance, so the ledger is the complete
+    # list: every TAU_* constant, the solver's eps and the bounds' slack
+    ledger = render_csv([]).splitlines()[0]
+    assert ledger.startswith("# tolerance ledger: ")
+    fields = dict(item.split("=") for item in ledger.split(": ", 1)[1].split())
+    expected = {name.lower(): value
+                for module in (framegeo.frames, framegeo.majorization, framegeo.polytopes)
+                for name, value in vars(module).items() if name.startswith("TAU_")}
+    expected.update(mvee_eps=DEFAULT_EPS, bound_tol=BOUND_TOL)
+    assert fields == {name: "%g" % value for name, value in expected.items()}
 
 
 def test_render_csv_column_order_on_hand_built_reports():

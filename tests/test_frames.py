@@ -38,12 +38,6 @@ def test_scaled_frame_fails_certification():
     assert cert.deviation == pytest.approx(1 - 0.81, abs=1e-12)
 
 
-def test_certify_rejects_negative_tolerance():
-    frame = FrameSet.from_vectors(np.eye(2))
-    with pytest.raises(ValueError):
-        certify_unit_decomposition(frame, tol=-1e-9)
-
-
 def test_ragged_vectors_rejected():
     with pytest.raises(FrameStructureError):
         FrameSet.from_vectors([[1.0, 0.0], [1.0]])
@@ -77,7 +71,7 @@ def test_project_standard_basis_block_subspace():
     expected = np.array([[INV_SQRT2, 0.0], [INV_SQRT2, 0.0],
                          [0.0, INV_SQRT2], [0.0, INV_SQRT2]])
     assert np.array_equal(frame.vectors, expected)
-    assert certify_unit_decomposition(frame, tol=10 * TAU_ORTH).ok
+    assert certify_unit_decomposition(frame).deviation <= 10 * TAU_ORTH
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 1), (6, 3), (14, 4), (40, 5), (200, 20)])
@@ -108,7 +102,7 @@ def test_projected_basis_gram_is_projection(n, k, seed):
     frame = project_standard_basis(random_subspace(n, k, seed))
     gram = gram_matrix(frame)
     assert np.array_equal(gram.entries, gram.entries.T)
-    check = is_projection_matrix(gram, target_rank=k, tol=10 * TAU_ORTH)
+    check = is_projection_matrix(gram, target_rank=k)
     assert check.ok, (check.idempotency_deviation, check.trace_deviation)
     # trace identity: total squared norm equals the rank
     assert abs(frame.squared_norms().sum() - k) <= n * TAU_CERT

@@ -86,7 +86,7 @@ def test_construct_indicator_profile_pads_with_zeros():
 def test_construct_uniform_profile():
     frame = construct_realization(NormProfile(k=2, entries=np.full(4, 0.5)))
     assert np.max(np.abs(frame.squared_norms() - 0.5)) <= TAU_SH
-    assert certify_unit_decomposition(frame, tol=TAU_SH).ok
+    assert certify_unit_decomposition(frame).deviation <= TAU_SH
 
 
 def test_construct_matches_profile_order():
@@ -102,7 +102,7 @@ def test_construct_random_profiles(n, k):
     for trial in range(20):
         profile = random_realizable_profile(n, k, seed=trial_seed(77, trial * 13 + n + k))
         frame = construct_realization(profile)
-        assert certify_unit_decomposition(frame, tol=TAU_SH).ok
+        assert certify_unit_decomposition(frame).deviation <= TAU_SH
         assert np.max(np.abs(frame.squared_norms() - profile.entries)) <= TAU_SH
 
 

@@ -382,8 +382,10 @@ def test_volume_guards():
 
 
 def test_polytope_needs_a_representation():
-    with pytest.raises(ValueError):
-        Polytope(k=2)
+    # exactly one: with both, volume read the V-rep and estimate_volume the H-rep
+    for vrep, hrep in [(None, None), (np.eye(2), 2.0 * np.eye(2))]:
+        with pytest.raises(ValueError, match="exactly one"):
+            Polytope(k=2, vrep=vrep, hrep=hrep)
     with pytest.raises(ValueError):
         Polytope(k=2, hrep=np.ones((3, 4)))
     with pytest.raises(ValueError):
