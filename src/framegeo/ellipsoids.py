@@ -146,8 +146,8 @@ def lowner_symmetric(points, eps: float = DEFAULT_EPS,
         raise ValueError("points must be a nonempty (m, k) array")
     if not np.all(np.isfinite(P)):
         raise ValueError("points contain non-finite entries")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     m, k = P.shape
     R, pivots = lapack.dgeqp3(P.T)[:2]
     diag = np.abs(np.diagonal(R))

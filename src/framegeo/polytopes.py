@@ -49,6 +49,8 @@ TAU_GEO = 1e-9  # geometric dedup / feasibility tolerance
 K_EXACT = 5     # exact volume supported up to this dimension
 _LP_TOL = 1e-12  # relative tolerance of the gauge simplex and its certificate
 _LP_PIVOTS_PER_COLUMN = 50
+_CHUNK = 100_000       # samples estimate_volume draws at a time
+_BLOCK_IMAGE = 2 ** 14  # entries of the image of one block it tests (128 KiB)
 
 
 class DegenerateBodyError(ValueError):
@@ -190,15 +192,26 @@ def absolute_hull_gauge(generators, point) -> float:
     optimum stays well scaled, and solved by ``_least_l1``, a dense simplex
     that certifies its optimum.
     """
-    W = np.asarray(generators, dtype=float)
-    y = np.asarray(point, dtype=float)
+    return _factored_gauge(_gauge_factors(np.asarray(generators, dtype=float)),
+                           np.asarray(point, dtype=float))
+
+
+def _gauge_factors(W: np.ndarray):
+    """The factors of W = U Sigma V^T that every gauge point shares: U_r^T,
+    sigma_1 .. sigma_r and V_r^T, r the number of sigma_i above rounding."""
     m, k = W.shape
     u, s, vh = np.linalg.svd(W, full_matrices=False)
     r = int(np.count_nonzero(s > s.max(initial=0.0) * max(m, k) * np.finfo(float).eps))
-    coords = vh[:r] @ y
-    if np.linalg.norm(y - coords @ vh[:r]) > TAU_GEO * np.linalg.norm(y):
+    return u[:, :r].T, s[:r], vh[:r]
+
+
+def _factored_gauge(factors, y: np.ndarray) -> float:
+    """``absolute_hull_gauge`` at y from the generators' ``_gauge_factors``."""
+    ut, sigma, vh = factors
+    coords = vh @ y
+    if np.linalg.norm(y - coords @ vh) > TAU_GEO * np.linalg.norm(y):
         return math.inf
-    return _least_l1(u[:, :r].T, coords / s[:r]) if r else 0.0
+    return _least_l1(ut, coords / sigma) if sigma.size else 0.0
 
 
 def _least_l1(A: np.ndarray, b: np.ndarray) -> float:
@@ -418,6 +431,14 @@ def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
     sqrt(c^T M c) is at most max_i |<g_i, c>|, so its polar holds the body.
     The estimate hits/samples * vol(container) is unbiased; the standard
     error is the binomial one, sqrt(p(1-p)/samples) * vol(container).
+
+    Samples are drawn _CHUNK at a time, a normal direction and then a radius
+    each, and tested in blocks of rows such that a block's image under the
+    m functionals has about _BLOCK_IMAGE entries; a sample is a column, so
+    the max over the m functionals runs along contiguous rows.  Peak memory
+    is O(_CHUNK * k), not O(_CHUNK * m).  Above K_EXACT a V-rep body has no
+    functionals: its generators are factored once, and each sample takes
+    one gauge program.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -437,26 +458,41 @@ def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
             raise DegenerateBodyError("body is not full-dimensional") from None
         reach = np.einsum("ij,jk,ik->i", p.vrep, A, p.vrep).max()
         container = Ellipsoid(k=k, matrix=A / reach)
-        # the facets of the vertices' hull are the polar's vertices
-        functionals = _polar_points(_hull(p.vrep)) if k <= K_EXACT else None
+        if k <= K_EXACT:
+            # the facets of the vertices' hull are the polar's vertices
+            functionals = _polar_points(_hull(p.vrep))
+        else:
+            functionals, factors = None, _gauge_factors(p.vrep)
     vol_container = ellipsoid_volume(container)
     L_inv = np.linalg.inv(np.linalg.cholesky(container.matrix))
+    rows = max(256, _BLOCK_IMAGE // len(p.vrep if functionals is None else functionals))
 
     rng = np.random.default_rng(seed)
     hits = 0
     done = 0
     while done < samples:
-        count = min(100_000, samples - done)
+        count = min(_CHUNK, samples - done)
         z = rng.standard_normal((count, k))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
         radii = rng.random(count) ** (1.0 / k)
-        batch = (z * radii[:, None]) @ L_inv
-        if functionals is not None:
-            inside = np.max(np.abs(batch @ functionals.T), axis=1) <= 1.0
-            hits += int(np.count_nonzero(inside))
-        else:
-            hits += sum(1 for y in batch
-                        if absolute_hull_gauge(p.vrep, y) <= 1.0 + TAU_GEO)
+        for start in range(0, count, rows):
+            block = z[start:start + rows]
+            zt = block.T.copy()
+            if k < 8:
+                # numpy adds fewer than 8 terms in order, so these column
+                # sums have the bits of np.linalg.norm's row sums
+                norms = np.sqrt(np.add.reduce(zt * zt, axis=0))
+            else:
+                norms = np.linalg.norm(block, axis=1)
+            zt /= norms
+            zt *= radii[start:start + rows]
+            batch = L_inv.T @ zt  # one sample per column
+            if functionals is not None:
+                image = functionals @ batch
+                np.abs(image, out=image)
+                hits += int(np.count_nonzero(image.max(axis=0) <= 1.0))
+            else:
+                hits += sum(1 for y in np.ascontiguousarray(batch.T)
+                            if _factored_gauge(factors, y) <= 1.0 + TAU_GEO)
         done += count
     frac = hits / samples
     value = frac * vol_container

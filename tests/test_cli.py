@@ -84,6 +84,18 @@ def test_volume_subcommands(tmp_path, capsys):
     assert float(capsys.readouterr().out) == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+@pytest.mark.parametrize("command,flag,write", [
+    ("lowner", "--frame", lambda tmp_path: write_frame(tmp_path, 4, 2)),
+    ("john", "--subspace", lambda tmp_path: write_subspace(tmp_path, 6, 3)),
+])
+def test_ellipsoid_rejects_an_eps_that_is_not_finite(tmp_path, capsys, command, flag,
+                                                     write, eps):
+    assert main(["ellipsoid", command, flag, write(tmp_path), "--eps", eps]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "eps" in err
+
+
 def test_equality_case_round_trips_through_john(tmp_path, capsys):
     out = tmp_path / "sub.json"
     assert main(["equality-case", "--n", "8", "--k", "4", "--out", str(out)]) == 0

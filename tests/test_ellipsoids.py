@@ -158,6 +158,14 @@ def test_eps_must_be_positive():
         lowner_symmetric(np.eye(2), eps=0.0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_eps_must_be_finite(eps):
+    # nan passed an eps <= 0 check and ran the fit to its step cap, and inf
+    # made the 1 +/- eps certificate vacuous
+    with pytest.raises(ValueError, match="eps"):
+        lowner_symmetric(np.eye(2), eps=eps)
+
+
 def test_iteration_cap_raises_with_gap():
     rng = np.random.default_rng(7)
     pts = rng.standard_normal((30, 4))

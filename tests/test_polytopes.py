@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,13 +11,14 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 import framegeo.polytopes
-from framegeo.ellipsoids import Ellipsoid, lowner_symmetric
+from framegeo.ellipsoids import DEFAULT_EPS, Ellipsoid, ellipsoid_volume, lowner_symmetric
 from framegeo.frames import (CertificationError, FrameSet, Subspace,
                              orthogonal_completion, project_standard_basis)
 from framegeo.experiments import random_subspace, trial_seed, verify_volume_bounds
 from framegeo.majorization import construct_realization, random_realizable_profile
-from framegeo.polytopes import (DegenerateBodyError, Polytope,
-                                UnboundedBodyError, UnsupportedDimensionError,
+from framegeo.polytopes import (_BLOCK_IMAGE, K_EXACT, TAU_GEO, DegenerateBodyError,
+                                Polytope, UnboundedBodyError,
+                                UnsupportedDimensionError, VolumeEstimate,
                                 _collapse_rows, _frame_volumes, absolute_hull_gauge,
                                 cross_projection, enumerate_vertices,
                                 equality_subspace, estimate_volume, polar,
@@ -719,6 +721,87 @@ def test_estimate_volume_gauge_path_in_high_dimension():
     exact = 2.0 ** 6 / math.factorial(6)
     assert est.standard_error > 0.0
     assert abs(est.value - exact) <= 5.0 * est.standard_error
+
+
+def _hit_test_functionals(p):
+    """The rows estimate_volume tests a sample against: an H-rep body's
+    functionals, a V-rep body's polar vertices up to K_EXACT, else None."""
+    if p.hrep is not None:
+        return p.hrep
+    if p.k > K_EXACT:
+        return None
+    equations = ConvexHull(np.vstack([p.vrep, -p.vrep])).equations
+    return equations[:, :-1] / -equations[:, -1:]
+
+
+def _unblocked_estimate(p, samples, seed):
+    """estimate_volume before its hit test ran in blocks: the same container
+    and draws, and the image of each 100 000-sample chunk at once."""
+    k = p.k
+    if p.hrep is not None:
+        u = lowner_symmetric(p.hrep, eps=DEFAULT_EPS).weights
+        container = Ellipsoid(k=k, matrix=(p.hrep.T * (u / u.sum())) @ p.hrep)
+    else:
+        A = lowner_symmetric(p.vrep, eps=DEFAULT_EPS).ellipsoid.matrix
+        reach = np.einsum("ij,jk,ik->i", p.vrep, A, p.vrep).max()
+        container = Ellipsoid(k=k, matrix=A / reach)
+    functionals = _hit_test_functionals(p)
+    L_inv = np.linalg.inv(np.linalg.cholesky(container.matrix))
+    rng = np.random.default_rng(seed)
+    hits = 0
+    done = 0
+    while done < samples:
+        count = min(100_000, samples - done)
+        z = rng.standard_normal((count, k))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        radii = rng.random(count) ** (1.0 / k)
+        batch = (z * radii[:, None]) @ L_inv
+        if functionals is not None:
+            inside = np.max(np.abs(batch @ functionals.T), axis=1) <= 1.0
+            hits += int(np.count_nonzero(inside))
+        else:
+            hits += sum(1 for y in batch
+                        if absolute_hull_gauge(p.vrep, y) <= 1.0 + TAU_GEO)
+        done += count
+    frac = hits / samples
+    vol = ellipsoid_volume(container)
+    return VolumeEstimate(frac * vol, math.sqrt(frac * (1.0 - frac) / samples) * vol)
+
+
+@pytest.mark.parametrize("body", [
+    lambda: section_of(3, 1),
+    lambda: polytope_from_frame(project_standard_basis(random_subspace(8, 4, 21))),
+    lambda: polytope_from_frame(project_standard_basis(random_subspace(12, 5, 22))),
+    lambda: cross_projection(project_standard_basis(random_subspace(6, 2, 23))),
+    lambda: cross_projection(project_standard_basis(random_subspace(10, 5, 24))),
+    # at k = 8 np.linalg.norm's row sums no longer add in order
+    lambda: Polytope(k=8, hrep=np.eye(8)),
+    lambda: Polytope(k=6, vrep=np.eye(6) + 0.1),
+], ids=["section-1", "section-4", "section-5", "cross-2", "cross-5", "cube-8", "gauge-6"])
+def test_blocked_estimate_is_bit_identical_to_the_unblocked_loop(body):
+    p = body()
+    functionals = _hit_test_functionals(p)
+    block = max(256, _BLOCK_IMAGE // len(p.vrep if functionals is None else functionals))
+    # the block's edges and a count that crosses the 100 000-sample chunk;
+    # with one gauge program per sample, the first block and one past it
+    samples = [1, block - 1, block, block + 1, 100_001]
+    if functionals is None:
+        samples = [1, block + 1]
+    for count in samples:
+        assert estimate_volume(p, count, seed=31) == _unblocked_estimate(p, count, 31), count
+
+
+def test_estimate_volume_peak_memory_does_not_grow_with_the_facets():
+    # 26 vertex pairs whose hull has 620 facets: the unblocked image of one
+    # 100 000-sample chunk took 954 MiB
+    body = cross_projection(project_standard_basis(random_subspace(40, 5, 3)))
+    tracemalloc.start()
+    try:
+        estimate_volume(body, samples=100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_monte_carlo_agrees_with_exact_on_random_bodies():
