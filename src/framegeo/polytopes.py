@@ -435,8 +435,9 @@ def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
     Samples are drawn _CHUNK at a time, a normal direction and then a radius
     each, and tested in blocks of rows such that a block's image under the
     m functionals has about _BLOCK_IMAGE entries; a sample is a column, so
-    the max over the m functionals runs along contiguous rows.  Peak memory
-    is O(_CHUNK * k), not O(_CHUNK * m).  Above K_EXACT a V-rep body has no
+    the max over the m functionals runs along contiguous rows.  A block has
+    at least 256 rows, so peak memory is O(_CHUNK * k + 256 * m), not
+    O(_CHUNK * m).  Above K_EXACT a V-rep body has no
     functionals: its generators are factored once, and each sample takes
     one gauge program.
     """
@@ -475,15 +476,8 @@ def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
         z = rng.standard_normal((count, k))
         radii = rng.random(count) ** (1.0 / k)
         for start in range(0, count, rows):
-            block = z[start:start + rows]
-            zt = block.T.copy()
-            if k < 8:
-                # numpy adds fewer than 8 terms in order, so these column
-                # sums have the bits of np.linalg.norm's row sums
-                norms = np.sqrt(np.add.reduce(zt * zt, axis=0))
-            else:
-                norms = np.linalg.norm(block, axis=1)
-            zt /= norms
+            zt = z[start:start + rows].T.copy()
+            zt /= np.sqrt(np.add.reduce(zt * zt, axis=0))
             zt *= radii[start:start + rows]
             batch = L_inv.T @ zt  # one sample per column
             if functionals is not None:

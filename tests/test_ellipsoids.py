@@ -154,16 +154,11 @@ def test_points_near_a_plane_raise_span_error_fast(s):
 
 
 def test_eps_must_be_positive():
-    with pytest.raises(ValueError):
-        lowner_symmetric(np.eye(2), eps=0.0)
-
-
-@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
-def test_eps_must_be_finite(eps):
-    # nan passed an eps <= 0 check and ran the fit to its step cap, and inf
-    # made the 1 +/- eps certificate vacuous
-    with pytest.raises(ValueError, match="eps"):
-        lowner_symmetric(np.eye(2), eps=eps)
+    # and finite: nan passed an eps <= 0 check and ran the fit to its step
+    # cap, and inf made the 1 +/- eps certificate vacuous
+    for eps in (0.0, -math.inf, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            lowner_symmetric(np.eye(2), eps=eps)
 
 
 def test_iteration_cap_raises_with_gap():

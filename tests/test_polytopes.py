@@ -16,7 +16,7 @@ from framegeo.frames import (CertificationError, FrameSet, Subspace,
                              orthogonal_completion, project_standard_basis)
 from framegeo.experiments import random_subspace, trial_seed, verify_volume_bounds
 from framegeo.majorization import construct_realization, random_realizable_profile
-from framegeo.polytopes import (_BLOCK_IMAGE, K_EXACT, TAU_GEO, DegenerateBodyError,
+from framegeo.polytopes import (K_EXACT, TAU_GEO, DegenerateBodyError,
                                 Polytope, UnboundedBodyError,
                                 UnsupportedDimensionError, VolumeEstimate,
                                 _collapse_rows, _frame_volumes, absolute_hull_gauge,
@@ -768,24 +768,24 @@ def _unblocked_estimate(p, samples, seed):
     return VolumeEstimate(frac * vol, math.sqrt(frac * (1.0 - frac) / samples) * vol)
 
 
-@pytest.mark.parametrize("body", [
-    lambda: section_of(3, 1),
-    lambda: polytope_from_frame(project_standard_basis(random_subspace(8, 4, 21))),
-    lambda: polytope_from_frame(project_standard_basis(random_subspace(12, 5, 22))),
-    lambda: cross_projection(project_standard_basis(random_subspace(6, 2, 23))),
-    lambda: cross_projection(project_standard_basis(random_subspace(10, 5, 24))),
+# each body with the rows of the blocks it is tested in: 2**14 // m, m its
+# functionals (or generators on the gauge path), and at least 256
+@pytest.mark.parametrize("body,block", [
+    (lambda: section_of(3, 1), 16384),
+    (lambda: polytope_from_frame(project_standard_basis(random_subspace(8, 4, 21))), 2048),
+    (lambda: polytope_from_frame(project_standard_basis(random_subspace(12, 5, 22))), 1365),
+    (lambda: cross_projection(project_standard_basis(random_subspace(6, 2, 23))), 2048),
+    (lambda: cross_projection(project_standard_basis(random_subspace(10, 5, 24))), 256),
     # at k = 8 np.linalg.norm's row sums no longer add in order
-    lambda: Polytope(k=8, hrep=np.eye(8)),
-    lambda: Polytope(k=6, vrep=np.eye(6) + 0.1),
+    (lambda: Polytope(k=8, hrep=np.eye(8)), 2048),
+    (lambda: Polytope(k=6, vrep=np.eye(6) + 0.1), 2730),
 ], ids=["section-1", "section-4", "section-5", "cross-2", "cross-5", "cube-8", "gauge-6"])
-def test_blocked_estimate_is_bit_identical_to_the_unblocked_loop(body):
+def test_blocked_estimate_is_bit_identical_to_the_unblocked_loop(body, block):
     p = body()
-    functionals = _hit_test_functionals(p)
-    block = max(256, _BLOCK_IMAGE // len(p.vrep if functionals is None else functionals))
     # the block's edges and a count that crosses the 100 000-sample chunk;
     # with one gauge program per sample, the first block and one past it
     samples = [1, block - 1, block, block + 1, 100_001]
-    if functionals is None:
+    if _hit_test_functionals(p) is None:
         samples = [1, block + 1]
     for count in samples:
         assert estimate_volume(p, count, seed=31) == _unblocked_estimate(p, count, 31), count
