@@ -13,17 +13,21 @@ vertices, and an H-rep body's is the volume of the polar of the hull of its
 boundary read off the hull's facets.  So a trial's two volumes come from
 one hull of the raw +/- v_i of a projected frame (qhull takes repeated,
 zero and interior points), and no hull of the section's vertices is built.
-An H-rep body keeps only the hull of its functionals, once built: for
-k <= K_EXACT and functionals that span R^k, each facet gives a vertex of
-the body (facet dualization), its support function is the maximum of
-|<s, u>| over those points, and its volume reuses the hull.  Otherwise the
-support of {|<g_i, y>| <= 1} at u is the gauge of conv(+/- g_i) at u (LP
-duality), so the package has one linear program, ``absolute_hull_gauge``.
-It is posed on the orthonormal rows of the generators' SVD, so a large
-finite optimum is not taken for an unbounded one, and solved by a small
-dense simplex whose optimum is certified by a matching dual solution.  A hit-or-miss Monte Carlo estimator covers every
-dimension: it samples an H-rep body in sqrt(k) times its John ellipsoid and a
-V-rep body in the Lowner ellipsoid of its vertices.
+An H-rep body keeps only the hull of its functionals and the points read
+off it, once built: for k <= K_EXACT and functionals that span R^k, each
+facet gives a vertex of the body (facet dualization), its support function
+is the maximum of |<s, u>| over those points, and its volume reuses the
+hull.  Otherwise the support of {|<g_i, y>| <= 1} at u is the gauge of
+conv(+/- g_i) at u (LP duality), so the package has one linear program,
+``absolute_hull_gauge``.  It is posed on the orthonormal rows of the
+generators' SVD, so a large finite optimum is not taken for an unbounded
+one, and solved by a small dense simplex whose optimum is certified by a
+matching dual solution.  The SVD, the rank and the simplex's first basis
+depend on the generators alone: they are computed once per generator set,
+kept in a small cache keyed on the generators' bytes, and reused for every
+point.  A hit-or-miss Monte Carlo estimator covers every dimension: it
+samples an H-rep body in sqrt(k) times its John ellipsoid and a V-rep body
+in the Lowner ellipsoid of its vertices.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ _LP_TOL = 1e-12  # relative tolerance of the gauge simplex and its certificate
 _LP_PIVOTS_PER_COLUMN = 50
 _CHUNK = 100_000       # samples estimate_volume draws at a time
 _BLOCK_IMAGE = 2 ** 14  # entries of the image of one block it tests (128 KiB)
+_GAUGE_PLANS = 16  # generator sets whose gauge plans are kept, O(m k) each
 
 
 class DegenerateBodyError(ValueError):
@@ -72,9 +77,9 @@ class Polytope:
     ``vrep`` rows are vertex representatives (the body is the convex hull of
     them and their negatives); ``hrep`` rows g cut {y : |<g, y>| <= 1}.  A
     body has exactly one representation, the other is None.  It is
-    read-only, so an H-rep body may keep the hull of its +/- functionals,
-    once built, in a cached property that takes no part in repr.  Bodies
-    compare by identity.
+    read-only, so an H-rep body may keep the hull of its +/- functionals
+    and the vertices read off it, once built, in cached properties that
+    take no part in repr.  Bodies compare by identity.
     """
 
     k: int
@@ -103,6 +108,17 @@ class Polytope:
         if self.k > K_EXACT or not _spans(self.hrep):
             return None
         return _hull(self.hrep)
+
+    @functools.cached_property
+    def _hull_vertices(self):
+        """The H-rep body's vertices, one per facet of ``_functional_hull``
+        (a vertex may repeat), built once; None where that hull is."""
+        hull = self._functional_hull
+        if hull is None:
+            return None
+        points = _polar_points(hull)
+        points.setflags(write=False)
+        return points
 
 
 class VolumeEstimate(NamedTuple):
@@ -190,60 +206,92 @@ def absolute_hull_gauge(generators, point) -> float:
     sigma_i are above rounding.  Otherwise the program is posed on the
     orthonormal rows of U_r^T, at Sigma_r^-1 V_r^T point, so a large finite
     optimum stays well scaled, and solved by ``_least_l1``, a dense simplex
-    that certifies its optimum.
+    that certifies its optimum.  The factorization, the rank and the
+    simplex's first basis depend on the generators alone: they are computed
+    once per generator set (``_gauge_plan``) and reused for every point.
+    Generators must be a finite (m, k) array and the point a finite (k,)
+    vector, else ValueError.
     """
-    return _factored_gauge(_gauge_factors(np.asarray(generators, dtype=float)),
-                           np.asarray(point, dtype=float))
+    W = np.ascontiguousarray(generators, dtype=float)
+    y = np.asarray(point, dtype=float)
+    if W.ndim != 2 or not np.isfinite(W).all():
+        raise ValueError("generators must be a finite (m, k) array")
+    if y.shape != W.shape[1:] or not np.isfinite(y).all():
+        raise ValueError(f"point must be a finite vector of shape ({W.shape[1]},)")
+    return _factored_gauge(_gauge_plan(W.shape, W.tobytes()), y)
 
 
-def _gauge_factors(W: np.ndarray):
-    """The factors of W = U Sigma V^T that every gauge point shares: U_r^T,
-    sigma_1 .. sigma_r and V_r^T, r the number of sigma_i above rounding."""
-    m, k = W.shape
-    u, s, vh = np.linalg.svd(W, full_matrices=False)
+class _GaugePlan(NamedTuple):
+    """What every gauge point of the generators W = U Sigma V^T shares:
+    U_r^T, sigma_1 .. sigma_r and V_r^T, r the number of sigma_i above
+    rounding, and the simplex's first basis, the first r pivots of a
+    column-pivoted QR of U_r^T, with the inverse of its columns."""
+    ut: np.ndarray
+    sigma: np.ndarray
+    vh: np.ndarray
+    basis: np.ndarray
+    inverse: np.ndarray
+
+
+@functools.lru_cache(maxsize=_GAUGE_PLANS)
+def _gauge_plan(shape: tuple, data: bytes) -> _GaugePlan:
+    """The ``_GaugePlan`` of the float generators with this shape and C-order
+    bytes, kept for the last _GAUGE_PLANS generator sets; it is shared by
+    every caller, so each of its arrays is read-only."""
+    m, k = shape
+    u, s, vh = np.linalg.svd(np.frombuffer(data).reshape(shape), full_matrices=False)
     r = int(np.count_nonzero(s > s.max(initial=0.0) * max(m, k) * np.finfo(float).eps))
-    return u[:, :r].T, s[:r], vh[:r]
+    ut = u[:, :r].T
+    # LAPACK rejects a QR of no rows; at r = 0 no point reaches the simplex
+    basis = lapack.dgeqp3(ut)[1][:r] - 1 if r else np.zeros(0, dtype=np.int32)
+    plan = _GaugePlan(ut, s[:r], vh[:r], basis, np.linalg.inv(ut[:, basis]))
+    for array in plan:
+        array.setflags(write=False)
+    return plan
 
 
-def _factored_gauge(factors, y: np.ndarray) -> float:
-    """``absolute_hull_gauge`` at y from the generators' ``_gauge_factors``."""
-    ut, sigma, vh = factors
-    coords = vh @ y
-    if np.linalg.norm(y - coords @ vh) > TAU_GEO * np.linalg.norm(y):
+def _factored_gauge(plan: _GaugePlan, y: np.ndarray) -> float:
+    """``absolute_hull_gauge`` at y from the generators' ``_GaugePlan``."""
+    coords = plan.vh @ y
+    if np.linalg.norm(y - coords @ plan.vh) > TAU_GEO * np.linalg.norm(y):
         return math.inf
-    return _least_l1(ut, coords / sigma) if sigma.size else 0.0
+    return _least_l1(plan, coords / plan.sigma) if plan.sigma.size else 0.0
 
 
-def _least_l1(A: np.ndarray, b: np.ndarray) -> float:
-    """min sum |lambda| subject to A lambda = b, for A (r x m) of rank r.
+def _least_l1(plan: _GaugePlan, b: np.ndarray) -> float:
+    """min sum |lambda| subject to A lambda = b, for A = U_r^T (r x m, rank r).
 
-    A primal simplex over the columns +/- a_j.  The first basis is free: the
-    first r pivots of a column-pivoted QR of A, each signed so that its
-    coefficient in b is nonnegative.  Each step solves B^T y = 1 for the
-    dual y and enters the lowest-index column with |<a_j, y>| > 1 + _LP_TOL;
-    the ratio test breaks ties by the lowest column index (Bland's rule, so
-    degenerate pivots cannot cycle).  At exit the basic solution z and y
-    certify the optimum: B z = b with z >= 0, |A^T y| <= 1 + _LP_TOL and
-    sum z = <b, y>, all within _LP_TOL relative to the value.  A failed
-    certificate, or more than _LP_PIVOTS_PER_COLUMN * (m + r) pivots, raises
-    ArithmeticError.
+    A primal simplex over the columns +/- a_j.  The first basis is the
+    plan's, each column signed so that its coefficient in b is nonnegative;
+    its inverse is the plan's with the rows multiplied by those signs (exact
+    in floating point), so a point that needs no pivot inverts nothing.  The
+    coefficients are solved for, not read off that inverse: at a degenerate
+    point (a generator, say) a coefficient is zero up to rounding, and the
+    two roundings can give it different signs and the simplex another path.
+    Each step takes the dual y = B^-T 1 and enters the lowest-index column
+    with |<a_j, y>| > 1 + _LP_TOL; the ratio test breaks ties by the lowest
+    column index (Bland's rule, so degenerate pivots cannot cycle), and the
+    new basis is inverted.  At exit the basic solution z and y certify the
+    optimum: B z = b with z >= 0, |A^T y| <= 1 + _LP_TOL and sum z = <b, y>,
+    all within _LP_TOL relative to the value.  A failed certificate, or more
+    than _LP_PIVOTS_PER_COLUMN * (m + r) pivots, raises ArithmeticError.
     """
+    A = plan.ut
     r, m = A.shape
-    basis = lapack.dgeqp3(A)[1][:r] - 1
+    basis = plan.basis.copy()
     sign = np.where(np.linalg.solve(A[:, basis], b) < 0.0, -1.0, 1.0)
+    inverse = plan.inverse * sign[:, None]
     for _ in range(_LP_PIVOTS_PER_COLUMN * (m + r)):
-        B = A[:, basis] * sign
-        inverse = np.linalg.inv(B)
         z = inverse @ b
         y = inverse.sum(axis=0)
         reduced = y @ A
-        over = np.flatnonzero(np.abs(reduced) > 1.0 + _LP_TOL)
+        over = (np.abs(reduced) > 1.0 + _LP_TOL).nonzero()[0]
         if over.size == 0:
             break
         j = over[0]
         entering = math.copysign(1.0, reduced[j])
         step = inverse @ (entering * A[:, j])
-        rising = np.flatnonzero(step > _LP_TOL * np.abs(step).max())
+        rising = (step > _LP_TOL * np.abs(step).max()).nonzero()[0]
         if rising.size == 0:
             raise ArithmeticError("gauge program failed: no leaving column")
         # degenerate entries are zeros, so that ties are exact
@@ -251,11 +299,12 @@ def _least_l1(A: np.ndarray, b: np.ndarray) -> float:
         ties = rising[level == level.min()]
         leaving = ties[np.argmin(basis[ties])]
         basis[leaving], sign[leaving] = j, entering
+        inverse = np.linalg.inv(A[:, basis] * sign)
     else:
         raise ArithmeticError("gauge program failed: pivot limit reached")
     value = float(z.sum())
     slack = _LP_TOL * value
-    if not (np.abs(B @ z - b).max() <= slack and z.min() >= -slack
+    if not (np.abs((A[:, basis] * sign) @ z - b).max() <= slack and z.min() >= -slack
             and abs(value - b @ y) <= slack):
         raise ArithmeticError("gauge program failed: the optimum does not certify")
     return value
@@ -397,13 +446,13 @@ def support_function(p: Polytope, direction) -> float:
     where that is inf the support is too, and UnboundedBodyError is raised.
     """
     u = np.asarray(direction, dtype=float)
-    if u.shape != (p.k,):
-        raise ValueError(f"direction must have shape ({p.k},)")
+    if u.shape != (p.k,) or not np.isfinite(u).all():
+        raise ValueError(f"direction must be a finite vector of shape ({p.k},)")
     if p.vrep is not None:
         return float(np.max(np.abs(p.vrep @ u)))
-    hull = p._functional_hull
-    if hull is not None:
-        return float(np.max(np.abs(_polar_points(hull) @ u)))
+    vertices = p._hull_vertices
+    if vertices is not None:
+        return float(np.max(np.abs(vertices @ u)))
     h = absolute_hull_gauge(p.hrep, u)
     if h == math.inf:
         raise UnboundedBodyError("support is unbounded in this direction")
@@ -438,8 +487,9 @@ def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
     the max over the m functionals runs along contiguous rows.  A block has
     at least 256 rows, so peak memory is O(_CHUNK * k + 256 * m), not
     O(_CHUNK * m).  Above K_EXACT a V-rep body has no
-    functionals: its generators are factored once, and each sample takes
-    one gauge program.
+    functionals: each sample takes one gauge program, and all of them share
+    the plan ``absolute_hull_gauge`` uses for these generators, so the SVD,
+    the rank and the first basis are computed once.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -463,7 +513,7 @@ def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
             # the facets of the vertices' hull are the polar's vertices
             functionals = _polar_points(_hull(p.vrep))
         else:
-            functionals, factors = None, _gauge_factors(p.vrep)
+            functionals, plan = None, _gauge_plan(p.vrep.shape, p.vrep.tobytes())
     vol_container = ellipsoid_volume(container)
     L_inv = np.linalg.inv(np.linalg.cholesky(container.matrix))
     rows = max(256, _BLOCK_IMAGE // len(p.vrep if functionals is None else functionals))
@@ -486,7 +536,7 @@ def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
                 hits += int(np.count_nonzero(image.max(axis=0) <= 1.0))
             else:
                 hits += sum(1 for y in np.ascontiguousarray(batch.T)
-                            if _factored_gauge(factors, y) <= 1.0 + TAU_GEO)
+                            if _factored_gauge(plan, y) <= 1.0 + TAU_GEO)
         done += count
     frac = hits / samples
     value = frac * vol_container

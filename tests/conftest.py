@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 
 from framegeo.experiments import random_subspace, trial_seed, verify_volume_bounds
+from framegeo.polytopes import _gauge_plan
 
 # every (n, k) pair with n <= 8, k <= 4 that gives a proper subspace
 BATCH_PAIRS = [(n, k) for n in range(2, 9) for k in range(1, min(4, n - 1) + 1)]
 BATCH_TRIALS = 500
 BATCH_MASTER_SEED = 1729
+
+
+@pytest.fixture(autouse=True)
+def no_cached_gauge_plans():
+    """Start every test with no gauge plan cached, so that test order never
+    decides which test pays for a generator set's factorization."""
+    _gauge_plan.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -343,6 +343,49 @@ def test_points_within_rounding_of_a_line_raise_span_error():
         lowner_symmetric(pts)
 
 
+def assert_duality_bracket(points, fit, ratio, eps=DEFAULT_EPS):
+    """The Lowner ratio reported for ``fit``, checked from its weights and
+    matrix alone: it is the volume ratio of the matrix and the dual value
+    det(k M(u))^{1/2} at the weights, which by weak duality is at most the
+    true ratio; the cover A / max_i <A p_i, p_i> holds every point, so its
+    volume ratio is at least the true one, and it is within (1 + eps)^{k/2}."""
+    k = points.shape[1]
+    ball = unit_ball_volume(k)
+    dual = math.sqrt(np.linalg.det(k * (points.T * fit.weights) @ points))
+    assert ratio == pytest.approx(dual, rel=1e-12, abs=0.0)
+    assert ellipsoid_volume(fit.ellipsoid) / ball == pytest.approx(ratio, rel=1e-12, abs=0.0)
+    reach = np.einsum("ij,jk,ik->i", points, fit.ellipsoid.matrix, points).max()
+    cover = ellipsoid_volume(Ellipsoid(k=k, matrix=fit.ellipsoid.matrix / reach)) / ball
+    assert ratio * (1.0 - 1e-12) <= cover <= ratio * (1.0 + eps) ** (k / 2)
+
+
+@pytest.mark.parametrize("n,k,frames", [(6, 3, 60), (14, 4, 60), (40, 5, 30), (100, 10, 10)])
+def test_every_lowner_fit_is_bracketed_by_its_dual(n, k, frames):
+    for t in range(frames):
+        subspace = random_subspace(n, k, trial_seed(2026, t))
+        points = project_standard_basis(subspace).vectors
+        ratio = verify_ellipsoid_bounds(subspace).ratios["lowner_ratio"]
+        assert_duality_bracket(points, lowner_symmetric(points, eps=DEFAULT_EPS), ratio)
+        # uniform weights on a Parseval frame: the paper's Lowner bound
+        uniform = math.sqrt(np.linalg.det(k * points.T @ points / n))
+        assert uniform == pytest.approx((k / n) ** (k / 2), rel=1e-12, abs=0.0)
+        assert uniform <= ratio
+
+
+@pytest.mark.parametrize("plant", ["scaled-matrix", "permuted-weights"])
+def test_duality_bracket_fails_on_a_planted_error(plant):
+    subspace = random_subspace(14, 4, trial_seed(2026, 0))
+    points = project_standard_basis(subspace).vectors
+    ratio = verify_ellipsoid_bounds(subspace).ratios["lowner_ratio"]
+    fit = lowner_symmetric(points, eps=DEFAULT_EPS)
+    if plant == "scaled-matrix":
+        fit = fit._replace(ellipsoid=Ellipsoid(k=4, matrix=fit.ellipsoid.matrix * (1.0 + 1e-6)))
+    else:
+        fit = fit._replace(weights=np.roll(fit.weights, 1))
+    with pytest.raises(AssertionError):
+        assert_duality_bracket(points, fit, ratio)
+
+
 @pytest.mark.parametrize("n,k,seed", [(5, 2, 0), (7, 3, 1), (8, 4, 2)])
 def test_projected_frames_respect_volume_bound(n, k, seed):
     report = verify_ellipsoid_bounds(random_subspace(n, k, seed))

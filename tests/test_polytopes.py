@@ -477,6 +477,48 @@ def test_gauge_matches_highs_and_its_dual_bound():
     assert infinite == 4 * 3
 
 
+@pytest.mark.parametrize("generators,point", [
+    ([[math.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]),  # returned inf
+    (np.eye(2), [math.nan, 1.0]),                  # raised ArithmeticError
+    (np.eye(3), [1.0, 1.0]),                       # raised numpy's matmul error
+    ([1.0, 2.0], [1.0]),                           # raised "not enough values to unpack"
+], ids=["inf-generator", "nan-point", "short-point", "1d-generators"])
+def test_gauge_rejects_malformed_input(generators, point):
+    with pytest.raises(ValueError, match="must be a finite"):
+        absolute_hull_gauge(generators, point)
+
+
+def test_gauge_plan_is_built_once_per_generator_set(monkeypatch):
+    svds = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        svds.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    seed = trial_seed(24, 0)
+    W = construct_realization(random_realizable_profile(8, 4, seed)).vectors
+    directions = np.random.default_rng(seed).standard_normal((16, 4))
+    values = [absolute_hull_gauge(W, u) for u in directions]
+    assert svds == [(8, 4)]
+    # one ulp is another generator set: its own plan, and the value that
+    # set gets with no plan cached
+    moved = W.copy()
+    moved[3, 2] = np.nextafter(moved[3, 2], math.inf)
+    moved_values = [absolute_hull_gauge(moved, u) for u in directions]
+    assert len(svds) == 2 and moved_values != values
+    framegeo.polytopes._gauge_plan.cache_clear()
+    assert [absolute_hull_gauge(moved, u) for u in directions] == moved_values
+    assert [absolute_hull_gauge(W, u) for u in directions] == values
+    assert len(svds) == 4
+    # a plan is shared by every caller, so none of its arrays can be written
+    for array in framegeo.polytopes._gauge_plan(W.shape, W.tobytes()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert [absolute_hull_gauge(W, u) for u in directions] == values
+
+
 def test_support_of_cube_is_l1_norm():
     cube_h = Polytope(k=2, hrep=np.eye(2))
     cube_v = Polytope(k=2, vrep=np.array([[1.0, 1.0], [1.0, -1.0]]))
@@ -494,6 +536,15 @@ def test_support_direction_validation_and_unbounded():
         support_function(slab, [0.0, 1.0])
     with pytest.raises(ValueError):
         support_function(slab, [1.0, 0.0, 0.0])
+    # a direction that is not finite is malformed in every branch: it gave
+    # nan, inf or ArithmeticError
+    bodies = [slab, hull_of(4, 2), section_of(4, 2), Polytope(k=6, hrep=np.eye(6)),
+              Polytope(k=6, vrep=np.eye(6))]
+    for body, bad in itertools.product(bodies, (math.nan, math.inf, -math.inf)):
+        direction = np.ones(body.k)
+        direction[-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            support_function(body, direction)
 
 
 @pytest.mark.parametrize("n,k,seed", [(5, 2, 11), (6, 3, 12), (8, 4, 13)])
