@@ -332,15 +332,6 @@ def _polar_points(hull) -> np.ndarray:
     return hull.equations[:, :-1] / -offsets[:, None]
 
 
-def _polar_vertices(hull) -> np.ndarray:
-    """Polar vertices of a hull of +/- points, one per pair: antipodal facets
-    and qhull's splits of non-simplicial ones repeat a vertex, so the facets'
-    points are collapsed, within TAU_GEO relative to their largest entry so
-    that any scale works."""
-    cands = _polar_points(hull)
-    return _collapse_rows(cands, TAU_GEO * np.abs(cands).max())
-
-
 @functools.lru_cache(maxsize=None)
 def _flag_plan(k: int):
     """The nonempty proper subsets of a facet's k vertex slots, as rows of
@@ -401,14 +392,19 @@ def _spans(G: np.ndarray) -> bool:
 
 
 def enumerate_vertices(p: Polytope) -> Polytope:
-    """All vertices of {y : |<g_i, y>| <= 1}, read off the facets of conv(+/- g_i)."""
+    """All vertices of {y : |<g_i, y>| <= 1}, read off the facets of conv(+/- g_i).
+
+    The body keeps one vertex per facet; antipodal facets and qhull's splits
+    of non-simplicial ones repeat a vertex, so they are collapsed to one per
+    +/- pair, within TAU_GEO relative to their largest entry so that any
+    scale works."""
     if p.hrep is None:
         raise ValueError("enumerate_vertices needs an H-representation")
     _require_exact(p.k)
-    hull = p._functional_hull
-    if hull is None:
+    cands = p._hull_vertices
+    if cands is None:
         raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
-    return Polytope(k=p.k, vrep=_polar_vertices(hull))
+    return Polytope(k=p.k, vrep=_collapse_rows(cands, TAU_GEO * np.abs(cands).max()))
 
 
 def volume(p: Polytope) -> float:
