@@ -25,7 +25,7 @@ for n, k, seed in [(4, 2, 0), (6, 2, 1), (7, 3, 2), (8, 4, 3)]:
     john = john_of_cube_section(subspace)
     john_ratio = ellipsoid_volume(john) / unit_ball_volume(k)
     print(f"{n:>3} {k:>3} {report.ratios['lowner_ratio']:>14.6f} "
-          f"{report.bounds['lowner_ratio']:>18.6f} "
+          f"{report.checks['lowner_ratio'].bound:>18.6f} "
           f"{john_ratio:>12.6f} {(n / k) ** (k / 2):>10.6f} "
           f"{str(report.profile_uniform):>8}")
 

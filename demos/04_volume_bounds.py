@@ -17,7 +17,7 @@ print("one random 3-plane in R^6:")
 for key in ("lowner_ratio", "cross_projection_ratio",
             "cube_section_ratio", "john_ratio"):
     print(f"  {key:>24}: {report.ratios[key]:.6f} "
-          f"(bound {report.bounds[key]:.6f}, pass {report.passes[key]})")
+          f"(bound {report.checks[key].bound:.6f}, pass {report.passes[key]})")
 print(f"  sandwich holds: cube <= john is {report.passes['chain_cube']}, "
       f"cross >= lowner is {report.passes['chain_cross']}")
 print(f"  proved inequalities: Vaaler {report.passes['vaaler']}, "

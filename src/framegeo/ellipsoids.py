@@ -138,12 +138,15 @@ def lowner_symmetric(points, eps: float = DEFAULT_EPS,
     Zero input vectors carry no constraint and get weight zero: their
     leverage is 0 < k, so no step adds them to the support, and the start
     pivots no zero point while the rank is k.  Points that do not span R^k
-    raise SpanError, and so do points whose weighted moment matrix M(u)
-    loses positive definiteness in floating point (reported as rank k - 1).
+    raise SpanError, an empty (0, k) array with rank 0, and so do points
+    whose weighted moment matrix M(u) loses positive definiteness in
+    floating point (reported as rank k - 1).
     """
     P = np.asarray(points, dtype=float)
-    if P.ndim != 2 or P.shape[0] == 0:
-        raise ValueError("points must be a nonempty (m, k) array")
+    if P.ndim != 2 or P.shape[1] == 0:
+        raise ValueError("points must be an (m, k) array with k >= 1")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
     if not np.all(np.isfinite(P)):
         raise ValueError("points contain non-finite entries")
     if not (math.isfinite(eps) and eps > 0):

@@ -15,11 +15,11 @@ report entries but not CSV columns, Vaaler's vol(cube section) >= 2^k,
 Blaschke-Santalo's vol(cube section) * vol(cross projection) <= vol(B^k)^2
 and, for k <= 3 where it is proved, Mahler's lower bound on that product,
 4^k / k!.
-Every check is relative to its bound b: an upper bound holds when the value
-is at most b + tol |b|, a lower one when it is at least b - tol |b|, and a
-ratio is at equality when both hold.  An absolute margin would pass any ratio
-at (200, 20), where (k/n)^{k/2} = 1e-10, and fail the John ratio at equality
-at (200, 100), where (n/k)^{k/2} = 2^50.
+Every check is a ``Check(value, bound, is_upper)`` relative to its bound b:
+an upper bound holds when the value is at most b + tol |b|, a lower one when
+it is at least b - tol |b|, and it is at equality when both hold.  An
+absolute margin would pass any ratio at (200, 20), where (k/n)^{k/2} = 1e-10,
+and fail the John ratio at equality at (200, 100), where (n/k)^{k/2} = 2^50.
 The conjecture scan additionally tracks the two-power bounds 2^{±(n-k)/2},
 with the same relative rule; the upper one for cube sections is proved (a
 violation indicates a solver or volume bug), the lower one for cross
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -99,35 +99,46 @@ def random_subspace(n: int, k: int, seed: int) -> Subspace:
             return Subspace(n=n, k=k, basis=(q * np.sign(diag)).T)
 
 
+class Check(NamedTuple):
+    """value <= bound (is_upper) or value >= bound, within tol * |bound|."""
+
+    value: float
+    bound: float
+    is_upper: bool
+
+    def holds(self, tol: float = BOUND_TOL) -> bool:
+        slack = tol * abs(self.bound)
+        return bool(self.value <= self.bound + slack if self.is_upper
+                    else self.value >= self.bound - slack)
+
+    @property
+    def at_equality(self) -> bool:
+        slack = BOUND_TOL * abs(self.bound)
+        return bool(self.bound - slack <= self.value <= self.bound + slack)
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-trial ratios, bounds, pass flags, and equality flags."""
+    """Per-trial checks, name -> ``Check`` in ``_verify``'s order, from which
+    ``passes`` and ``proved_ok`` derive.  ``ratios`` and ``extras`` stay fields:
+    ``bench/`` reads them and calls ``dataclasses.replace(report, ratios=...)``."""
 
     trial_id: int
     n: int
     k: int
     seed: int
     ratios: dict
-    bounds: dict
-    passes: dict
-    equality: dict
+    checks: dict
     profile_uniform: bool
     extras: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        for key in self.ratios:
-            if key not in self.bounds or key not in self.passes or key not in self.equality:
-                raise ValueError(f"ratio {key!r} lacks a matching bound/pass/equality entry")
+    @property
+    def passes(self) -> dict:
+        return {name: check.holds() for name, check in self.checks.items()}
 
     @property
     def proved_ok(self) -> bool:
-        return all(self.passes.values())
-
-
-def _holds(value: float, bound: float, is_upper: bool, tol: float) -> bool:
-    """value <= bound (upper) or value >= bound (lower), within tol * |bound|."""
-    slack = tol * abs(bound)
-    return bool(value <= bound + slack if is_upper else value >= bound - slack)
+        return all(check.holds() for check in self.checks.values())
 
 
 def _profile_uniform(frame) -> bool:
@@ -154,30 +165,21 @@ def _verify(subspace: Subspace, volumes: bool, trial_id: int,
     ball = unit_ball_volume(k)
     lowner = ellipsoid_volume(fit.ellipsoid) / ball
     lower, upper = (k / n) ** (k / 2), (n / k) ** (k / 2)
-    # name -> (value, bound, is_upper); the John ellipsoid is the cover's
-    # polar, and vol(E) vol(E polar) = vol(B^k)^2
-    checks = {"lowner_ratio": (lowner, lower, False),
-              "john_ratio": (1.0 / lowner, upper, True)}
+    # the John ellipsoid is the cover's polar, and vol(E) vol(E polar) = vol(B^k)^2
+    checks = {"lowner_ratio": Check(lowner, lower, False),
+              "john_ratio": Check(1.0 / lowner, upper, True)}
     if volumes:
-        checks.update(cube_section_ratio=(cube, upper, True),
-                      cross_projection_ratio=(cross, lower, False),
-                      chain_cube=(cube, 1.0 / lowner, True),
-                      chain_cross=(cross, lowner, False),
-                      vaaler=(cube, 1.0, False),
-                      blaschke_santalo=(product, ball ** 2, True))
+        checks.update(cube_section_ratio=Check(cube, upper, True),
+                      cross_projection_ratio=Check(cross, lower, False),
+                      chain_cube=Check(cube, 1.0 / lowner, True),
+                      chain_cross=Check(cross, lowner, False),
+                      vaaler=Check(cube, 1.0, False),
+                      blaschke_santalo=Check(product, ball ** 2, True))
         if k <= 3:  # proved for k = 2 (Mahler) and k = 3 (Iriyeh-Shibata)
-            checks["mahler"] = (product, 4.0 ** k / math.factorial(k), False)
-    rows = {column: checks[column] for column, _ in _RATIOS if column in checks}
-    ratios = {column: value for column, (value, _, _) in rows.items()}
-    bounds = {column: bound for column, (_, bound, _) in rows.items()}
-    passes = {name: _holds(value, bound, is_upper, BOUND_TOL)
-              for name, (value, bound, is_upper) in checks.items()}
-    equality = {column: (_holds(value, bound, True, BOUND_TOL)
-                         and _holds(value, bound, False, BOUND_TOL))
-                for column, (value, bound, _) in rows.items()}
+            checks["mahler"] = Check(product, 4.0 ** k / math.factorial(k), False)
+    ratios = {column: checks[column].value for column, _ in _RATIOS if column in checks}
     return ExperimentReport(trial_id=trial_id, n=n, k=k, seed=seed,
-                            ratios=ratios, bounds=bounds, passes=passes,
-                            equality=equality,
+                            ratios=ratios, checks=checks,
                             profile_uniform=_profile_uniform(frame),
                             extras={"volume_product": product} if volumes else {})
 
@@ -243,9 +245,9 @@ def conjecture_scan(n: int, k: int, trials: int, seed: int) -> ConjectureScanSum
             max_cube, max_cube_at = cube_ratio, (t, s)
         if cross_ratio < min_cross:
             min_cross, min_cross_at = cross_ratio, (t, s)
-        if not _holds(cube_ratio, bound_ball2, True, _SCAN_SLACK):
+        if not Check(cube_ratio, bound_ball2, True).holds(_SCAN_SLACK):
             violations.append(t)
-        if (not _holds(cross_ratio, bound_2pow, False, _SCAN_SLACK)
+        if (not Check(cross_ratio, bound_2pow, False).holds(_SCAN_SLACK)
                 and counterexample is None):
             counterexample = {
                 "trial_id": t,
@@ -305,10 +307,6 @@ def _csv_float(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _csv_flag(value) -> str:
-    return "" if value is None else str(bool(value))
-
-
 def render_csv(reports) -> str:
     """Deterministic CSV rendering with the tolerance ledger in the header."""
     lines = [
@@ -319,11 +317,13 @@ def render_csv(reports) -> str:
         ",".join(CSV_COLUMNS),
     ]
     for r in reports:
+        checks = [r.checks.get(column) for column, _ in _RATIOS]
         row = [str(r.n), str(r.k), str(r.trial_id), str(r.seed),
                *(_csv_float(r.ratios.get(column)) for column, _ in _RATIOS),
-               *(_csv_float(r.bounds.get(column)) for column, _ in _RATIOS[:2]),
-               *(_csv_flag(r.passes.get(column)) for column, _ in _RATIOS),
-               "|".join(short for column, short in _RATIOS if r.equality.get(column)),
+               *(_csv_float(check.bound) for check in checks[:2]),
+               *("" if check is None else str(check.holds()) for check in checks),
+               "|".join(short for (_, short), check in zip(_RATIOS, checks)
+                        if check is not None and check.at_equality),
                str(bool(r.profile_uniform))]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

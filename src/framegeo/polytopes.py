@@ -434,18 +434,19 @@ def _frame_volumes(frame: FrameSet) -> tuple[float, float]:
 def support_function(p: Polytope, direction) -> float:
     """h(u) = max over the body of <u, y>.
 
-    V-rep: the maximum of |<w_i, u>| over vertex representatives.  H-rep,
-    for k <= K_EXACT and functionals that span R^k: the same maximum over
-    the body's vertices, one per facet of the hull it keeps (a vertex may
-    repeat, which changes no maximum).  Any other H-rep body: by
-    LP duality, the gauge of conv(+/- g_i) at u (``absolute_hull_gauge``);
-    where that is inf the support is too, and UnboundedBodyError is raised.
+    V-rep: the maximum of |<w_i, u>| over vertex representatives, 0 for a
+    body with none, which is {0}.  H-rep, for k <= K_EXACT and functionals
+    that span R^k: the same maximum over the body's vertices, one per facet
+    of the hull it keeps (a vertex may repeat, which changes no maximum).
+    Any other H-rep body: by LP duality, the gauge of conv(+/- g_i) at u
+    (``absolute_hull_gauge``); where that is inf the support is too, and
+    UnboundedBodyError is raised.
     """
     u = np.asarray(direction, dtype=float)
     if u.shape != (p.k,) or not np.isfinite(u).all():
         raise ValueError(f"direction must be a finite vector of shape ({p.k},)")
     if p.vrep is not None:
-        return float(np.max(np.abs(p.vrep @ u)))
+        return float(np.max(np.abs(p.vrep @ u), initial=0.0))
     vertices = p._hull_vertices
     if vertices is not None:
         return float(np.max(np.abs(vertices @ u)))

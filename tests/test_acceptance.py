@@ -43,7 +43,7 @@ def test_criterion_1_equality_cases(capsys, equality_reports):
     worst = 0.0
     for (n, k), report in equality_reports.items():
         for key, ratio in report.ratios.items():
-            bound = report.bounds[key]
+            bound = report.checks[key].bound
             worst = max(worst, abs(ratio - bound) / abs(bound))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 10.0
@@ -60,8 +60,8 @@ def test_criterion_2_cover_bound_and_equality_iff(capsys, random_batch,
     iff_breaks = []
     for r in reports + list(equality_reports.values()):
         min_slack = min(min_slack,
-                        r.ratios["lowner_ratio"] - r.bounds["lowner_ratio"])
-        if r.equality["lowner_ratio"] != r.profile_uniform:
+                        r.ratios["lowner_ratio"] - r.checks["lowner_ratio"].bound)
+        if r.checks["lowner_ratio"].at_equality != r.profile_uniform:
             iff_breaks.append((r.n, r.k, r.trial_id))
     both_sides = ({r.profile_uniform for r in equality_reports.values()} == {True}
                   and any(not r.profile_uniform for r in reports))
@@ -80,11 +80,11 @@ def test_criterion_3_exact_volume_inequalities(capsys, random_batch):
     sandwich_breaks = 0
     for r in reports:
         min_cube_slack = min(min_cube_slack,
-                             r.bounds["cube_section_ratio"]
+                             r.checks["cube_section_ratio"].bound
                              - r.ratios["cube_section_ratio"])
         min_cross_slack = min(min_cross_slack,
                               r.ratios["cross_projection_ratio"]
-                              - r.bounds["cross_projection_ratio"])
+                              - r.checks["cross_projection_ratio"].bound)
         if (r.ratios["cube_section_ratio"] > r.ratios["john_ratio"] + 1e-6
                 or r.ratios["cross_projection_ratio"]
                 < r.ratios["lowner_ratio"] - 1e-6):

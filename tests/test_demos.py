@@ -1,4 +1,5 @@
-"""Run the demo scripts end to end against this checkout.
+"""Run the demo scripts and README's Quick start end to end against this
+checkout.
 
 Each demo runs as a subprocess with this checkout's ``src`` first on
 ``PYTHONPATH`` and must exit 0; together they take a few seconds.
@@ -8,6 +9,7 @@ acceptance criterion 7; CI runs it as a step of its own.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +29,15 @@ def test_demo_runs(name):
     result = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md Quick start", "exec"), namespace)
+    report = namespace["report"]
+    assert report.proved_ok
+    printed = capsys.readouterr().out
+    assert str(report.ratios) in printed and str(report.passes) in printed

@@ -140,6 +140,16 @@ def test_rank_deficient_points_raise(pts):
     assert err.value.rank == np.linalg.matrix_rank(pts) < pts.shape[1]
 
 
+def test_no_points_span_the_zero_subspace():
+    # SpanError subclasses ValueError, so a caller catching that still does
+    with pytest.raises(SpanError) as err:
+        lowner_symmetric(np.zeros((0, 3)))
+    assert err.value.rank == 0
+    for shapeless in (np.zeros((3, 0)), np.zeros((0, 0)), np.ones(3)):
+        with pytest.raises(ValueError, match=r"\(m, k\) array"):
+            lowner_symmetric(shapeless)
+
+
 @pytest.mark.parametrize("s", [1e-8, 1e-9, 1e-10])
 def test_points_near_a_plane_raise_span_error_fast(s):
     # 8 Gaussian points in R^3 whose second coordinate is the first plus s
@@ -159,6 +169,13 @@ def test_eps_must_be_positive():
     for eps in (0.0, -math.inf, math.nan, math.inf):
         with pytest.raises(ValueError, match="eps"):
             lowner_symmetric(np.eye(2), eps=eps)
+
+
+def test_max_iterations_must_be_nonnegative():
+    # a negative cap would run no step and leave no Cholesky factor to return
+    with pytest.raises(ValueError, match="max_iterations"):
+        lowner_symmetric(np.eye(2), max_iterations=-1)
+    assert lowner_symmetric(np.eye(2), max_iterations=0).iterations == 0
 
 
 def test_iteration_cap_raises_with_gap():
@@ -389,7 +406,7 @@ def test_duality_bracket_fails_on_a_planted_error(plant):
 @pytest.mark.parametrize("n,k,seed", [(5, 2, 0), (7, 3, 1), (8, 4, 2)])
 def test_projected_frames_respect_volume_bound(n, k, seed):
     report = verify_ellipsoid_bounds(random_subspace(n, k, seed))
-    assert report.bounds["lowner_ratio"] == pytest.approx((k / n) ** (k / 2), rel=1e-12)
+    assert report.checks["lowner_ratio"].bound == pytest.approx((k / n) ** (k / 2), rel=1e-12)
     assert report.passes["lowner_ratio"]
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 from pathlib import Path
@@ -11,8 +12,9 @@ import framegeo.frames
 import framegeo.majorization
 import framegeo.polytopes
 from framegeo.ellipsoids import DEFAULT_EPS, Ellipsoid, lowner_symmetric
-from framegeo.experiments import (BOUND_TOL, CSV_COLUMNS, ConjectureScanSummary,
-                                  ExperimentReport, SuiteSpec, conjecture_scan,
+from framegeo.experiments import (BOUND_TOL, CSV_COLUMNS, Check,
+                                  ConjectureScanSummary, ExperimentReport,
+                                  SuiteSpec, conjecture_scan,
                                   random_subspace, render_csv, run_suite,
                                   splitmix64, suite_exit_status, trial_seed,
                                   verify_ellipsoid_bounds, verify_volume_bounds)
@@ -62,11 +64,11 @@ def test_random_subspace_norm_statistics():
 def test_ellipsoid_report_on_equality_subspace():
     r = verify_ellipsoid_bounds(equality_subspace(6, 2), trial_id=3, seed=17)
     assert (r.n, r.k, r.trial_id, r.seed) == (6, 2, 3, 17)
-    assert r.ratios["lowner_ratio"] == pytest.approx(r.bounds["lowner_ratio"], rel=1e-9)
-    assert r.ratios["john_ratio"] == pytest.approx(r.bounds["john_ratio"], rel=1e-9)
-    assert r.bounds["lowner_ratio"] == pytest.approx((2 / 6) ** 1.0)
+    assert r.ratios["lowner_ratio"] == pytest.approx(r.checks["lowner_ratio"].bound, rel=1e-9)
+    assert r.ratios["john_ratio"] == pytest.approx(r.checks["john_ratio"].bound, rel=1e-9)
+    assert r.checks["lowner_ratio"].bound == pytest.approx((2 / 6) ** 1.0)
     assert r.proved_ok
-    assert r.equality["lowner_ratio"] and r.equality["john_ratio"]
+    assert r.checks["lowner_ratio"].at_equality and r.checks["john_ratio"].at_equality
     assert r.profile_uniform
 
 
@@ -74,8 +76,8 @@ def test_ellipsoid_report_on_skew_subspace():
     r = verify_ellipsoid_bounds(skew_subspace([1.0, 0.6, 0.3, 0.1], k=2))
     assert r.proved_ok
     assert not r.profile_uniform
-    assert not r.equality["lowner_ratio"]
-    assert not r.equality["john_ratio"]
+    assert not r.checks["lowner_ratio"].at_equality
+    assert not r.checks["john_ratio"].at_equality
 
 
 def test_lowner_john_ratios_are_reciprocal():
@@ -89,8 +91,8 @@ def test_volume_report_on_equality_subspace():
     r = verify_volume_bounds(equality_subspace(6, 3))
     for key in ("lowner_ratio", "john_ratio", "cube_section_ratio",
                 "cross_projection_ratio"):
-        assert r.ratios[key] == pytest.approx(r.bounds[key], rel=1e-9), key
-        assert r.equality[key], key
+        assert r.ratios[key] == pytest.approx(r.checks[key].bound, rel=1e-9), key
+        assert r.checks[key].at_equality, key
     assert r.proved_ok
     assert r.passes["chain_cube"] and r.passes["chain_cross"]
     assert r.extras["volume_product"] == pytest.approx(4.0 ** 3 / 6.0, rel=1e-9)
@@ -125,13 +127,13 @@ def test_equality_flag_tracks_uniform_profile():
                for t in range(10)]
     reports.append(verify_volume_bounds(equality_subspace(4, 2)))
     for r in reports:
-        assert r.equality["lowner_ratio"] == r.profile_uniform
+        assert r.checks["lowner_ratio"].at_equality == r.profile_uniform
 
 
 @pytest.mark.parametrize("n,k", [(7, 3), (10, 4), (11, 5), (9, 2)])
 def test_uniform_profile_reaches_both_ellipsoid_bounds_where_k_does_not_divide_n(n, k):
     r = verify_ellipsoid_bounds(skew_subspace(np.full(n, k / n), k=k))
-    assert r.equality["lowner_ratio"] and r.equality["john_ratio"]
+    assert r.checks["lowner_ratio"].at_equality and r.checks["john_ratio"].at_equality
     assert r.proved_ok and r.profile_uniform
     assert abs(r.ratios["lowner_ratio"] - (k / n) ** (k / 2)) <= 1e-12
 
@@ -140,7 +142,8 @@ def test_checks_are_relative_to_a_huge_bound():
     # (n/k)^{k/2} = 2^50 at (200, 100); the John ratio at equality lies
     # 25 above it, 2.2e-14 relative
     r = verify_ellipsoid_bounds(equality_subspace(200, 100))
-    assert all(r.passes.values()) and all(r.equality.values())
+    assert all(r.passes.values())
+    assert all(check.at_equality for check in r.checks.values())
 
 
 def test_checks_are_relative_to_a_tiny_bound(monkeypatch):
@@ -155,21 +158,30 @@ def test_checks_are_relative_to_a_tiny_bound(monkeypatch):
 
     monkeypatch.setattr(framegeo.experiments, "lowner_symmetric", shrunk)
     r = verify_ellipsoid_bounds(equality_subspace(200, k))
-    assert r.ratios["lowner_ratio"] == pytest.approx(r.bounds["lowner_ratio"] / 2, rel=1e-9)
+    assert r.ratios["lowner_ratio"] == pytest.approx(r.checks["lowner_ratio"].bound / 2,
+                                                     rel=1e-9)
     assert not r.passes["lowner_ratio"]
     assert not r.proved_ok
+
+
+@pytest.mark.parametrize("check,tol,holds,at_equality", [
+    (Check(1.0 + 5e-7, 1.0, True), BOUND_TOL, True, True),
+    (Check(1.0 + 2e-6, 1.0, True), BOUND_TOL, False, False),
+    (Check(1.0 - 2e-6, 1.0, True), BOUND_TOL, True, False),
+    (Check(1.0 - 2e-6, 1.0, False), BOUND_TOL, False, False),
+    (Check(-1.0 - 5e-7, -1.0, False), BOUND_TOL, True, True),  # slack is tol * |bound|
+    (Check(5e-7, 0.0, True), BOUND_TOL, False, False),         # and 0 at a zero bound
+    (Check(float("nan"), 1.0, False), BOUND_TOL, False, False),
+    (Check(1.0 + 1e-8, 1.0, True), 1e-9, False, True),         # the scan's slack
+])
+def test_check_holds_relative_to_its_bound(check, tol, holds, at_equality):
+    assert check.holds(tol) is holds
+    assert check.at_equality is at_equality
 
 
 def test_volume_report_requires_exact_range():
     with pytest.raises(UnsupportedDimensionError):
         verify_volume_bounds(random_subspace(8, 6, 0))
-
-
-def test_report_invariant_rejects_mismatched_keys():
-    with pytest.raises(ValueError):
-        ExperimentReport(trial_id=0, n=4, k=2, seed=0,
-                         ratios={"lowner_ratio": 0.5}, bounds={},
-                         passes={}, equality={}, profile_uniform=False)
 
 
 def test_suite_spec_rejects_unknown_experiments():
@@ -231,10 +243,8 @@ def test_empty_suite_renders_header_only():
 
 def test_exit_status_flags_failures():
     r = verify_ellipsoid_bounds(equality_subspace(4, 2))
-    bad = ExperimentReport(trial_id=0, n=4, k=2, seed=0,
-                           ratios=r.ratios, bounds=r.bounds,
-                           passes={key: False for key in r.passes},
-                           equality=r.equality, profile_uniform=True)
+    bad = dataclasses.replace(r, checks={**r.checks, "john_ratio": Check(3.0, 2.0, True)})
+    assert suite_exit_status([r]) == 0
     assert suite_exit_status([r, bad]) == 1
 
 
@@ -265,25 +275,22 @@ def test_tolerance_ledger_records_every_tolerance_in_force():
 
 
 def test_render_csv_column_order_on_hand_built_reports():
-    # exact binary fractions, so every cell's position is checked without numerics
+    # exact binary fractions, so every cell's position is checked without
+    # numerics; the john and cross values sit within BOUND_TOL of their bounds
+    checks = {"lowner_ratio": Check(0.125, 0.25, False),
+              "john_ratio": Check(4.0 - 2.0 ** -22, 4.0, True),
+              "cube_section_ratio": Check(8.0, 4.0, True),
+              "cross_projection_ratio": Check(0.25 + 2.0 ** -24, 0.25, False),
+              "chain_cube": Check(8.0, 2.0, True)}
     full = ExperimentReport(
         trial_id=2, n=6, k=3, seed=9,
-        ratios={"lowner_ratio": 0.5, "john_ratio": 2.0,
-                "cube_section_ratio": 1.5, "cross_projection_ratio": 0.75},
-        bounds={"lowner_ratio": 0.25, "john_ratio": 4.0,
-                "cube_section_ratio": 4.0, "cross_projection_ratio": 0.25},
-        passes={"lowner_ratio": True, "john_ratio": False,
-                "cube_section_ratio": True, "cross_projection_ratio": False,
-                "chain_cube": False},
-        equality={"lowner_ratio": False, "john_ratio": True,
-                  "cube_section_ratio": False, "cross_projection_ratio": True},
-        profile_uniform=False)
+        ratios={key: check.value for key, check in checks.items() if key != "chain_cube"},
+        checks=checks, profile_uniform=False)
     ellipsoid_only = ExperimentReport(
         trial_id=0, n=5, k=2, seed=1,
         ratios={"lowner_ratio": 0.125, "john_ratio": 8.0},
-        bounds={"lowner_ratio": 0.0625, "john_ratio": 16.0},
-        passes={"lowner_ratio": True, "john_ratio": True},
-        equality={"lowner_ratio": True, "john_ratio": True},
+        checks={"lowner_ratio": Check(0.125, 0.0625, False),
+                "john_ratio": Check(8.0, 16.0, True)},
         profile_uniform=True)
     lines = render_csv([full, ellipsoid_only]).splitlines()
     assert lines[0].startswith("# tolerance ledger:")
@@ -291,8 +298,9 @@ def test_render_csv_column_order_on_hand_built_reports():
         "n,k,trial_id,seed,lowner_ratio,john_ratio,cube_section_ratio,"
         "cross_projection_ratio,bound_kn,bound_nk,pass_lowner,pass_john,"
         "pass_cube,pass_cross,equality_flags,profile_uniform",
-        "6,3,2,9,0.5,2.0,1.5,0.75,0.25,4.0,True,False,True,False,john|cross,False",
-        "5,2,0,1,0.125,8.0,,,0.0625,16.0,True,True,,,lowner|john,True",
+        "6,3,2,9,0.125,3.999999761581421,8.0,0.2500000596046448,0.25,4.0,"
+        "False,True,False,True,john|cross,False",
+        "5,2,0,1,0.125,8.0,,,0.0625,16.0,True,True,,,,True",
     ]
 
 

@@ -740,6 +740,26 @@ def test_estimate_volume_of_a_flat_vrep_body_is_degenerate():
         estimate_volume(flat, samples=100, seed=0)
 
 
+@pytest.mark.parametrize("rep,error", [("hrep", UnboundedBodyError),
+                                       ("vrep", DegenerateBodyError)])
+def test_estimate_volume_of_a_body_with_no_rows_raises_what_volume_raises(rep, error):
+    body = Polytope(k=2, **{rep: np.zeros((0, 2))})
+    with pytest.raises(error):
+        volume(body)
+    with pytest.raises(error):
+        estimate_volume(body, samples=100, seed=0)
+
+
+def test_support_of_a_vrep_body_with_no_rows_is_that_of_the_origin():
+    # the body is {0}, whose gauge is 0 at the origin and inf elsewhere
+    empty = np.zeros((0, 2))
+    body = Polytope(k=2, vrep=empty)
+    for u in ([1.0, -2.0], [0.0, 0.0]):
+        assert support_function(body, u) == 0.0
+    assert absolute_hull_gauge(empty, [0.0, 0.0]) == 0.0
+    assert absolute_hull_gauge(empty, [1.0, -2.0]) == math.inf
+
+
 def test_estimate_volume_grows_a_vrep_container_to_hold_every_vertex(monkeypatch):
     # the solver certifies its cover only to 1 + eps; here it is off by 4x
     body = cross_projection(project_standard_basis(random_subspace(8, 4, 14)))
