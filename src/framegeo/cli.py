@@ -157,7 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--trials", required=True, type=int)
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--experiments", default="ellipsoid,volume")
+    p.add_argument("--experiments", default="ellipsoid,volume",
+                   help="comma-separated subset of ellipsoid,volume; volume runs the "
+                        "ellipsoid checks too, since its chain checks need the fit")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -82,8 +82,12 @@ class LownerFit(NamedTuple):
 
 
 def unit_ball_volume(k: int) -> float:
-    """Volume of the Euclidean unit ball in R^k."""
-    return math.pi ** (k / 2) / math.gamma(k / 2 + 1)
+    """Volume of the Euclidean unit ball in R^k; from k = 342, where
+    gamma(k/2 + 1) overflows, it is taken from the logarithms."""
+    try:
+        return math.pi ** (k / 2) / math.gamma(k / 2 + 1)
+    except OverflowError:
+        return math.exp(k / 2 * math.log(math.pi) - math.lgamma(k / 2 + 1))
 
 
 def ellipsoid_volume(e: Ellipsoid) -> float:

@@ -12,13 +12,21 @@ from .ellipsoids import Ellipsoid
 from .frames import FrameSet, FrameStructureError, Subspace
 
 
+def _field(data: dict, name: str):
+    """The field ``name`` of a decoded JSON object."""
+    if name not in data:
+        raise FrameStructureError(f"missing field {name!r}")
+    return data[name]
+
+
 def _sizes(data) -> tuple[int, int]:
     """``n`` and ``k`` of a decoded JSON object; its array is checked by the type built."""
     if not isinstance(data, dict):
         raise FrameStructureError(f"expected a JSON object, got {type(data).__name__}")
     for name in ("n", "k"):
-        if isinstance(data[name], bool) or not isinstance(data[name], int):
-            raise FrameStructureError(f"{name} must be an integer, got {data[name]!r}")
+        value = _field(data, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise FrameStructureError(f"{name} must be an integer, got {value!r}")
     return data["n"], data["k"]
 
 
@@ -28,7 +36,7 @@ def frame_to_dict(frame: FrameSet) -> dict:
 
 def frame_from_dict(data: dict) -> FrameSet:
     n, k = _sizes(data)
-    return FrameSet(n=n, k=k, vectors=data["vectors"])
+    return FrameSet(n=n, k=k, vectors=_field(data, "vectors"))
 
 
 def subspace_to_dict(subspace: Subspace) -> dict:
@@ -37,7 +45,7 @@ def subspace_to_dict(subspace: Subspace) -> dict:
 
 def subspace_from_dict(data: dict) -> Subspace:
     n, k = _sizes(data)
-    return Subspace(n=n, k=k, basis=data["basis"])
+    return Subspace(n=n, k=k, basis=_field(data, "basis"))
 
 
 def ellipsoid_to_dict(e: Ellipsoid) -> dict:

@@ -13,11 +13,12 @@ vertices, and an H-rep body's is the volume of the polar of the hull of its
 boundary read off the hull's facets.  So a trial's two volumes come from
 one hull of the raw +/- v_i of a projected frame (qhull takes repeated,
 zero and interior points), and no hull of the section's vertices is built.
-An H-rep body keeps only the hull of its functionals and the points read
-off it, once built: for k <= K_EXACT and functionals that span R^k, each
-facet gives a vertex of the body (facet dualization), its support function
-is the maximum of |<s, u>| over those points, and its volume reuses the
-hull.  Otherwise the support of {|<g_i, y>| <= 1} at u is the gauge of
+A body of either representation keeps the hull of its +/- rows and the
+points polar to its facets, once built, for k <= K_EXACT and rows that span
+R^k: an H-rep body's vertices (facet dualization) or a V-rep body's
+functionals.  Its volume, its vertices and its Monte Carlo hit test read
+them, and its support at u is the maximum of |<s, u>| over its vertices.
+Otherwise the support of {|<g_i, y>| <= 1} at u is the gauge of
 conv(+/- g_i) at u (LP duality), so the package has one linear program,
 ``absolute_hull_gauge``.  It is posed on the orthonormal rows of the
 generators' SVD, so a large finite optimum is not taken for an unbounded
@@ -77,9 +78,9 @@ class Polytope:
     ``vrep`` rows are vertex representatives (the body is the convex hull of
     them and their negatives); ``hrep`` rows g cut {y : |<g, y>| <= 1}.  A
     body has exactly one representation, the other is None.  It is
-    read-only, so an H-rep body may keep the hull of its +/- functionals
-    and the vertices read off it, once built, in cached properties that
-    take no part in repr.  Bodies compare by identity.
+    read-only, so it may keep the hull of its +/- rows and the points polar
+    to its facets, once built, in cached properties that take no part in
+    repr.  Bodies compare by identity.
     """
 
     k: int
@@ -101,19 +102,21 @@ class Polytope:
         object.__setattr__(self, name, rep)
 
     @functools.cached_property
-    def _functional_hull(self):
-        """The hull of the H-rep body's +/- functionals, whose polar the body
-        is, built once; None when they do not span R^k, and above K_EXACT,
-        where no hull is built."""
-        if self.k > K_EXACT or not _spans(self.hrep):
+    def _rows_hull(self):
+        """The hull of the body's +/- rows, built once: a V-rep body is it,
+        an H-rep body its polar.  None above K_EXACT, where no hull is
+        built, and where the rows do not span R^k."""
+        rows = self.hrep if self.vrep is None else self.vrep
+        if self.k > K_EXACT or not _spans(rows):
             return None
-        return _hull(self.hrep)
+        return _hull(rows)
 
     @functools.cached_property
-    def _hull_vertices(self):
-        """The H-rep body's vertices, one per facet of ``_functional_hull``
-        (a vertex may repeat), built once; None where that hull is."""
-        hull = self._functional_hull
+    def _facet_points(self):
+        """The points polar to the facets of ``_rows_hull``, one per facet (a
+        point may repeat), built once: an H-rep body's vertices, a V-rep
+        body's functionals.  None where that hull is."""
+        hull = self._rows_hull
         if hull is None:
             return None
         points = _polar_points(hull)
@@ -391,6 +394,13 @@ def _spans(G: np.ndarray) -> bool:
     return m >= k and np.linalg.matrix_rank(G) == k
 
 
+def _span_error(p: Polytope) -> ValueError:
+    """The error of a body whose rows do not span R^k, by representation."""
+    if p.hrep is None:
+        return DegenerateBodyError("body is not full-dimensional")
+    return UnboundedBodyError("functionals do not span R^k; the body is unbounded")
+
+
 def enumerate_vertices(p: Polytope) -> Polytope:
     """All vertices of {y : |<g_i, y>| <= 1}, read off the facets of conv(+/- g_i).
 
@@ -401,9 +411,9 @@ def enumerate_vertices(p: Polytope) -> Polytope:
     if p.hrep is None:
         raise ValueError("enumerate_vertices needs an H-representation")
     _require_exact(p.k)
-    cands = p._hull_vertices
+    cands = p._facet_points
     if cands is None:
-        raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
+        raise _span_error(p)
     return Polytope(k=p.k, vrep=_collapse_rows(cands, TAU_GEO * np.abs(cands).max()))
 
 
@@ -411,14 +421,10 @@ def volume(p: Polytope) -> float:
     """Exact volume: a V-rep body's is that of the hull of its +/- vertices,
     an H-rep body's that of the polar of the hull of its +/- functionals."""
     _require_exact(p.k)
-    if p.vrep is not None:
-        if not _spans(p.vrep):
-            raise DegenerateBodyError("body is not full-dimensional")
-        return float(_hull(p.vrep).volume)
-    hull = p._functional_hull
+    hull = p._rows_hull
     if hull is None:
-        raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
-    return _polar_volume(hull)
+        raise _span_error(p)
+    return float(hull.volume) if p.hrep is None else _polar_volume(hull)
 
 
 def _frame_volumes(frame: FrameSet) -> tuple[float, float]:
@@ -434,22 +440,19 @@ def _frame_volumes(frame: FrameSet) -> tuple[float, float]:
 def support_function(p: Polytope, direction) -> float:
     """h(u) = max over the body of <u, y>.
 
-    V-rep: the maximum of |<w_i, u>| over vertex representatives, 0 for a
-    body with none, which is {0}.  H-rep, for k <= K_EXACT and functionals
-    that span R^k: the same maximum over the body's vertices, one per facet
-    of the hull it keeps (a vertex may repeat, which changes no maximum).
-    Any other H-rep body: by LP duality, the gauge of conv(+/- g_i) at u
+    The maximum of |<s, u>| over a V-rep body's vertex representatives (0
+    for none: the body is {0}) or over the vertices an H-rep body keeps, for
+    k <= K_EXACT and functionals that span R^k (a vertex may repeat).  Any
+    other H-rep body: by LP duality, the gauge of conv(+/- g_i) at u
     (``absolute_hull_gauge``); where that is inf the support is too, and
     UnboundedBodyError is raised.
     """
     u = np.asarray(direction, dtype=float)
     if u.shape != (p.k,) or not np.isfinite(u).all():
         raise ValueError(f"direction must be a finite vector of shape ({p.k},)")
-    if p.vrep is not None:
-        return float(np.max(np.abs(p.vrep @ u), initial=0.0))
-    vertices = p._hull_vertices
-    if vertices is not None:
-        return float(np.max(np.abs(vertices @ u)))
+    points = p._facet_points if p.vrep is None else p.vrep
+    if points is not None:
+        return float(np.max(np.abs(points @ u), initial=0.0))
     h = absolute_hull_gauge(p.hrep, u)
     if h == math.inf:
         raise UnboundedBodyError("support is unbounded in this direction")
@@ -483,37 +486,33 @@ def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
     m functionals has about _BLOCK_IMAGE entries; a sample is a column, so
     the max over the m functionals runs along contiguous rows.  A block has
     at least 256 rows, so peak memory is O(_CHUNK * k + 256 * m), not
-    O(_CHUNK * m).  Above K_EXACT a V-rep body has no
-    functionals: each sample takes one gauge program, and all of them share
-    the plan ``absolute_hull_gauge`` uses for these generators, so the SVD,
-    the rank and the first basis are computed once.
+    O(_CHUNK * m).  A V-rep body's functionals are the points polar to the
+    facets of the hull it keeps.  Above K_EXACT it keeps none: each sample
+    takes one gauge program, and all of them share the plan
+    ``absolute_hull_gauge`` uses for these generators, so the SVD, the rank
+    and the first basis are computed once.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     k = p.k
-    if p.hrep is not None:
-        functionals = p.hrep
-        try:
-            u = lowner_symmetric(functionals, eps=DEFAULT_EPS).weights
-        except SpanError:
-            raise UnboundedBodyError(
-                "functionals do not span R^k; the body is unbounded") from None
-        container = Ellipsoid(k=k, matrix=(functionals.T * (u / u.sum())) @ functionals)
+    rows = p.hrep if p.vrep is None else p.vrep
+    try:
+        fit = lowner_symmetric(rows, eps=DEFAULT_EPS)
+    except SpanError:
+        raise _span_error(p) from None
+    if p.vrep is None:
+        u = fit.weights
+        container = Ellipsoid(k=k, matrix=(rows.T * (u / u.sum())) @ rows)
     else:
-        try:
-            A = lowner_symmetric(p.vrep, eps=DEFAULT_EPS).ellipsoid.matrix
-        except SpanError:
-            raise DegenerateBodyError("body is not full-dimensional") from None
-        reach = np.einsum("ij,jk,ik->i", p.vrep, A, p.vrep).max()
+        A = fit.ellipsoid.matrix
+        reach = np.einsum("ij,jk,ik->i", rows, A, rows).max()
         container = Ellipsoid(k=k, matrix=A / reach)
-        if k <= K_EXACT:
-            # the facets of the vertices' hull are the polar's vertices
-            functionals = _polar_points(_hull(p.vrep))
-        else:
-            functionals, plan = None, _gauge_plan(p.vrep.shape, p.vrep.tobytes())
+    functionals = p.hrep if p.vrep is None else p._facet_points
+    if functionals is None:
+        plan = _gauge_plan(rows.shape, rows.tobytes())
     vol_container = ellipsoid_volume(container)
     L_inv = np.linalg.inv(np.linalg.cholesky(container.matrix))
-    rows = max(256, _BLOCK_IMAGE // len(p.vrep if functionals is None else functionals))
+    block = max(256, _BLOCK_IMAGE // len(rows if functionals is None else functionals))
 
     rng = np.random.default_rng(seed)
     hits = 0
@@ -522,10 +521,10 @@ def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
         count = min(_CHUNK, samples - done)
         z = rng.standard_normal((count, k))
         radii = rng.random(count) ** (1.0 / k)
-        for start in range(0, count, rows):
-            zt = z[start:start + rows].T.copy()
+        for start in range(0, count, block):
+            zt = z[start:start + block].T.copy()
             zt /= np.sqrt(np.add.reduce(zt * zt, axis=0))
-            zt *= radii[start:start + rows]
+            zt *= radii[start:start + block]
             batch = L_inv.T @ zt  # one sample per column
             if functionals is not None:
                 image = functionals @ batch

@@ -159,6 +159,14 @@ def test_verify_names_the_violated_proved_inequality(capsys, monkeypatch, entry,
         f"bound violated: trial {t} seed {seeds[t]}: {entry}" for t in range(2)]
 
 
+def test_verify_past_the_gamma_overflow(capsys):
+    # vol(B^345) ~ 8e-225 is a float although gamma(345/2 + 1) is not
+    argv = ["verify", "--n", "360", "--k", "345", "--trials", "1", "--seed", "1",
+            "--experiments", "ellipsoid"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("360,345,0,")
+
+
 def test_verify_rejects_unknown_experiment(capsys):
     argv = ["verify", "--n", "4", "--k", "2", "--trials", "1", "--seed", "0",
             "--experiments", "nope"]
@@ -235,15 +243,23 @@ def test_missing_input_file_is_a_usage_error(capsys):
     lambda doc, field: {**doc, "k": str(doc["k"])},
     lambda doc, field: {**doc, "k": True},
     lambda doc, field: {**doc, field: {"rows": doc[field]}},
-], ids=["list", "string", "list-n", "string-k", "bool-k", "object-array"])
+    lambda doc, field: {key: value for key, value in doc.items() if key != "n"},
+    lambda doc, field: {key: value for key, value in doc.items() if key != "k"},
+    lambda doc, field: {key: value for key, value in doc.items() if key != field},
+], ids=["list", "string", "list-n", "string-k", "bool-k", "object-array",
+        "missing-n", "missing-k", "missing-array"])
 def test_malformed_json_input_is_a_usage_error(tmp_path, capsys, command, field, malform):
     # valid JSON of the wrong shape is bad input (exit 2), not a solver failure
     good = (write_frame if field == "vectors" else write_subspace)(tmp_path, 4, 2)
     path = tmp_path / "malformed.json"
-    jsonio.dump(malform(jsonio.load(good), field), path)
+    doc = malform(jsonio.load(good), field)
+    jsonio.dump(doc, path)
     assert main([*command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    missing = [name for name in ("n", "k", field) if isinstance(doc, dict) and name not in doc]
+    if missing:
+        assert err == f"error: missing field {missing[0]!r}\n"
 
 
 def test_bad_arguments_exit_2(capsys):

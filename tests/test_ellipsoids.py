@@ -28,6 +28,22 @@ def test_unit_ball_volumes():
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
 
 
+def test_unit_ball_volume_past_the_gamma_overflow():
+    # gamma(k/2 + 1) overflows from k = 342; below that the expression is kept
+    assert unit_ball_volume(341) == math.pi ** 170.5 / math.gamma(171.5)
+    for k in (341, 342, 400, 435):
+        log_volume = k / 2 * math.log(math.pi) - math.lgamma(k / 2 + 1)
+        assert unit_ball_volume(k) == pytest.approx(math.exp(log_volume), rel=1e-12)
+    for k in (342, 343):  # vol(B^k) = 2 pi / k vol(B^(k-2)) across the switch
+        assert unit_ball_volume(k) == pytest.approx(
+            2.0 * math.pi / k * unit_ball_volume(k - 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("n,k", [(360, 345), (420, 400)])
+def test_ellipsoid_reports_past_the_gamma_overflow(n, k):
+    assert verify_ellipsoid_bounds(random_subspace(n, k, trial_seed(1, 0))).proved_ok
+
+
 def test_ellipsoid_volume_diagonal():
     e = Ellipsoid(k=2, matrix=2.0 * np.eye(2))
     assert ellipsoid_volume(e) == pytest.approx(math.pi / 2.0, rel=1e-12)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import math
 from pathlib import Path
 
@@ -405,3 +406,40 @@ def test_conjecture_scan_validation():
         conjecture_scan(3, 2, trials=0, seed=0)
     with pytest.raises(UnsupportedDimensionError):
         conjecture_scan(8, 6, trials=1, seed=0)
+
+
+def _cross_polytope_support(vectors, k):
+    """The k-subset S of the frame whose +/- vectors hull all the others, by
+    brute force: every v_i = c V_S with |c|_1 <= 1; None if there is none."""
+    for subset in itertools.combinations(range(len(vectors)), k):
+        vs = vectors[list(subset)]
+        if abs(np.linalg.det(vs)) > 1e-12:
+            coefficients = np.linalg.solve(vs.T, vectors.T)
+            if np.abs(coefficients).sum(axis=0).max() <= 1.0 + 1e-12:
+                return list(subset)
+    return None
+
+
+@pytest.mark.parametrize("n,k,draws", [(3, 2, 120), (6, 3, 1000)])
+def test_trials_with_2k_vertices_match_their_closed_forms(n, k, draws):
+    # where the cross projection is the cross-polytope conv(+/- v_S), the
+    # section is its polar parallelotope, the Lowner ellipsoid is V_S^T B^k
+    # with weight 1/k on each v in S, and John's is its polar
+    found = 0
+    for t in range(draws):
+        subspace = random_subspace(n, k, trial_seed(5, t))
+        vectors = project_standard_basis(subspace).vectors
+        support = _cross_polytope_support(vectors, k)
+        if support is None:
+            continue
+        found += 1
+        det = abs(np.linalg.det(vectors[support]))
+        ratios = verify_volume_bounds(subspace).ratios
+        for key, want in (("cube_section_ratio", 1.0 / det), ("john_ratio", 1.0 / det),
+                          ("cross_projection_ratio", det), ("lowner_ratio", det)):
+            assert ratios[key] == pytest.approx(want, rel=1e-14, abs=0.0), (t, key)
+        weights = np.zeros(n)
+        weights[support] = 1.0 / k
+        assert np.array_equal(lowner_symmetric(vectors, eps=DEFAULT_EPS).weights, weights)
+    assert found >= 50
+

@@ -628,6 +628,43 @@ def test_prescribed_norm_query_runs_one_rank_test_and_two_hulls(rank_calls, monk
     assert (len(rank_calls), len(hulls), len(collapses)) == (1, 2, 2)
 
 
+def test_cross_projection_builds_its_one_hull_and_keeps_it(monkeypatch):
+    # the hull cross_projection builds to find the vertices is its only one
+    # until the body's own: the volumes read it, the estimate's hit test reads
+    # the functionals polar to its facets, and the support reads the vertices
+    cross = cross_projection(project_standard_basis(random_subspace(8, 4, 5)))
+    hulls = _count_calls(monkeypatch, "ConvexHull")
+    assert volume(cross) == volume(cross)
+    estimate_volume(cross, samples=2000, seed=3)
+    for u in np.random.default_rng(3).standard_normal((16, 4)):
+        support_function(cross, u)
+    assert len(hulls) == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(k=st.integers(1, K_EXACT), m=st.integers(0, 35), seed=st.integers(0, 2 ** 32 - 1))
+def test_bodies_over_a_cross_polytope_match_their_closed_forms(k, m, seed):
+    # conv(+/- rows) is the cross-polytope conv(+/- rows of V_S): the other m
+    # rows are c V_S with |c|_1 < 1, inside it.  Its polar {y : |rows y| <= 1}
+    # is the parallelotope V_S^-1 [-1, 1]^k, whose support at u is |V_S^-T u|_1
+    rng = np.random.default_rng(seed)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(2))
+    vs = (q1 * rng.uniform(0.5, 2.0, k)) @ q2
+    c = rng.standard_normal((m, k))
+    c *= 0.99 * rng.random((m, 1)) / np.abs(c).sum(axis=1, keepdims=True)
+    rows = rng.permutation(np.vstack([vs, c @ vs]))
+    det = abs(np.linalg.det(vs))
+    hull, section = Polytope(k, vrep=rows), Polytope(k, hrep=rows)
+    assert volume(hull) == pytest.approx(2.0 ** k * det / math.factorial(k), rel=1e-12)
+    assert volume(section) == pytest.approx(2.0 ** k / det, rel=1e-12)
+    signs = np.array([(1.0,) + tail for tail in itertools.product([1.0, -1.0], repeat=k - 1)])
+    assert_same_up_to_sign(enumerate_vertices(section).vrep, np.linalg.solve(vs, signs.T).T)
+    for u in rng.standard_normal((3, k)):
+        assert support_function(hull, u) == pytest.approx(np.abs(vs @ u).max(), rel=1e-12)
+        assert support_function(section, u) == pytest.approx(
+            np.abs(np.linalg.solve(vs.T, u)).sum(), rel=1e-12)
+
+
 def test_slab_keeps_its_verdict_that_the_functionals_do_not_span(rank_calls):
     slab = Polytope(k=2, hrep=np.array([[1.0, 0.0], [2.0, 0.0]]))
     for _ in range(5):
