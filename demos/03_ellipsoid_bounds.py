@@ -11,9 +11,9 @@ subspaces achieve whenever k divides n.
 
 import numpy as np
 
-from framegeo import (ellipsoid_volume, john_of_cube_section,
+from framegeo import (ellipsoid_volume_ratio, john_of_cube_section,
                       lowner_symmetric, project_standard_basis,
-                      random_subspace, equality_subspace, unit_ball_volume,
+                      random_subspace, equality_subspace,
                       verify_ellipsoid_bounds)
 
 print(f"{'n':>3} {'k':>3} {'lowner ratio':>14} {'bound (k/n)^(k/2)':>18} "
@@ -23,7 +23,7 @@ for n, k, seed in [(4, 2, 0), (6, 2, 1), (7, 3, 2), (8, 4, 3)]:
     subspace = random_subspace(n, k, seed)
     report = verify_ellipsoid_bounds(subspace)
     john = john_of_cube_section(subspace)
-    john_ratio = ellipsoid_volume(john) / unit_ball_volume(k)
+    john_ratio = ellipsoid_volume_ratio(john)
     print(f"{n:>3} {k:>3} {report.ratios['lowner_ratio']:>14.6f} "
           f"{report.checks['lowner_ratio'].bound:>18.6f} "
           f"{john_ratio:>12.6f} {(n / k) ** (k / 2):>10.6f} "
@@ -33,7 +33,7 @@ print("\nblock-averaging subspaces attain the bounds:")
 for n, k in [(4, 2), (6, 3), (8, 4)]:
     frame = project_standard_basis(equality_subspace(n, k))
     fit = lowner_symmetric(frame.vectors)
-    ratio = ellipsoid_volume(fit.ellipsoid) / unit_ball_volume(k)
+    ratio = ellipsoid_volume_ratio(fit.ellipsoid)
     print(f"  n={n} k={k}: ratio {ratio:.12f} vs bound {(k / n) ** (k / 2):.12f}")
 
 # the contact points of the cover carry the positive weights

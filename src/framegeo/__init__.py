@@ -29,6 +29,7 @@ from .ellipsoids import (
     LownerFit,
     SpanError,
     ellipsoid_volume,
+    ellipsoid_volume_ratio,
     john_of_cube_section,
     lowner_symmetric,
     polar_ellipsoid,
@@ -73,8 +74,8 @@ __all__ = [
     "NormProfile", "NotRealizableError", "construct_realization", "is_realizable",
     "majorizes", "random_realizable_profile",
     "ConvergenceError", "Ellipsoid", "LownerFit", "SpanError",
-    "ellipsoid_volume", "john_of_cube_section", "lowner_symmetric",
-    "polar_ellipsoid", "unit_ball_volume",
+    "ellipsoid_volume", "ellipsoid_volume_ratio", "john_of_cube_section",
+    "lowner_symmetric", "polar_ellipsoid", "unit_ball_volume",
     "DegenerateBodyError", "Polytope", "UnboundedBodyError",
     "UnsupportedDimensionError", "VolumeEstimate", "absolute_hull_gauge",
     "cross_projection", "enumerate_vertices", "equality_subspace",

@@ -26,8 +26,8 @@ import numpy as np
 from scipy.spatial import QhullError
 
 from . import jsonio
-from .ellipsoids import (ConvergenceError, DEFAULT_EPS, ellipsoid_volume,
-                         john_of_cube_section, lowner_symmetric, unit_ball_volume)
+from .ellipsoids import (ConvergenceError, DEFAULT_EPS, ellipsoid_volume_ratio,
+                         john_of_cube_section, lowner_symmetric)
 from .experiments import (SuiteSpec, conjecture_scan, run_suite,
                           suite_exit_status)
 from .frames import project_standard_basis
@@ -64,7 +64,7 @@ def _cmd_ellipsoid_lowner(args) -> int:
     fit = lowner_symmetric(frame.vectors, eps=args.eps)
     if args.out:
         jsonio.dump(jsonio.ellipsoid_to_dict(fit.ellipsoid), args.out)
-    print(repr(ellipsoid_volume(fit.ellipsoid) / unit_ball_volume(frame.k)))
+    print(repr(ellipsoid_volume_ratio(fit.ellipsoid)))
     return EXIT_OK
 
 
@@ -73,7 +73,7 @@ def _cmd_ellipsoid_john(args) -> int:
     ell = john_of_cube_section(subspace, eps=args.eps)
     if args.out:
         jsonio.dump(jsonio.ellipsoid_to_dict(ell), args.out)
-    print(repr(ellipsoid_volume(ell) / unit_ball_volume(subspace.k)))
+    print(repr(ellipsoid_volume_ratio(ell)))
     return EXIT_OK
 
 
@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, ArithmeticError, QhullError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # never let a crash read as exit 1, a violated bound

@@ -13,6 +13,10 @@ Cholesky solve.  It is kept if it raises log det by more than the Armijo
 amount, and otherwise the step is a Frank-Wolfe or away step (Todd and
 Yildirim).  The exit certificate: every point inside (1 + eps) times the
 cover, every support point outside (1 - eps) times it.
+
+``ellipsoid_volume_ratio`` gives vol(E)/vol(B^k) = exp(-1/2 log det A)
+without forming either volume, so the Lowner and John ratios hold at any k
+the fit reaches, although vol(B^k) is subnormal from k = 436.
 """
 
 from __future__ import annotations
@@ -90,12 +94,18 @@ def unit_ball_volume(k: int) -> float:
         return math.exp(k / 2 * math.log(math.pi) - math.lgamma(k / 2 + 1))
 
 
-def ellipsoid_volume(e: Ellipsoid) -> float:
-    """vol(e) = vol(B^k) / sqrt(det A)."""
+def ellipsoid_volume_ratio(e: Ellipsoid) -> float:
+    """vol(e) / vol(B^k) = exp(-1/2 log det A), formed without either volume,
+    so it holds at any k although vol(B^k) is subnormal from k = 436."""
     sign, logdet = np.linalg.slogdet(e.matrix)
     if sign <= 0:
         raise ValueError("ellipsoid matrix must be positive-definite")
-    return unit_ball_volume(e.k) * math.exp(-0.5 * logdet)
+    return math.exp(-0.5 * logdet)
+
+
+def ellipsoid_volume(e: Ellipsoid) -> float:
+    """vol(e) = vol(B^k) / sqrt(det A)."""
+    return unit_ball_volume(e.k) * ellipsoid_volume_ratio(e)
 
 
 def polar_ellipsoid(e: Ellipsoid) -> Ellipsoid:

@@ -20,6 +20,8 @@ an upper bound holds when the value is at most b + tol |b|, a lower one when
 it is at least b - tol |b|, and it is at equality when both hold.  An
 absolute margin would pass any ratio at (200, 20), where (k/n)^{k/2} = 1e-10,
 and fail the John ratio at equality at (200, 100), where (n/k)^{k/2} = 2^50.
+The Lowner and John ratios are ``ellipsoid_volume_ratio``s, formed without
+vol(B^k), so they hold at any k the fit reaches.
 The conjecture scan additionally tracks the two-power bounds 2^{±(n-k)/2},
 with the same relative rule; the upper one for cube sections is proved (a
 violation indicates a solver or volume bug), the lower one for cross
@@ -34,10 +36,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .ellipsoids import (DEFAULT_EPS, ellipsoid_volume, lowner_symmetric,
+from .ellipsoids import (DEFAULT_EPS, ellipsoid_volume_ratio, lowner_symmetric,
                          unit_ball_volume)
 from .frames import Subspace, project_standard_basis
 from . import frames as _frames
+from . import jsonio
 from . import majorization as _majorization
 from . import polytopes as _polytopes
 
@@ -162,8 +165,7 @@ def _verify(subspace: Subspace, volumes: bool, trial_id: int,
     if volumes:  # before the fit, so an unsupported k fails first
         cube, cross, product = _polytope_ratios(frame)
     fit = lowner_symmetric(frame.vectors, eps=DEFAULT_EPS)
-    ball = unit_ball_volume(k)
-    lowner = ellipsoid_volume(fit.ellipsoid) / ball
+    lowner = ellipsoid_volume_ratio(fit.ellipsoid)
     lower, upper = (k / n) ** (k / 2), (n / k) ** (k / 2)
     # the John ellipsoid is the cover's polar, and vol(E) vol(E polar) = vol(B^k)^2
     checks = {"lowner_ratio": Check(lowner, lower, False),
@@ -174,7 +176,7 @@ def _verify(subspace: Subspace, volumes: bool, trial_id: int,
                       chain_cube=Check(cube, 1.0 / lowner, True),
                       chain_cross=Check(cross, lowner, False),
                       vaaler=Check(cube, 1.0, False),
-                      blaschke_santalo=Check(product, ball ** 2, True))
+                      blaschke_santalo=Check(product, unit_ball_volume(k) ** 2, True))
         if k <= 3:  # proved for k = 2 (Mahler) and k = 3 (Iriyeh-Shibata)
             checks["mahler"] = Check(product, 4.0 ** k / math.factorial(k), False)
     ratios = {column: checks[column].value for column, _ in _RATIOS if column in checks}
@@ -222,48 +224,39 @@ def conjecture_scan(n: int, k: int, trials: int, seed: int) -> ConjectureScanSum
     """Scan random subspaces for the two-power volume bounds.
 
     The cube-section ratio must stay below 2^{(n-k)/2} (proved; violations
-    are collected as evidence of a solver or volume bug).  The running
-    minimum of the cross-projection ratio is compared against 2^{(k-n)/2}
-    without being asserted; the first trial below that bound, if any, is
-    serialized as a counterexample candidate.  The trial id and seed of each
-    extreme are kept, so ``random_subspace(n, k, seed)`` re-runs it alone.
+    are collected as evidence of a solver or volume bug).  The cross-projection
+    ratio is compared against 2^{(k-n)/2} without being asserted; the first
+    trial below that bound, if any, is serialized as a counterexample
+    candidate, its subspace re-drawn from its seed.  The summary is read off
+    the trials' two ratio arrays; the trial id and seed of the first trial at
+    each extreme are kept, so ``random_subspace(n, k, seed)`` re-runs it alone.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     bound_2pow = 2.0 ** ((k - n) / 2)
     bound_ball2 = 2.0 ** ((n - k) / 2)
-    min_cross = math.inf
-    max_cube = -math.inf
-    min_cross_at = max_cube_at = (None, None)
-    violations = []
-    counterexample = None
-    for t in range(trials):
-        s = trial_seed(seed, t)
-        sub = random_subspace(n, k, s)
-        cube_ratio, cross_ratio, _ = _polytope_ratios(project_standard_basis(sub))
-        if cube_ratio > max_cube:
-            max_cube, max_cube_at = cube_ratio, (t, s)
-        if cross_ratio < min_cross:
-            min_cross, min_cross_at = cross_ratio, (t, s)
-        if not Check(cube_ratio, bound_ball2, True).holds(_SCAN_SLACK):
-            violations.append(t)
-        if (not Check(cross_ratio, bound_2pow, False).holds(_SCAN_SLACK)
-                and counterexample is None):
-            counterexample = {
-                "trial_id": t,
-                "seed": s,
-                "cross_projection_ratio": cross_ratio,
-                "subspace": {"n": n, "k": k, "basis": sub.basis.tolist()},
-            }
-    return ConjectureScanSummary(n=n, k=k, trials=trials, seed=seed,
-                                 min_cross_ratio=min_cross, bound_2pow=bound_2pow,
-                                 max_cube_ratio=max_cube, bound_ball2=bound_ball2,
-                                 ball2_violations=tuple(violations),
-                                 counterexample=counterexample,
-                                 min_cross_trial=min_cross_at[0],
-                                 min_cross_seed=min_cross_at[1],
-                                 max_cube_trial=max_cube_at[0],
-                                 max_cube_seed=max_cube_at[1])
+    seeds = [trial_seed(seed, t) for t in range(trials)]
+    cube, cross = np.array([
+        _polytope_ratios(project_standard_basis(random_subspace(n, k, s)))[:2]
+        for s in seeds]).T
+    below = next((t for t, ratio in enumerate(cross)
+                  if not Check(ratio, bound_2pow, False).holds(_SCAN_SLACK)), None)
+    counterexample = None if below is None else {
+        "trial_id": below,
+        "seed": seeds[below],
+        "cross_projection_ratio": float(cross[below]),
+        "subspace": jsonio.subspace_to_dict(random_subspace(n, k, seeds[below])),
+    }
+    top, bottom = int(np.argmax(cube)), int(np.argmin(cross))  # first trial at each
+    return ConjectureScanSummary(
+        n=n, k=k, trials=trials, seed=seed,
+        min_cross_ratio=float(cross[bottom]), bound_2pow=bound_2pow,
+        max_cube_ratio=float(cube[top]), bound_ball2=bound_ball2,
+        ball2_violations=tuple(t for t, ratio in enumerate(cube)
+                               if not Check(ratio, bound_ball2, True).holds(_SCAN_SLACK)),
+        counterexample=counterexample,
+        min_cross_trial=bottom, min_cross_seed=seeds[bottom],
+        max_cube_trial=top, max_cube_seed=seeds[top])
 
 
 @dataclass(frozen=True)

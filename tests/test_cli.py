@@ -167,6 +167,21 @@ def test_verify_past_the_gamma_overflow(capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("360,345,0,")
 
 
+def test_ellipsoid_commands_past_the_unit_ball_underflow(tmp_path, capsys):
+    # vol(B^460) ~ 1e-314 is subnormal, so a ratio taken against it would
+    # lose its digits or divide by zero
+    subspace = random_subspace(520, 460, 1)
+    sub_path, frame_path = tmp_path / "subspace.json", tmp_path / "frame.json"
+    jsonio.dump(jsonio.subspace_to_dict(subspace), sub_path)
+    jsonio.dump(jsonio.frame_to_dict(project_standard_basis(subspace)), frame_path)
+    assert main(["ellipsoid", "lowner", "--frame", str(frame_path)]) == 0
+    lowner = float(capsys.readouterr().out)
+    assert main(["ellipsoid", "john", "--subspace", str(sub_path)]) == 0
+    john = float(capsys.readouterr().out)
+    assert 0.0 < lowner < 1.0 < john
+    assert lowner * john == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
 def test_verify_rejects_unknown_experiment(capsys):
     argv = ["verify", "--n", "4", "--k", "2", "--trials", "1", "--seed", "0",
             "--experiments", "nope"]
@@ -287,6 +302,8 @@ def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("error,traceback_shown", [
     (QhullError("QH6271 qhull precision error"), False),
     (TypeError("unexpected"), True),
+    # jsonio names a missing field, so only a bug raises KeyError
+    (KeyError("unexpected"), True),
 ])
 def test_unexpected_failure_is_a_solver_failure_not_a_violation(
         tmp_path, capsys, monkeypatch, error, traceback_shown):
@@ -300,6 +317,8 @@ def test_unexpected_failure_is_a_solver_failure_not_a_violation(
     err = capsys.readouterr().err
     assert "solver failure" in err and str(error) in err
     assert ("Traceback" in err) == traceback_shown
+    if traceback_shown:
+        assert f"unexpected {type(error).__name__}" in err
 
 
 def test_installed_entry_point_runs(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 import framegeo.ellipsoids
 from framegeo.ellipsoids import (DEFAULT_EPS, ConvergenceError, Ellipsoid,
                                  SpanError, ellipsoid_volume,
-                                 john_of_cube_section, lowner_symmetric,
-                                 polar_ellipsoid, unit_ball_volume)
+                                 ellipsoid_volume_ratio, john_of_cube_section,
+                                 lowner_symmetric, polar_ellipsoid, unit_ball_volume)
 from framegeo.frames import Subspace, project_standard_basis
 from framegeo.polytopes import equality_subspace
 from framegeo.experiments import random_subspace, trial_seed, verify_ellipsoid_bounds
@@ -39,9 +39,22 @@ def test_unit_ball_volume_past_the_gamma_overflow():
             2.0 * math.pi / k * unit_ball_volume(k - 2), rel=1e-12)
 
 
-@pytest.mark.parametrize("n,k", [(360, 345), (420, 400)])
+@pytest.mark.parametrize("n,k", [(360, 345), (420, 400), (500, 440)])
 def test_ellipsoid_reports_past_the_gamma_overflow(n, k):
+    # at (500, 440) vol(B^k) is subnormal, so the ratios are not formed from it
     assert verify_ellipsoid_bounds(random_subspace(n, k, trial_seed(1, 0))).proved_ok
+
+
+def test_ellipsoid_volume_ratio_past_the_unit_ball_underflow():
+    rng = np.random.default_rng(4)
+    B = rng.standard_normal((3, 3))
+    e = Ellipsoid(k=3, matrix=B @ B.T + np.eye(3))
+    assert ellipsoid_volume(e) == unit_ball_volume(3) * ellipsoid_volume_ratio(e)
+    # vol(B^600) is 0 in floats; the ratio 4^(-300) = 2^(-600) is not
+    e = Ellipsoid(k=600, matrix=4.0 * np.eye(600))
+    assert unit_ball_volume(600) == 0.0
+    assert ellipsoid_volume_ratio(e) == pytest.approx(2.0 ** -600, rel=1e-12)
+    assert ellipsoid_volume_ratio(polar_ellipsoid(e)) == pytest.approx(2.0 ** 600, rel=1e-12)
 
 
 def test_ellipsoid_volume_diagonal():

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -12,6 +13,8 @@ import framegeo.experiments
 import framegeo.frames
 import framegeo.majorization
 import framegeo.polytopes
+from framegeo import jsonio
+from framegeo.cli import main
 from framegeo.ellipsoids import DEFAULT_EPS, Ellipsoid, lowner_symmetric
 from framegeo.experiments import (BOUND_TOL, CSV_COLUMNS, Check,
                                   ConjectureScanSummary, ExperimentReport,
@@ -326,6 +329,42 @@ def test_conjecture_scan_extremes_rerun_alone():
              "cube_section_ratio", summary.max_cube_ratio)]:
         assert seed == trial_seed(4, trial)
         assert verify_volume_bounds(random_subspace(8, 3, seed)).ratios[key] == value
+
+
+def test_conjecture_scan_reports_planted_violations_and_counterexample(monkeypatch, capsys):
+    # no Haar draw crosses either two-power bound, so the scan's violation
+    # and counterexample paths are reached by planting ratios on chosen trials
+    n, k, trials, seed = 6, 3, 8, 5
+    ball2, two_pow = 2.0 ** ((n - k) / 2), 2.0 ** ((k - n) / 2)
+    cube_plant = {1: ball2 * (1 + 1e-6), 4: ball2 * (1 + 1e-6)}
+    cross_plant = {3: two_pow * (1 - 1e-6), 6: two_pow * 0.5}
+    real, calls = framegeo.experiments._polytope_ratios, itertools.count()
+
+    def planted(frame):
+        t = next(calls) % trials
+        cube, cross, product = real(frame)
+        return cube_plant.get(t, cube), cross_plant.get(t, cross), product
+
+    monkeypatch.setattr(framegeo.experiments, "_polytope_ratios", planted)
+    summary = conjecture_scan(n, k, trials, seed)
+    assert summary.ball2_violations == (1, 4)
+    assert (summary.max_cube_trial, summary.max_cube_seed) == (1, trial_seed(seed, 1))
+    assert summary.max_cube_ratio == cube_plant[1]
+    assert (summary.min_cross_trial, summary.min_cross_seed) == (6, trial_seed(seed, 6))
+    assert summary.min_cross_ratio == cross_plant[6]
+    counterexample = summary.counterexample
+    assert counterexample == {
+        "trial_id": 3, "seed": trial_seed(seed, 3),
+        "cross_projection_ratio": cross_plant[3],
+        "subspace": jsonio.subspace_to_dict(random_subspace(n, k, trial_seed(seed, 3)))}
+
+    argv = ["conjecture-scan", "--n", str(n), "--k", str(k),
+            "--trials", str(trials), "--seed", str(seed)]
+    assert main(argv) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["ball2_violations"] == [1, 4]
+    assert data["counterexample"] == json.loads(json.dumps(counterexample))
+    assert (data["max_cube_trial"], data["min_cross_trial"]) == (1, 6)
 
 
 def test_conjecture_scan_bound_attained_by_diagonal_line():

@@ -353,12 +353,49 @@ def test_collapse_rows_semantics():
         assert _collapse_rows(empty, tol).shape == (0, 3)
 
 
+def polygon_area(pts):
+    """Shoelace area of the polygon with vertices pts, in order."""
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+
+
 def shoelace_area(verts):
     """Area of the centrally symmetric polygon with vertices +/- verts."""
     pts = np.vstack([verts, -verts])
-    pts = pts[np.argsort(np.arctan2(pts[:, 1], pts[:, 0]))]
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+    return polygon_area(pts[np.argsort(np.arctan2(pts[:, 1], pts[:, 0]))])
+
+
+def monotone_chain_hull(points):
+    """Vertices of the convex hull of 2-D points in counter-clockwise order,
+    by Andrew's monotone chain."""
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def half(sorted_points):
+        chain = []
+        for p in sorted_points:
+            while len(chain) >= 2 and turn(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    pts = sorted(map(tuple, points))
+    return np.array(half(pts) + half(pts[::-1]))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_planar_trial_volumes_match_a_polygon_oracle(n):
+    # at k = 2 both bodies are polygons, so their areas follow from the
+    # brute-force section vertices and a monotone-chain hull of the +/- v_i
+    # with no qhull; every (3, 2) trial of criterion 7 is covered this way
+    for t in range(4):
+        frame = project_standard_basis(random_subspace(n, 2, trial_seed(n, t)))
+        v = frame.vectors
+        section = shoelace_area(oracle_section_vertices(v))
+        cross = polygon_area(monotone_chain_hull(np.vstack([v, -v])))
+        got = (*_frame_volumes(frame), volume(polytope_from_frame(frame)),
+               volume(cross_projection(frame)))
+        assert got == pytest.approx((section, cross, section, cross), rel=1e-12, abs=0.0)
 
 
 def test_vertex_enumeration_guards():
