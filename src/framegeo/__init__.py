@@ -58,7 +58,6 @@ from .experiments import (
     conjecture_scan,
     random_subspace,
     run_suite,
-    suite_exit_status,
     trial_seed,
     verify_ellipsoid_bounds,
     verify_volume_bounds,
@@ -81,6 +80,6 @@ __all__ = [
     "cross_projection", "enumerate_vertices", "equality_subspace",
     "estimate_volume", "polar", "polytope_from_frame", "support_function", "volume",
     "ConjectureScanSummary", "ExperimentReport", "SuiteSpec", "conjecture_scan",
-    "random_subspace", "run_suite", "suite_exit_status", "trial_seed",
+    "random_subspace", "run_suite", "trial_seed",
     "verify_ellipsoid_bounds", "verify_volume_bounds",
 ]

@@ -28,8 +28,7 @@ from scipy.spatial import QhullError
 from . import jsonio
 from .ellipsoids import (ConvergenceError, DEFAULT_EPS, ellipsoid_volume_ratio,
                          john_of_cube_section, lowner_symmetric)
-from .experiments import (SuiteSpec, conjecture_scan, run_suite,
-                          suite_exit_status)
+from .experiments import SuiteSpec, conjecture_scan, run_suite
 from .frames import project_standard_basis
 from .majorization import NormProfile, construct_realization
 from .polytopes import (cross_projection, equality_subspace,
@@ -59,18 +58,13 @@ def _cmd_realize(args) -> int:
     return EXIT_OK
 
 
-def _cmd_ellipsoid_lowner(args) -> int:
-    frame = jsonio.frame_from_dict(jsonio.load(args.frame))
-    fit = lowner_symmetric(frame.vectors, eps=args.eps)
-    if args.out:
-        jsonio.dump(jsonio.ellipsoid_to_dict(fit.ellipsoid), args.out)
-    print(repr(ellipsoid_volume_ratio(fit.ellipsoid)))
-    return EXIT_OK
-
-
-def _cmd_ellipsoid_john(args) -> int:
-    subspace = jsonio.subspace_from_dict(jsonio.load(args.subspace))
-    ell = john_of_cube_section(subspace, eps=args.eps)
+def _cmd_ellipsoid(args) -> int:
+    if args.mode == "lowner":
+        frame = jsonio.frame_from_dict(jsonio.load(args.frame))
+        ell = lowner_symmetric(frame.vectors, eps=args.eps).ellipsoid
+    else:
+        subspace = jsonio.subspace_from_dict(jsonio.load(args.subspace))
+        ell = john_of_cube_section(subspace, eps=args.eps)
     if args.out:
         jsonio.dump(jsonio.ellipsoid_to_dict(ell), args.out)
     print(repr(ellipsoid_volume_ratio(ell)))
@@ -100,12 +94,12 @@ def _cmd_verify(args) -> int:
                      experiments=experiments)
     reports, csv_text = run_suite([spec])
     _write_or_print(csv_text, args.out)
-    for r in reports:
-        if not r.proved_ok:
-            failed = ",".join(key for key, ok in r.passes.items() if not ok)
-            print(f"bound violated: trial {r.trial_id} seed {r.seed}: {failed}",
-                  file=sys.stderr)
-    return suite_exit_status(reports)
+    failing = [r for r in reports if not r.proved_ok]
+    for r in failing:
+        failed = ",".join(key for key, ok in r.passes.items() if not ok)
+        print(f"bound violated: trial {r.trial_id} seed {r.seed}: {failed}",
+              file=sys.stderr)
+    return EXIT_BOUND if failing else EXIT_OK
 
 
 def _cmd_conjecture_scan(args) -> int:
@@ -128,16 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ellipsoid", help="minimum-volume cover / inscribed ellipsoid")
     esub = p.add_subparsers(dest="mode", required=True)
-    pl = esub.add_parser("lowner", help="cover of a frame's +/- vectors")
-    pl.add_argument("--frame", required=True)
-    pl.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    pl.add_argument("--out", default=None)
-    pl.set_defaults(func=_cmd_ellipsoid_lowner)
-    pj = esub.add_parser("john", help="largest ellipsoid in a cube section")
-    pj.add_argument("--subspace", required=True)
-    pj.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    pj.add_argument("--out", default=None)
-    pj.set_defaults(func=_cmd_ellipsoid_john)
+    for mode, source, text in (("lowner", "--frame", "cover of a frame's +/- vectors"),
+                               ("john", "--subspace", "largest ellipsoid in a cube section")):
+        pe = esub.add_parser(mode, help=text)
+        pe.add_argument(source, required=True)
+        pe.add_argument("--eps", type=float, default=DEFAULT_EPS)
+        pe.add_argument("--out", default=None)
+        pe.set_defaults(func=_cmd_ellipsoid)
 
     p = sub.add_parser("volume", help="exact polytope volume for a subspace")
     vsub = p.add_subparsers(dest="body", required=True)

@@ -320,8 +320,3 @@ def render_csv(reports) -> str:
                str(bool(r.profile_uniform))]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
-
-
-def suite_exit_status(reports) -> int:
-    """0 when every proved-bound pass flag holds, 1 otherwise."""
-    return 0 if all(r.proved_ok for r in reports) else 1

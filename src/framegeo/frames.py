@@ -63,13 +63,6 @@ class FrameSet:
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
 
-    @classmethod
-    def from_vectors(cls, vectors) -> "FrameSet":
-        vecs = _float_array(vectors, "vectors")
-        if vecs.ndim != 2:
-            raise FrameStructureError("vectors must be a 2-d array, one vector per row")
-        return cls(n=vecs.shape[0], k=vecs.shape[1], vectors=vecs)
-
     def squared_norms(self) -> np.ndarray:
         """Squared Euclidean norm of each vector (the frame's norm profile)."""
         return np.einsum("ij,ij->i", self.vectors, self.vectors)

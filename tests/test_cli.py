@@ -15,7 +15,8 @@ from scipy.spatial import QhullError
 import framegeo.polytopes
 from framegeo import jsonio
 from framegeo.cli import main
-from framegeo.ellipsoids import ConvergenceError, Ellipsoid, unit_ball_volume
+from framegeo.ellipsoids import (ConvergenceError, Ellipsoid, lowner_symmetric,
+                                 polar_ellipsoid, unit_ball_volume)
 from framegeo.experiments import (SuiteSpec, random_subspace, run_suite, trial_seed,
                                   verify_volume_bounds)
 from framegeo.frames import project_standard_basis
@@ -73,6 +74,21 @@ def test_ellipsoid_john_on_equality_subspace(tmp_path, capsys):
     assert main(["ellipsoid", "john", "--subspace", sub_path]) == 0
     ratio = float(capsys.readouterr().out)
     assert ratio == pytest.approx(2.0 ** 1.5, rel=1e-9)
+
+
+def test_ellipsoid_john_writes_the_polar_of_the_projected_cover(tmp_path, capsys):
+    sub_path = write_subspace(tmp_path, 6, 3)
+    out = tmp_path / "john.json"
+    assert main(["ellipsoid", "john", "--subspace", sub_path, "--out", str(out)]) == 0
+    john = float(capsys.readouterr().out)
+    frame = project_standard_basis(equality_subspace(6, 3))
+    want = polar_ellipsoid(lowner_symmetric(frame.vectors).ellipsoid)
+    data = jsonio.load(out)
+    assert data["k"] == 3
+    assert np.array_equal(np.array(data["matrix"]), want.matrix)
+    assert main(["ellipsoid", "lowner", "--frame", write_frame(tmp_path, 6, 3)]) == 0
+    lowner = float(capsys.readouterr().out)
+    assert john * lowner == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
 
 def test_volume_subcommands(tmp_path, capsys):

@@ -2,7 +2,9 @@
 checkout.
 
 Each demo runs as a subprocess with this checkout's ``src`` first on
-``PYTHONPATH`` and must exit 0; together they take a few seconds.
+``PYTHONPATH`` and must exit 0; together they take a few seconds.  pytest's
+``filterwarnings`` does not reach a subprocess, so ``PYTHONWARNINGS`` makes
+an overflow or underflow warning there an error, as it is in the tests.
 ``05_conjecture_scan.py`` is left out: it takes about 5 s, and its path
 (``conjecture_scan`` over many small subspaces) is already covered by
 acceptance criterion 7; CI runs it as a step of its own.
@@ -26,6 +28,7 @@ def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     result = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -67,6 +67,17 @@ def test_ellipsoid_rejects_non_positive_definite():
         Ellipsoid(k=2, matrix=np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Ellipsoid(k=2, matrix=np.eye(3)),
+    lambda: Ellipsoid(k=2, matrix=np.array([[1.0, 0.0], [0.0, math.inf]])),
+    lambda: lowner_symmetric(np.array([[1.0, 0.0], [0.0, math.nan]])),
+], ids=["ellipsoid-shape", "ellipsoid-non-finite", "lowner-non-finite"])
+def test_malformed_input_raises_value_error(make):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert err.type is ValueError
+
+
 def test_polar_is_an_involution():
     rng = np.random.default_rng(2)
     B = rng.standard_normal((3, 3))
@@ -302,6 +313,25 @@ def test_fit_counts_its_newton_steps(monkeypatch):
     fit = lowner_symmetric(frame)
     assert fit.newton_steps == fit.iterations > 0
     assert not calls
+
+
+def test_a_trial_whose_factorization_fails_gives_way_to_a_first_order_step(monkeypatch):
+    # no known input makes a Newton trial's M(u) lose positive definiteness,
+    # so the first trial's Cholesky factorization is made to fail
+    frame = project_standard_basis(random_subspace(40, 5, trial_seed(2026, 0))).vectors
+    plain = lowner_symmetric(frame)
+    calls = []
+    cholesky = framegeo.ellipsoids._cholesky
+
+    def first_trial_fails(M):
+        calls.append(M.shape)
+        return None if len(calls) == 2 else cholesky(M)
+
+    monkeypatch.setattr(framegeo.ellipsoids, "_cholesky", first_trial_fails)
+    fit = lowner_symmetric(frame)
+    assert len(calls) > 2
+    assert_certificate(frame, fit)
+    assert fit.newton_steps < plain.newton_steps
 
 
 def _heavy_tailed(m, k, seed):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import framegeo.experiments
 import framegeo.frames
@@ -20,7 +22,7 @@ from framegeo.experiments import (BOUND_TOL, CSV_COLUMNS, Check,
                                   ConjectureScanSummary, ExperimentReport,
                                   SuiteSpec, conjecture_scan,
                                   random_subspace, render_csv, run_suite,
-                                  splitmix64, suite_exit_status, trial_seed,
+                                  splitmix64, trial_seed,
                                   verify_ellipsoid_bounds, verify_volume_bounds)
 from framegeo.frames import Subspace, project_standard_basis
 from framegeo.majorization import NormProfile, construct_realization
@@ -213,7 +215,7 @@ def test_run_suite_is_deterministic_and_sorted():
            [(4, 2, 0), (4, 2, 1), (4, 2, 2), (6, 3, 0), (6, 3, 1)]
     for r in reports_a:
         assert r.seed == trial_seed(11, r.trial_id)
-    assert suite_exit_status(reports_a) == 0
+    assert all(r.proved_ok for r in reports_a)
     assert reports_a == reports_b
 
 
@@ -242,14 +244,46 @@ def test_empty_suite_renders_header_only():
     reports, text = run_suite([])
     assert reports == []
     assert len(text.splitlines()) == 2
-    assert suite_exit_status(reports) == 0
 
 
-def test_exit_status_flags_failures():
-    r = verify_ellipsoid_bounds(equality_subspace(4, 2))
-    bad = dataclasses.replace(r, checks={**r.checks, "john_ratio": Check(3.0, 2.0, True)})
-    assert suite_exit_status([r]) == 0
-    assert suite_exit_status([r, bad]) == 1
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(size=st.sampled_from([(3, 2), (5, 2), (6, 3), (8, 4), (9, 3), (12, 5)]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_a_trial_is_invariant_under_a_change_of_basis(size, seed, data):
+    # rotating the basis rotates the frame, and permuting the coordinates of
+    # R^n reorders it; neither moves a volume, a ratio or a verdict
+    n, k = size
+    subspace = random_subspace(n, k, seed)
+    q = random_subspace(k, k, data.draw(st.integers(0, 2 ** 32 - 1))).basis
+    perm = data.draw(st.permutations(range(n)))
+    want = verify_volume_bounds(subspace)
+    for basis in (q @ subspace.basis, subspace.basis[:, perm]):
+        got = verify_volume_bounds(Subspace(n=n, k=k, basis=basis))
+        assert got.ratios == pytest.approx(want.ratios, rel=1e-12, abs=0.0)
+        assert got.extras["volume_product"] == pytest.approx(
+            want.extras["volume_product"], rel=1e-12, abs=0.0)
+        assert got.passes == want.passes
+
+
+def test_exit_status_flags_failures(capsys, monkeypatch):
+    # verify exits 1 when a trial fails a proved bound, and names that trial alone
+    real = framegeo.experiments._verify
+    failing = set()
+
+    def verify(subspace, volumes, trial_id, seed):
+        r = real(subspace, volumes, trial_id, seed)
+        if trial_id not in failing:
+            return r
+        return dataclasses.replace(r, checks={**r.checks, "john_ratio": Check(3.0, 2.0, True)})
+
+    monkeypatch.setattr(framegeo.experiments, "_verify", verify)
+    argv = ["verify", "--n", "4", "--k", "2", "--trials", "2", "--seed", "5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    failing.add(1)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"bound violated: trial 1 seed {trial_seed(5, 1)}: john_ratio\n"
 
 
 def test_equality_csv_flags_column():

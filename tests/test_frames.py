@@ -12,14 +12,14 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def test_standard_basis_certifies_exactly():
-    frame = FrameSet.from_vectors(np.eye(3))
+    frame = FrameSet(n=3, k=3, vectors=np.eye(3))
     cert = certify_unit_decomposition(frame)
     assert cert.ok and bool(cert)
     assert cert.deviation == 0.0
 
 
 def test_diagonal_line_frame():
-    frame = FrameSet.from_vectors([[INV_SQRT2], [INV_SQRT2]])
+    frame = FrameSet(n=2, k=1, vectors=[[INV_SQRT2], [INV_SQRT2]])
     cert = certify_unit_decomposition(frame)
     assert cert.ok
     assert cert.deviation <= 1e-15
@@ -32,7 +32,7 @@ def test_diagonal_line_frame():
 
 
 def test_scaled_frame_fails_certification():
-    frame = FrameSet.from_vectors(0.9 * np.eye(2))
+    frame = FrameSet(n=2, k=2, vectors=0.9 * np.eye(2))
     cert = certify_unit_decomposition(frame)
     assert not cert.ok
     assert cert.deviation == pytest.approx(1 - 0.81, abs=1e-12)
@@ -40,12 +40,12 @@ def test_scaled_frame_fails_certification():
 
 def test_ragged_vectors_rejected():
     with pytest.raises(FrameStructureError):
-        FrameSet.from_vectors([[1.0, 0.0], [1.0]])
+        FrameSet(n=2, k=2, vectors=[[1.0, 0.0], [1.0]])
 
 
 def test_nonfinite_vectors_rejected():
     with pytest.raises(FrameStructureError):
-        FrameSet.from_vectors([[np.nan, 0.0], [0.0, 1.0]])
+        FrameSet(n=2, k=2, vectors=[[np.nan, 0.0], [0.0, 1.0]])
 
 
 def test_frame_requires_n_at_least_k():
@@ -53,8 +53,30 @@ def test_frame_requires_n_at_least_k():
         FrameSet(n=1, k=2, vectors=np.ones((1, 2)))
 
 
+@pytest.mark.parametrize("make,error", [
+    (lambda: FrameSet(n=3, k=2, vectors=np.ones((2, 3))), FrameStructureError),
+    (lambda: FrameSet(n=2, k=1, vectors=[1.0, 0.0]), FrameStructureError),
+    (lambda: Subspace(n=1, k=2, basis=np.ones((2, 1))), FrameStructureError),
+    (lambda: Subspace(n=3, k=2, basis=np.eye(3)), FrameStructureError),
+    (lambda: GramMatrix(n=3, entries=np.eye(2)), FrameStructureError),
+    (lambda: is_projection_matrix(GramMatrix(n=2, entries=np.eye(2)), target_rank=-1),
+     ValueError),
+], ids=["frame-shape", "frame-1d", "subspace-n-below-k", "subspace-shape", "gram-shape",
+        "negative-rank"])
+def test_malformed_input_raises(make, error):
+    with pytest.raises(error) as err:
+        make()
+    assert err.type is error
+
+
+def test_projection_check_is_true_exactly_when_it_holds():
+    gram = gram_matrix(FrameSet(n=2, k=2, vectors=np.eye(2)))
+    assert bool(is_projection_matrix(gram, target_rank=2))
+    assert not bool(is_projection_matrix(gram, target_rank=1))
+
+
 def test_vectors_are_immutable():
-    frame = FrameSet.from_vectors(np.eye(2))
+    frame = FrameSet(n=2, k=2, vectors=np.eye(2))
     with pytest.raises(ValueError):
         frame.vectors[0, 0] = 5.0
 
@@ -123,13 +145,13 @@ def test_gram_matrix_symmetric_by_construction():
 
 
 def test_is_projection_matrix_rejects_wrong_rank():
-    frame = FrameSet.from_vectors(np.eye(2))
+    frame = FrameSet(n=2, k=2, vectors=np.eye(2))
     gram = gram_matrix(frame)
     assert not is_projection_matrix(gram, target_rank=1).ok
 
 
 def test_orthogonal_completion_diagonal_line():
-    frame = FrameSet.from_vectors([[INV_SQRT2], [INV_SQRT2]])
+    frame = FrameSet(n=2, k=1, vectors=[[INV_SQRT2], [INV_SQRT2]])
     M = orthogonal_completion(frame)
     assert np.array_equal(M[0], frame.vectors.T[0])
     assert abs(abs(M[1] @ np.array([1.0, -1.0])) - np.sqrt(2)) <= 1e-12
@@ -154,7 +176,7 @@ def test_orthogonal_completion_of_inexact_frames(n, k):
     certified = 0
     for seed in range(8):
         V = project_standard_basis(random_subspace(n, k, seed)).vectors
-        frame = FrameSet.from_vectors(V + rng.standard_normal((n, k)) * 3e-10 / np.sqrt(n))
+        frame = FrameSet(n=n, k=k, vectors=V + rng.standard_normal((n, k)) * 3e-10 / np.sqrt(n))
         if not certify_unit_decomposition(frame).ok:
             continue
         certified += 1
@@ -165,7 +187,7 @@ def test_orthogonal_completion_of_inexact_frames(n, k):
 
 
 def test_orthogonal_completion_requires_certification():
-    frame = FrameSet.from_vectors(0.5 * np.eye(3))
+    frame = FrameSet(n=3, k=3, vectors=0.5 * np.eye(3))
     with pytest.raises(CertificationError) as err:
         orthogonal_completion(frame)
     assert err.value.deviation == pytest.approx(0.75, abs=1e-12)

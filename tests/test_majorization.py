@@ -71,6 +71,18 @@ def test_profile_entries_must_be_nonnegative():
         NormProfile(k=1, entries=np.array([0.5, -0.1]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: NormProfile(k=0, entries=np.array([1.0])),
+    lambda: NormProfile(k=1, entries=np.array([])),
+    lambda: NormProfile(k=1, entries=np.full((2, 2), 0.5)),
+    lambda: random_realizable_profile(3, 0, seed=1),
+    lambda: random_realizable_profile(3, 4, seed=1),
+], ids=["profile-k0", "profile-empty", "profile-2d", "random-k0", "random-k-above-n"])
+def test_malformed_input_raises_frame_structure_error(make):
+    with pytest.raises(FrameStructureError):
+        make()
+
+
 def test_construct_all_ones_is_standard_basis():
     frame = construct_realization(NormProfile(k=3, entries=np.ones(3)))
     assert np.array_equal(frame.vectors, np.eye(3))

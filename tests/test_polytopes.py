@@ -431,6 +431,16 @@ def test_polytope_needs_a_representation():
         Polytope(k=1, hrep=np.array([[math.nan]]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Polytope(k=0, vrep=np.ones((1, 0))),
+    lambda: Polytope(k=-1, hrep=np.ones((1, 1))),
+], ids=["vrep-k0", "hrep-negative-k"])
+def test_malformed_input_raises_value_error(make):
+    with pytest.raises(ValueError, match="k must be positive") as err:
+        make()
+    assert err.type is ValueError
+
+
 def test_gauge_values_on_cross_polytope():
     gens = np.eye(2)
     assert absolute_hull_gauge(gens, [0.5, 0.5]) == pytest.approx(1.0, abs=1e-9)
