@@ -66,19 +66,14 @@ def _cmd_ellipsoid(args) -> int:
         subspace = jsonio.subspace_from_dict(jsonio.load(args.subspace))
         ell = john_of_cube_section(subspace, eps=args.eps)
     if args.out:
-        jsonio.dump(jsonio.ellipsoid_to_dict(ell), args.out)
+        _write_or_print(json.dumps(jsonio.ellipsoid_to_dict(ell), indent=2), args.out)
     print(repr(ellipsoid_volume_ratio(ell)))
     return EXIT_OK
 
 
 def _cmd_volume(args) -> int:
     subspace = jsonio.subspace_from_dict(jsonio.load(args.subspace))
-    frame = project_standard_basis(subspace)
-    if args.body == "cube-section":
-        body = polytope_from_frame(frame)
-    else:
-        body = cross_projection(frame)
-    print(repr(volume(body)))
+    print(repr(volume(args.build(project_standard_basis(subspace)))))
     return EXIT_OK
 
 
@@ -132,10 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="exact polytope volume for a subspace")
     vsub = p.add_subparsers(dest="body", required=True)
-    for body in ("cube-section", "cross-projection"):
+    for body, build in (("cube-section", polytope_from_frame),
+                        ("cross-projection", cross_projection)):
         pv = vsub.add_parser(body)
         pv.add_argument("--subspace", required=True)
-        pv.set_defaults(func=_cmd_volume, body=body)
+        pv.set_defaults(func=_cmd_volume, build=build)
 
     p = sub.add_parser("equality-case", help="subspace attaining the volume bounds")
     p.add_argument("--n", required=True, type=int)
@@ -143,24 +139,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_equality_case)
 
-    p = sub.add_parser("verify", help="randomized bound verification (CSV)")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--trials", required=True, type=int)
-    p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--experiments", default="ellipsoid,volume",
-                   help="comma-separated subset of ellipsoid,volume; volume runs the "
-                        "ellipsoid checks too, since its chain checks need the fit")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("conjecture-scan", help="two-power bound scan (JSON)")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--trials", required=True, type=int)
-    p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_conjecture_scan)
+    for name, text, func in (("verify", "randomized bound verification (CSV)", _cmd_verify),
+                             ("conjecture-scan", "two-power bound scan (JSON)",
+                              _cmd_conjecture_scan)):
+        p = sub.add_parser(name, help=text)
+        for flag in ("--n", "--k", "--trials", "--seed"):
+            p.add_argument(flag, required=True, type=int)
+        if name == "verify":
+            p.add_argument("--experiments", default="ellipsoid,volume",
+                           help="comma-separated subset of ellipsoid,volume; volume runs the "
+                                "ellipsoid checks too, since its chain checks need the fit")
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
 
     return parser
 

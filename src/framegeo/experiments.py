@@ -88,18 +88,13 @@ def random_subspace(n: int, k: int, seed: int) -> Subspace:
     """Rotation-invariant random subspace via QR of a Gaussian matrix.
 
     The basis rows are the orthonormalized columns of an n x k standard
-    normal sample (signs fixed by the R diagonal); a numerically degenerate
-    draw is resampled internally.
+    normal sample, each column's sign flipped where R's diagonal is
+    negative, which makes the draw Haar distributed.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    rng = np.random.default_rng(seed)
-    while True:
-        gauss = rng.standard_normal((n, k))
-        q, r = np.linalg.qr(gauss)
-        diag = np.diag(r)
-        if np.min(np.abs(diag)) > 1e-12:
-            return Subspace(n=n, k=k, basis=(q * np.sign(diag)).T)
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, k)))
+    return Subspace(n=n, k=k, basis=(q * np.where(np.diag(r) < 0.0, -1.0, 1.0)).T)
 
 
 class Check(NamedTuple):

@@ -1,7 +1,7 @@
-"""JSON serialization for the library's value types.
+"""Dict codecs for the library's value types, and a JSON file reader.
 
-Floats are written with Python's shortest round-trip representation, so a
-dump/load cycle reproduces every array bit for bit.
+``json`` writes floats in Python's shortest round-trip representation, so
+a written dict loads back to every array bit for bit.
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ def subspace_from_dict(data: dict) -> Subspace:
 
 def ellipsoid_to_dict(e: Ellipsoid) -> dict:
     return {"k": e.k, "matrix": e.matrix.tolist()}
-
-
-def dump(data: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
 
 
 def load(path) -> dict:

@@ -15,7 +15,8 @@ from scipy.spatial import QhullError
 import framegeo.polytopes
 from framegeo import jsonio
 from framegeo.cli import main
-from framegeo.ellipsoids import (ConvergenceError, Ellipsoid, lowner_symmetric,
+from framegeo.ellipsoids import (ConvergenceError, Ellipsoid, ellipsoid_volume_ratio,
+                                 john_of_cube_section, lowner_symmetric,
                                  polar_ellipsoid, unit_ball_volume)
 from framegeo.experiments import (SuiteSpec, random_subspace, run_suite, trial_seed,
                                   verify_volume_bounds)
@@ -23,16 +24,20 @@ from framegeo.frames import project_standard_basis
 from framegeo.polytopes import equality_subspace
 
 
+def write_json(data, path):
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+
+
 def write_subspace(tmp_path, n, k, name="subspace.json"):
     path = tmp_path / name
-    jsonio.dump(jsonio.subspace_to_dict(equality_subspace(n, k)), path)
+    write_json(jsonio.subspace_to_dict(equality_subspace(n, k)), path)
     return str(path)
 
 
 def write_frame(tmp_path, n, k, name="frame.json"):
     frame = project_standard_basis(equality_subspace(n, k))
     path = tmp_path / name
-    jsonio.dump(jsonio.frame_to_dict(frame), path)
+    write_json(jsonio.frame_to_dict(frame), path)
     return str(path)
 
 
@@ -67,6 +72,21 @@ def test_ellipsoid_lowner_on_equality_frame(tmp_path, capsys):
     data = jsonio.load(out)
     e = Ellipsoid(k=data["k"], matrix=data["matrix"])
     assert np.max(np.abs(e.matrix - 2.0 * np.eye(2))) <= 1e-8
+
+
+@pytest.mark.parametrize("mode,flag,write,fit", [
+    ("lowner", "--frame", write_frame,
+     lambda s: lowner_symmetric(project_standard_basis(s).vectors).ellipsoid),
+    ("john", "--subspace", write_subspace, john_of_cube_section),
+])
+def test_ellipsoid_out_file_is_the_fit_as_indented_json(tmp_path, capsys, mode, flag,
+                                                         write, fit):
+    # the same text the other JSON commands write: indent 2, one final newline
+    out = tmp_path / "ellipsoid.json"
+    assert main(["ellipsoid", mode, flag, write(tmp_path, 6, 3), "--out", str(out)]) == 0
+    e = fit(equality_subspace(6, 3))
+    assert capsys.readouterr().out == f"{ellipsoid_volume_ratio(e)!r}\n"
+    assert out.read_text() == json.dumps(jsonio.ellipsoid_to_dict(e), indent=2) + "\n"
 
 
 def test_ellipsoid_john_on_equality_subspace(tmp_path, capsys):
@@ -188,8 +208,8 @@ def test_ellipsoid_commands_past_the_unit_ball_underflow(tmp_path, capsys):
     # lose its digits or divide by zero
     subspace = random_subspace(520, 460, 1)
     sub_path, frame_path = tmp_path / "subspace.json", tmp_path / "frame.json"
-    jsonio.dump(jsonio.subspace_to_dict(subspace), sub_path)
-    jsonio.dump(jsonio.frame_to_dict(project_standard_basis(subspace)), frame_path)
+    write_json(jsonio.subspace_to_dict(subspace), sub_path)
+    write_json(jsonio.frame_to_dict(project_standard_basis(subspace)), frame_path)
     assert main(["ellipsoid", "lowner", "--frame", str(frame_path)]) == 0
     lowner = float(capsys.readouterr().out)
     assert main(["ellipsoid", "john", "--subspace", str(sub_path)]) == 0
@@ -284,7 +304,7 @@ def test_malformed_json_input_is_a_usage_error(tmp_path, capsys, command, field,
     good = (write_frame if field == "vectors" else write_subspace)(tmp_path, 4, 2)
     path = tmp_path / "malformed.json"
     doc = malform(jsonio.load(good), field)
-    jsonio.dump(doc, path)
+    write_json(doc, path)
     assert main([*command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -299,9 +319,27 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_help_exits_0(capsys):
-    assert main(["--help"]) == 0
-    assert "framegeo" in capsys.readouterr().out
+@pytest.mark.parametrize("path,listed", [
+    ([], ["realize", "ellipsoid", "volume", "equality-case", "verify", "conjecture-scan"]),
+    (["ellipsoid"], ["lowner", "john"]),
+    (["ellipsoid", "lowner"], ["--frame", "--eps", "--out"]),
+    (["ellipsoid", "john"], ["--subspace", "--eps", "--out"]),
+    (["volume"], ["cube-section", "cross-projection"]),
+    (["volume", "cube-section"], ["--subspace"]),
+    (["volume", "cross-projection"], ["--subspace"]),
+    (["realize"], ["--c", "--k", "--out"]),
+    (["equality-case"], ["--n", "--k", "--out"]),
+    (["verify"], ["--n", "--k", "--trials", "--seed", "--experiments", "--out"]),
+    (["conjecture-scan"], ["--n", "--k", "--trials", "--seed", "--out"]),
+], ids=["framegeo", "ellipsoid", "ellipsoid-lowner", "ellipsoid-john", "volume",
+        "volume-cube-section", "volume-cross-projection", "realize", "equality-case",
+        "verify", "conjecture-scan"])
+def test_help_exits_0(capsys, path, listed):
+    # each command's usage names every flag it declares, or every subcommand
+    assert main([*path, "--help"]) == 0
+    usage = capsys.readouterr().out
+    assert usage.startswith(f"usage: {' '.join(['framegeo', *path])} ")
+    assert all(re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", usage) for word in listed)
 
 
 def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import framegeo.ellipsoids
 from framegeo.ellipsoids import (DEFAULT_EPS, ConvergenceError, Ellipsoid,
@@ -9,6 +11,7 @@ from framegeo.ellipsoids import (DEFAULT_EPS, ConvergenceError, Ellipsoid,
                                  ellipsoid_volume_ratio, john_of_cube_section,
                                  lowner_symmetric, polar_ellipsoid, unit_ball_volume)
 from framegeo.frames import Subspace, project_standard_basis
+from framegeo.majorization import NormProfile, construct_realization
 from framegeo.polytopes import equality_subspace
 from framegeo.experiments import random_subspace, trial_seed, verify_ellipsoid_bounds
 
@@ -315,21 +318,33 @@ def test_fit_counts_its_newton_steps(monkeypatch):
     assert not calls
 
 
-def test_a_trial_whose_factorization_fails_gives_way_to_a_first_order_step(monkeypatch):
-    # no known input makes a Newton trial's M(u) lose positive definiteness,
-    # so the first trial's Cholesky factorization is made to fail
+@pytest.mark.parametrize("helper,rejected", [
+    ("_cholesky", lambda M: None),
+    ("_newton_direction", lambda YA, r: np.zeros(r.size)),
+], ids=["factorization-fails", "direction-does-not-ascend"])
+def test_a_rejected_newton_trial_gives_way_to_a_first_order_step(monkeypatch, helper,
+                                                                 rejected):
+    # no known input makes a Newton trial's M(u) lose positive definiteness
+    # or its direction fail to ascend, so during the first trial the
+    # factorization is made to fail, or the direction to be zero (slope 0)
     frame = project_standard_basis(random_subspace(40, 5, trial_seed(2026, 0))).vectors
     plain = lowner_symmetric(frame)
-    calls = []
-    cholesky = framegeo.ellipsoids._cholesky
+    started, trials = [], []
+    newton_step = framegeo.ellipsoids._newton_step
+    real = getattr(framegeo.ellipsoids, helper)
 
-    def first_trial_fails(M):
-        calls.append(M.shape)
-        return None if len(calls) == 2 else cholesky(M)
+    def recorded_step(*args):
+        started.append(args)
+        trials.append(newton_step(*args))
+        return trials[-1]
 
-    monkeypatch.setattr(framegeo.ellipsoids, "_cholesky", first_trial_fails)
+    def first_trial_rejected(*args):
+        return (rejected if len(started) == 1 and not trials else real)(*args)
+
+    monkeypatch.setattr(framegeo.ellipsoids, "_newton_step", recorded_step)
+    monkeypatch.setattr(framegeo.ellipsoids, helper, first_trial_rejected)
     fit = lowner_symmetric(frame)
-    assert len(calls) > 2
+    assert trials[0] is None and fit.newton_steps == len(trials) - 1 > 0
     assert_certificate(frame, fit)
     assert fit.newton_steps < plain.newton_steps
 
@@ -409,6 +424,24 @@ def test_equality_frames_keep_the_certificate(n, k):
     fit = lowner_symmetric(pts)
     assert_certificate(pts, fit)
     assert np.max(np.abs(fit.ellipsoid.matrix - (n / k) * np.eye(k))) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(k=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_uniform_profiles_give_the_round_cover(k, data, seed):
+    # a rotated Parseval frame with every squared norm k/n is covered by the
+    # ball of radius sqrt(k/n), and both ellipsoid bounds hold with equality
+    n = data.draw(st.integers(k, 40))
+    q = random_subspace(k, k, seed).basis
+    V = construct_realization(NormProfile(k, np.full(n, k / n))).vectors @ q
+    fit = lowner_symmetric(V)
+    assert np.max(np.abs(fit.ellipsoid.matrix * k / n - np.eye(k))) <= 2 * DEFAULT_EPS
+    report = verify_ellipsoid_bounds(Subspace(n=n, k=k, basis=V.T))
+    for name in ("lowner_ratio", "john_ratio"):
+        check = report.checks[name]
+        assert check.value == pytest.approx(check.bound, rel=1e-12, abs=0.0)
+        assert check.at_equality
+    assert report.profile_uniform
 
 
 def test_points_within_rounding_of_a_line_raise_span_error():
