@@ -10,7 +10,11 @@ the interval [-t, t].  Exact volumes, for k <= K_EXACT and any number of
 rows, take one hull: a V-rep body's is the volume of the hull of its +/-
 vertices, and an H-rep body's is the volume of the polar of the hull of its
 +/- functionals, summed over a pulling triangulation of the polar's
-boundary read off the hull's facets.  So a trial's two volumes come from
+boundary.  Its flags are grown from the hull's facets down, level by level,
+keeping only the chains whose apex falls at every level (a ridge's apex is
+read off the facet's neighbor across it), and each chain carries the
+exterior product of its apexes' polar vertices, so that its determinant is
+built as it grows, one factor per level.  So a trial's two volumes come from
 one hull of the raw +/- v_i of a projected frame (qhull takes repeated,
 zero and interior points), and no hull of the section's vertices is built.
 A body of either representation keeps the hull of its +/- rows and the
@@ -336,17 +340,29 @@ def _polar_points(hull) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _flag_plan(k: int):
-    """The nonempty proper subsets of a facet's k vertex slots, as rows of
-    slots padded with -1, and for each of the k! orderings of the slots the
-    rows of its first j slots, j = 1 .. k-1: shape (k!, k-1)."""
-    subsets = [s for j in range(1, k) for s in itertools.combinations(range(k), j)]
-    slots = np.array([s + (-1,) * (k - 1 - len(s)) for s in subsets])
-    prefixes = np.array([[subsets.index(tuple(sorted(order[:j]))) for j in range(1, k)]
-                         for order in itertools.permutations(range(k))])
-    for plan in (slots, prefixes):  # shared by every caller
+def _flag_levels(k: int):
+    """Index tables for growing the flags of a k-dimensional polar, shared by
+    every caller.  ``subsets[j]`` holds the j-subsets of range(k) (a facet's
+    vertex slots, or coordinates) in ``itertools.combinations`` order, one
+    per row; ``children[j]`` gives, for each j-subset and each of its j
+    positions, the number of the (j-1)-subset left without that entry.
+    ``wedge[g]`` forms v ^ w for a vector v and a g-vector w stored on the
+    g-subsets of coordinates: component S is the sum over positions p of
+    (-1)^p v[S[p]] w[S minus S[p]], listed as one pair of arrays per p:
+    the coordinates S[p] of (v, -v), so S[p] + k where p is odd, and the
+    subsets S minus S[p]."""
+    subsets = {j: list(itertools.combinations(range(k), j)) for j in range(k + 1)}
+    number = {s: i for j in subsets for i, s in enumerate(subsets[j])}
+    children = {j: np.array([[number[s[:p] + s[p + 1:]] for p in range(j)]
+                             for s in subsets[j]]) for j in range(2, k + 1)}
+    wedge = {g: [(np.array([s[p] + k * (p % 2) for s in subsets[g + 1]]),
+                  np.array([number[s[:p] + s[p + 1:]] for s in subsets[g + 1]]))
+                 for p in range(g + 1)] for g in range(1, k)}
+    subsets = {j: np.array(subsets[j]) for j in range(2, k - 1)}
+    pairs = [pair for level in wedge.values() for pair in level]
+    for plan in [*subsets.values(), *children.values(), *itertools.chain(*pairs)]:
         plan.setflags(write=False)
-    return slots, prefixes
+    return subsets, children, wedge
 
 
 def _polar_volume(hull) -> float:
@@ -359,32 +375,65 @@ def _polar_volume(hull) -> float:
     from its apex over the faces that miss it triangulates the polar's
     boundary (a pulling triangulation): with the origin, each flag whose
     apex changes at every step is a simplex of volume |det(apexes)| / k!,
-    and every other flag is degenerate.  qhull's splits of a non-simplicial
-    facet share one polar vertex, so the flags across them have zero
-    volume.  At k = 1 the polar of [-t, t] is [-1/t, 1/t].
+    and every other flag is degenerate.  The apex can only fall as vertices
+    are dropped, so the flags are grown from each facet down, one vertex
+    dropped per level, and a chain is kept only while its apex falls
+    strictly.  The apexes come three ways:
+    - a ridge, F without one vertex, lies in exactly two of qhull's
+      simplices (its output is triangulated), so its apex is the lower of F
+      and F's neighbor across it;
+    - a vertex's apex is the first facet it occurs in;
+    - a face of 2 .. k-2 vertices is keyed by its sorted hull-vertex
+      numbers, and its apex is the first facet with that key.
+    Each chain carries the exterior product of its apexes' polar vertices,
+    u_F, then u_a ^ u_F for the ridge's apex a, and so on, one factor per
+    level, so chains that share a prefix share its product; at the last
+    level it is the determinant.  qhull's splits of a non-simplicial facet
+    share one polar vertex, so the flags across them have zero volume.  At
+    k = 1 the polar of [-t, t] is [-1/t, 1/t].
     """
     points = _polar_points(hull)
     k = points.shape[1]
     if k == 1:
         return 4.0 / hull.volume
-    slots, prefixes = _flag_plan(k)
+    subsets, children, wedge = _flag_levels(k)
     # number the hull's vertices 0 .. V-1 in point order, so that the int64
     # keys below grow with V, not with the interior points the hull was given
-    labels, numbers = np.unique(hull.simplices, return_inverse=True)
-    vertices = np.sort(numbers.reshape(hull.simplices.shape), axis=1)
-    facets = vertices.shape[0]
-    # each subset's sorted vertices as one int key, shifted so that 0 pads
-    digits = np.where(slots >= 0, vertices[:, slots] + 1, 0)
-    keys = np.ravel_multi_index(tuple(np.moveaxis(digits, -1, 0)),
-                                (labels.size + 1,) * (k - 1))
-    # keys run facet by facet, so a key's first occurrence is its lowest facet
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    apex = (first // len(slots))[inverse].reshape(facets, len(slots))
-    chain = np.empty((facets, len(prefixes), k), dtype=apex.dtype)
-    chain[..., :-1] = apex[:, prefixes]
-    chain[..., -1] = np.arange(facets)[:, None]
-    flags = chain[np.all(chain[..., 1:] != chain[..., :-1], axis=2)]
-    return float(np.abs(np.linalg.det(points[flags])).sum() / math.factorial(k))
+    labels, first, numbers = np.unique(hull.simplices, return_index=True,
+                                       return_inverse=True)
+    facets = hull.simplices.shape[0]
+    numbers = numbers.reshape(facets, k)
+    rows = np.arange(facets)
+    # sort each facet's slots by vertex number, its neighbors along with them
+    order = np.argsort(numbers, axis=1)
+    vertices = numbers[rows[:, None], order]
+    neighbors = hull.neighbors[rows[:, None], order]
+    # apex[j][F, s]: the apex of F's j-subset s of slots; the (k-1)-subsets
+    # run in combinations order, so the one without slot i is number k-1-i
+    apex = {k - 1: np.minimum(rows[:, None], neighbors[:, ::-1])}
+    if k > 2:
+        apex[1] = (first // k)[vertices]
+    for j in range(2, k - 1):
+        digits = vertices[:, subsets[j]]
+        keys = np.ravel_multi_index(tuple(np.moveaxis(digits, -1, 0)), (labels.size,) * j)
+        # keys run facet by facet, so a key's first occurrence is its lowest facet
+        _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        apex[j] = (at // len(subsets[j]))[inverse].reshape(facets, -1)
+    # each chain: its facet, its subset of slots, its apex and its product,
+    # stored one component per row
+    facet, subset, top, product = rows, np.zeros(facets, dtype=np.intp), rows, points.T
+    signed = np.hstack([points, -points]).T  # u and -u, as wedge reads them
+    for j in range(k - 1, 0, -1):
+        kids = children[j + 1][subset]
+        below = apex[j][facet[:, None], kids]
+        chain, slot = np.nonzero(below < top[:, None])
+        facet, subset, top = facet[chain], kids[chain, slot], below[chain, slot]
+        u, w = signed[:, top], product[:, chain]
+        (c, s), *terms = wedge[k - j]
+        product = u[c] * w[s]
+        for c, s in terms:
+            product += u[c] * w[s]
+    return float(np.abs(product).sum() / math.factorial(k))
 
 
 def _spans(G: np.ndarray) -> bool:

@@ -1008,3 +1008,79 @@ def test_volume_of_a_near_degenerate_k5_section(seed):
     verts = enumerate_vertices(section).vrep
     joggled = ConvexHull(np.vstack([verts, -verts]), qhull_options="QJ").volume
     assert got == pytest.approx(joggled, rel=2e-8)
+
+
+def brute_force_polar_volume(hull):
+    """The flag sum of ``_polar_volume`` the long way: all k! orderings of
+    every facet's vertices, each face's apex looked up in a table of the
+    lowest facet holding it, and a determinant for each chain whose apex
+    strictly increases from the first vertex up to the facet."""
+    points = framegeo.polytopes._polar_points(hull)
+    k = points.shape[1]
+    lowest = {}
+    for facet, simplex in enumerate(hull.simplices):
+        for j in range(1, k):
+            for face in itertools.combinations(sorted(simplex), j):
+                lowest.setdefault(face, facet)
+    flags = []
+    for facet, simplex in enumerate(hull.simplices):
+        for order in itertools.permutations(simplex):
+            chain = [lowest[tuple(sorted(order[:j]))] for j in range(1, k)] + [facet]
+            if all(a < b for a, b in zip(chain, chain[1:])):
+                flags.append(chain)
+    return float(np.abs(np.linalg.det(points[flags])).sum() / math.factorial(k))
+
+
+def corner_rows(k):
+    """The cube's corners (a non-simplicial hull), with repeated, zero and
+    interior rows."""
+    corners = np.array(list(itertools.product([1.0, -1.0], repeat=k)))
+    return np.vstack([corners, corners[:3], np.zeros((2, k)), 0.5 * corners[1:4]])
+
+
+def cross_rows(k):
+    """The cross-polytope's corners, each repeated, with interior rows."""
+    inner = np.random.default_rng(k).uniform(-0.2, 0.2, (30, k))
+    return np.vstack([np.eye(k), np.eye(k), inner])
+
+
+def assert_polar_volume_matches_the_brute_force_flag_sum(rows):
+    hull = framegeo.polytopes._hull(rows)
+    assert framegeo.polytopes._polar_volume(hull) == pytest.approx(
+        brute_force_polar_volume(hull), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("t", range(3))
+@pytest.mark.parametrize("n,k", [(3, 2), (7, 2), (6, 3), (11, 3), (8, 4), (14, 4),
+                                 (10, 5), (14, 5)])
+def test_polar_volume_of_haar_hulls_matches_the_brute_force_flag_sum(n, k, t):
+    frame = project_standard_basis(random_subspace(n, k, trial_seed(30, t)))
+    assert_polar_volume_matches_the_brute_force_flag_sum(frame.vectors)
+
+
+@pytest.mark.parametrize("seed", NEAR_DEGENERATE_K5_SEEDS)
+def test_polar_volume_of_near_degenerate_hulls_matches_the_brute_force_flag_sum(seed):
+    frame = project_standard_basis(random_subspace(14, 5, seed))
+    assert_polar_volume_matches_the_brute_force_flag_sum(frame.vectors)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_polar_volume_of_degenerate_hulls_matches_the_brute_force_flag_sum(k):
+    # pins the ridge apex read off hull.neighbors where qhull splits facets
+    # and drops repeated, zero and interior points
+    for rows in (corner_rows(k), cross_rows(k)):
+        assert_polar_volume_matches_the_brute_force_flag_sum(rows)
+
+
+def test_polar_volume_at_k6_matches_closed_forms_and_a_hull_of_the_polar():
+    # K_EXACT stops the public path at k = 5, so only a direct call reaches
+    # the levels of faces with 2, 3 and 4 vertices
+    polar_volume = framegeo.polytopes._polar_volume
+    for n in (12, 18):
+        frame = project_standard_basis(equality_subspace(n, 6))
+        got = polar_volume(framegeo.polytopes._hull(frame.vectors))
+        assert got == pytest.approx(2.0 ** 6 * (n / 6) ** 3, rel=1e-12)
+    hull = framegeo.polytopes._hull(
+        project_standard_basis(random_subspace(12, 6, trial_seed(30, 0))).vectors)
+    want = ConvexHull(framegeo.polytopes._polar_points(hull)).volume
+    assert polar_volume(hull) == pytest.approx(want, rel=1e-12)
