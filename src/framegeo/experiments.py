@@ -26,6 +26,13 @@ The conjecture scan additionally tracks the two-power bounds 2^{±(n-k)/2},
 with the same relative rule; the upper one for cube sections is proved (a
 violation indicates a solver or volume bug), the lower one for cross
 projections is exploratory and is reported without being asserted.
+
+A request runs its trials in blocks, stage by stage, since each stage of a
+small trial costs mostly its calls' overhead: one stacked QR draws the
+block's subspaces, every frame is projected and hulled, the sections' flags
+grow for a group of hulls at a time, and then each trial is fitted and
+checked.  A block gives each trial the bits it has alone, and the public
+one-trial functions are the same path with a block of one.
 """
 
 from __future__ import annotations
@@ -47,6 +54,8 @@ from . import polytopes as _polytopes
 BOUND_TOL = 1e-6
 _SCAN_SLACK = 1e-9  # the scan's relative margin on both two-power bounds
 _MASK64 = (1 << 64) - 1
+_BLOCK_TRIALS = 32       # trials run stage by stage at a time
+_BLOCK_ENTRIES = 2 ** 16  # entries of a block's stacked samples (512 KiB)
 
 # (report key, CSV short name) of the four volume ratios.  Every report
 # holds the two ellipsoid rows, which carry the CSV's bound_kn and bound_nk.
@@ -84,6 +93,19 @@ def trial_seed(master_seed: int, trial_id: int) -> int:
     return splitmix64((master_seed + trial_id) & _MASK64)
 
 
+def _draw(n: int, k: int, seeds) -> list[Subspace]:
+    """``random_subspace(n, k, seed)`` for each of the seeds, from one stacked
+    QR of their samples; each seed keeps its own generator, and each basis
+    its own check."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    samples = np.array([np.random.default_rng(seed).standard_normal((n, k))
+                        for seed in seeds])
+    q, r = np.linalg.qr(samples)
+    signs = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
+    return [Subspace(n=n, k=k, basis=(qs * sign).T) for qs, sign in zip(q, signs)]
+
+
 def random_subspace(n: int, k: int, seed: int) -> Subspace:
     """Rotation-invariant random subspace via QR of a Gaussian matrix.
 
@@ -91,10 +113,14 @@ def random_subspace(n: int, k: int, seed: int) -> Subspace:
     normal sample, each column's sign flipped where R's diagonal is
     negative, which makes the draw Haar distributed.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, k)))
-    return Subspace(n=n, k=k, basis=(q * np.where(np.diag(r) < 0.0, -1.0, 1.0)).T)
+    return _draw(n, k, [seed])[0]
+
+
+def _blocks(n: int, k: int, trials: int):
+    """The trial ids of a request, in blocks of up to _BLOCK_TRIALS trials
+    and _BLOCK_ENTRIES entries of their n x k samples."""
+    size = max(1, min(_BLOCK_TRIALS, _BLOCK_ENTRIES // (n * k)))
+    return (range(start, min(start + size, trials)) for start in range(0, trials, size))
 
 
 class Check(NamedTuple):
@@ -143,29 +169,26 @@ def _profile_uniform(frame) -> bool:
     return bool(np.max(np.abs(frame.squared_norms() - frame.k / frame.n)) <= BOUND_TOL)
 
 
-def _polytope_ratios(frame) -> tuple[float, float, float]:
-    """Normalized (cube section, cross projection) ratios of a frame projected
-    from a Subspace, and the product of the two volumes."""
-    vol_section, vol_cross = _polytopes._frame_volumes(frame)
-    k = frame.k
-    return (vol_section / 2.0 ** k,
-            vol_cross / (2.0 ** k / math.factorial(k)),
-            vol_section * vol_cross)
+def _polytope_ratios(frames) -> list[tuple[float, float, float]]:
+    """Normalized (cube section, cross projection) ratios of each of a block
+    of frames projected from Subspaces, and the product of the two volumes."""
+    k = frames[0].k
+    return [(section / 2.0 ** k, cross / (2.0 ** k / math.factorial(k)), section * cross)
+            for section, cross in _polytopes._frame_volumes(frames)]
 
 
-def _verify(subspace: Subspace, volumes: bool, trial_id: int,
-            seed: int) -> ExperimentReport:
-    n, k = subspace.n, subspace.k
-    frame = project_standard_basis(subspace)
-    if volumes:  # before the fit, so an unsupported k fails first
-        cube, cross, product = _polytope_ratios(frame)
+def _report(frame, polytope, trial_id: int, seed: int) -> ExperimentReport:
+    """One trial's Lowner fit and checks, with its (cube, cross, product) of
+    ``_polytope_ratios``, or None for the ellipsoid bounds alone."""
+    n, k = frame.n, frame.k
     fit = lowner_symmetric(frame.vectors, eps=DEFAULT_EPS)
     lowner = ellipsoid_volume_ratio(fit.ellipsoid)
     lower, upper = (k / n) ** (k / 2), (n / k) ** (k / 2)
     # the John ellipsoid is the cover's polar, and vol(E) vol(E polar) = vol(B^k)^2
     checks = {"lowner_ratio": Check(lowner, lower, False),
               "john_ratio": Check(1.0 / lowner, upper, True)}
-    if volumes:
+    if polytope is not None:
+        cube, cross, product = polytope
         checks.update(cube_section_ratio=Check(cube, upper, True),
                       cross_projection_ratio=Check(cross, lower, False),
                       chain_cube=Check(cube, 1.0 / lowner, True),
@@ -178,13 +201,22 @@ def _verify(subspace: Subspace, volumes: bool, trial_id: int,
     return ExperimentReport(trial_id=trial_id, n=n, k=k, seed=seed,
                             ratios=ratios, checks=checks,
                             profile_uniform=_profile_uniform(frame),
-                            extras={"volume_product": product} if volumes else {})
+                            extras={} if polytope is None else {"volume_product": product})
+
+
+def _verify(subspaces, volumes: bool, trial_ids, seeds) -> list[ExperimentReport]:
+    """A block of trials, stage by stage: every subspace is projected, then
+    every frame's volumes are taken (before any fit, so an unsupported k
+    fails first), then each trial is fitted and checked."""
+    frames = [project_standard_basis(subspace) for subspace in subspaces]
+    ratios = _polytope_ratios(frames) if volumes else [None] * len(frames)
+    return [_report(*trial) for trial in zip(frames, ratios, trial_ids, seeds)]
 
 
 def verify_ellipsoid_bounds(subspace: Subspace, trial_id: int = 0,
                             seed: int = 0) -> ExperimentReport:
     """Check the Lowner/John volume-ratio bounds on one subspace."""
-    return _verify(subspace, False, trial_id, seed)
+    return _verify([subspace], False, [trial_id], [seed])[0]
 
 
 def verify_volume_bounds(subspace: Subspace, trial_id: int = 0,
@@ -192,7 +224,7 @@ def verify_volume_bounds(subspace: Subspace, trial_id: int = 0,
     """Check the polytope volume bounds, the ellipsoid bounds, and the sandwich
     between them on one subspace (k must be within the exact-volume range);
     both polytope volumes come from one hull of the frame's +/- v_i."""
-    return _verify(subspace, True, trial_id, seed)
+    return _verify([subspace], True, [trial_id], [seed])[0]
 
 
 @dataclass(frozen=True)
@@ -231,9 +263,11 @@ def conjecture_scan(n: int, k: int, trials: int, seed: int) -> ConjectureScanSum
     bound_2pow = 2.0 ** ((k - n) / 2)
     bound_ball2 = 2.0 ** ((n - k) / 2)
     seeds = [trial_seed(seed, t) for t in range(trials)]
-    cube, cross = np.array([
-        _polytope_ratios(project_standard_basis(random_subspace(n, k, s)))[:2]
-        for s in seeds]).T
+    ratios = []
+    for block in _blocks(n, k, trials):
+        subspaces = _draw(n, k, [seeds[t] for t in block])
+        ratios += _polytope_ratios([project_standard_basis(s) for s in subspaces])
+    cube, cross = np.array([trial[:2] for trial in ratios]).T
     below = next((t for t, ratio in enumerate(cross)
                   if not Check(ratio, bound_2pow, False).holds(_SCAN_SLACK)), None)
     counterexample = None if below is None else {
@@ -283,10 +317,10 @@ def run_suite(config) -> tuple[list[ExperimentReport], str]:
     """
     reports = []
     for spec in config:
-        for t in range(spec.trials):
-            s = trial_seed(spec.seed, t)
-            sub = random_subspace(spec.n, spec.k, s)
-            reports.append(_verify(sub, "volume" in spec.experiments, t, s))
+        for block in _blocks(spec.n, spec.k, spec.trials):
+            seeds = [trial_seed(spec.seed, t) for t in block]
+            reports += _verify(_draw(spec.n, spec.k, seeds),
+                               "volume" in spec.experiments, block, seeds)
     reports.sort(key=lambda r: (r.n, r.k, r.trial_id))
     return reports, render_csv(reports)
 

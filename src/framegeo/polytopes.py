@@ -17,6 +17,9 @@ exterior product of its apexes' polar vertices, so that its determinant is
 built as it grows, one factor per level.  So a trial's two volumes come from
 one hull of the raw +/- v_i of a projected frame (qhull takes repeated,
 zero and interior points), and no hull of the section's vertices is built.
+A block of trials grows the flags of a group of its hulls in one pass,
+numbering their facets and vertices hull after hull, which leaves each
+hull's volume bit for bit as it is alone.
 A body of either representation keeps the hull of its +/- rows and the
 points polar to its facets, once built, for k <= K_EXACT and rows that span
 R^k: an H-rep body's vertices (facet dualization) or a V-rep body's
@@ -61,6 +64,7 @@ _LP_PIVOTS_PER_COLUMN = 50
 _CHUNK = 100_000       # samples estimate_volume draws at a time
 _BLOCK_IMAGE = 2 ** 14  # entries of the image of one block it tests (128 KiB)
 _GAUGE_PLANS = 16  # generator sets whose gauge plans are kept, O(m k) each
+_GROUP_FACETS = 512  # facets of the hulls whose flags grow in one pass
 
 
 class DegenerateBodyError(ValueError):
@@ -365,8 +369,9 @@ def _flag_levels(k: int):
     return subsets, children, wedge
 
 
-def _polar_volume(hull) -> float:
-    """Volume of the polar of a hull of +/- points, read off the hull's facets.
+def _polar_volume(hulls) -> np.ndarray:
+    """Volumes of the polars of a group of hulls of +/- points in R^k, read
+    off the hulls' facets, whose flags grow in one pass.
 
     A flag of the polar pairs a facet F of the hull (a polar vertex u_F)
     with an ordering p_1, ..., p_k of F's vertices.  For j < k the face dual
@@ -383,31 +388,43 @@ def _polar_volume(hull) -> float:
       simplices (its output is triangulated), so its apex is the lower of F
       and F's neighbor across it;
     - a vertex's apex is the first facet it occurs in;
-    - a face of 2 .. k-2 vertices is keyed by its sorted hull-vertex
-      numbers, and its apex is the first facet with that key.
+    - a face of 2 .. k-2 vertices is keyed by its sorted vertex numbers,
+      and its apex is the first facet with that key.
     Each chain carries the exterior product of its apexes' polar vertices,
     u_F, then u_a ^ u_F for the ridge's apex a, and so on, one factor per
     level, so chains that share a prefix share its product; at the last
     level it is the determinant.  qhull's splits of a non-simplicial facet
     share one polar vertex, so the flags across them have zero volume.  At
     k = 1 the polar of [-t, t] is [-1/t, 1/t].
+
+    The group's facets and vertices are numbered hull after hull, so no face
+    of one hull meets another's, each hull's chains stay contiguous and in
+    the order they have when it grows alone, and its volume, summed over
+    them, is bit for bit the one it has alone.  A key of j digits is below
+    V^j for the group's V vertices, so the group must keep V^(k-2) < 2^63
+    (``_hull_groups``).
     """
-    points = _polar_points(hull)
+    points = np.vstack([_polar_points(hull) for hull in hulls])
     k = points.shape[1]
     if k == 1:
-        return 4.0 / hull.volume
+        return np.array([4.0 / hull.volume for hull in hulls])
     subsets, children, wedge = _flag_levels(k)
-    # number the hull's vertices 0 .. V-1 in point order, so that the int64
-    # keys below grow with V, not with the interior points the hull was given
-    labels, first, numbers = np.unique(hull.simplices, return_index=True,
+    # each hull's facets and points follow those of the hulls before it
+    starts = np.cumsum([0, *(hull.simplices.shape[0] for hull in hulls)])
+    bases = np.cumsum([0, *(hull.points.shape[0] for hull in hulls)])
+    simplices = np.vstack([hull.simplices + base for hull, base in zip(hulls, bases)])
+    # number the hulls' vertices 0 .. V-1 in point order, so that the int64
+    # keys below grow with V, not with the interior points the hulls were given
+    labels, first, numbers = np.unique(simplices, return_index=True,
                                        return_inverse=True)
-    facets = hull.simplices.shape[0]
+    facets = simplices.shape[0]
     numbers = numbers.reshape(facets, k)
     rows = np.arange(facets)
     # sort each facet's slots by vertex number, its neighbors along with them
     order = np.argsort(numbers, axis=1)
     vertices = numbers[rows[:, None], order]
-    neighbors = hull.neighbors[rows[:, None], order]
+    neighbors = np.vstack([hull.neighbors + start for hull, start in zip(hulls, starts)])
+    neighbors = neighbors[rows[:, None], order]
     # apex[j][F, s]: the apex of F's j-subset s of slots; the (k-1)-subsets
     # run in combinations order, so the one without slot i is number k-1-i
     apex = {k - 1: np.minimum(rows[:, None], neighbors[:, ::-1])}
@@ -433,7 +450,30 @@ def _polar_volume(hull) -> float:
         product = u[c] * w[s]
         for c, s in terms:
             product += u[c] * w[s]
-    return float(np.abs(product).sum() / math.factorial(k))
+    # the chains run facet by facet, so each hull's are one contiguous run
+    ends = np.searchsorted(facet, starts)
+    return np.array([np.abs(product[:, lo:hi]).sum() / math.factorial(k)
+                     for lo, hi in zip(ends[:-1], ends[1:])])
+
+
+def _hull_groups(hulls, k: int):
+    """Runs of consecutive hulls in R^k whose polar flags grow in one pass
+    of ``_polar_volume``.  A hull joins the run while the run keeps at most
+    _GROUP_FACETS facets, past which a pass costs more per hull than it
+    saves, and its V vertices keep V^(k-2) < 2^63, so that every face key
+    fits an int64; otherwise it starts the next run, alone if need be."""
+    group, facets, vertices = [], 0, 0
+    for hull in hulls:
+        size, count = len(hull.equations), len(hull.vertices)
+        if group and (facets + size > _GROUP_FACETS
+                      or (vertices + count) ** (k - 2) >= 2 ** 63):
+            yield group
+            group, facets, vertices = [], 0, 0
+        group.append(hull)
+        facets += size
+        vertices += count
+    if group:
+        yield group
 
 
 def _spans(G: np.ndarray) -> bool:
@@ -473,17 +513,23 @@ def volume(p: Polytope) -> float:
     hull = p._rows_hull
     if hull is None:
         raise _span_error(p)
-    return float(hull.volume) if p.hrep is None else _polar_volume(hull)
+    return float(hull.volume if p.hrep is None else _polar_volume([hull])[0])
 
 
-def _frame_volumes(frame: FrameSet) -> tuple[float, float]:
-    """Exact (cube section, cross projection) volumes of a frame projected
-    from a Subspace, whose basis check (TAU_ORTH < TAU_CERT) certified it,
-    both from one hull of its +/- vectors: the hull's own volume and that of
-    its polar, the section."""
-    _require_exact(frame.k)
-    hull = _hull(frame.vectors)
-    return _polar_volume(hull), float(hull.volume)
+def _frame_volumes(frames) -> list[tuple[float, float]]:
+    """Exact (cube section, cross projection) volumes of each of a block of
+    frames in R^k projected from Subspaces, whose basis checks (TAU_ORTH <
+    TAU_CERT) certified them, both from one hull of its +/- vectors: the
+    hull's own volume and that of its polar, the section.  The frames are
+    hulled in turn, the sections' flags grow a group of hulls at a time
+    (``_hull_groups``), and a group's hulls are dropped once its volumes
+    are read."""
+    k = frames[0].k
+    _require_exact(k)
+    volumes = []
+    for group in _hull_groups((_hull(frame.vectors) for frame in frames), k):
+        volumes += zip(_polar_volume(group).tolist(), (float(hull.volume) for hull in group))
+    return volumes
 
 
 def support_function(p: Polytope, direction) -> float:

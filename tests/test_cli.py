@@ -181,7 +181,8 @@ def test_verify_names_the_violated_proved_inequality(capsys, monkeypatch, entry,
                                                       fake_volumes):
     real = framegeo.polytopes._frame_volumes
     monkeypatch.setattr(framegeo.polytopes, "_frame_volumes",
-                        lambda frame: fake_volumes(*real(frame), frame.k))
+                        lambda frames: [fake_volumes(*volumes, frame.k) for volumes, frame
+                                        in zip(real(frames), frames)])
     seeds = [trial_seed(7, t) for t in range(2)]
     report = verify_volume_bounds(random_subspace(6, 3, seeds[0]))
     assert [key for key, ok in report.passes.items() if not ok] == [entry]

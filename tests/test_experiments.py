@@ -67,6 +67,17 @@ def test_random_subspace_norm_statistics():
     assert abs(float(np.mean(vals)) - 0.5) <= 0.03
 
 
+@pytest.mark.parametrize("n,k", [(1, 1), (4, 4), (7, 1), (6, 3), (200, 20)])
+def test_stacked_draw_has_the_bits_of_a_qr_per_seed(n, k):
+    # a block's draws come from one stacked qr (numpy >= 1.22), which must
+    # run LAPACK on each sample as a qr of that sample alone does
+    seeds = [trial_seed(8, t) for t in range(5)]
+    for seed, subspace in zip(seeds, framegeo.experiments._draw(n, k, seeds)):
+        q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, k)))
+        want = (q * np.where(np.diag(r) < 0.0, -1.0, 1.0)).T
+        assert subspace.basis.tobytes() == want.tobytes()
+
+
 def test_ellipsoid_report_on_equality_subspace():
     r = verify_ellipsoid_bounds(equality_subspace(6, 2), trial_id=3, seed=17)
     assert (r.n, r.k, r.trial_id, r.seed) == (6, 2, 3, 17)
@@ -267,16 +278,16 @@ def test_a_trial_is_invariant_under_a_change_of_basis(size, seed, data):
 
 def test_exit_status_flags_failures(capsys, monkeypatch):
     # verify exits 1 when a trial fails a proved bound, and names that trial alone
-    real = framegeo.experiments._verify
+    real = framegeo.experiments._report
     failing = set()
 
-    def verify(subspace, volumes, trial_id, seed):
-        r = real(subspace, volumes, trial_id, seed)
+    def report(frame, polytope, trial_id, seed):
+        r = real(frame, polytope, trial_id, seed)
         if trial_id not in failing:
             return r
         return dataclasses.replace(r, checks={**r.checks, "john_ratio": Check(3.0, 2.0, True)})
 
-    monkeypatch.setattr(framegeo.experiments, "_verify", verify)
+    monkeypatch.setattr(framegeo.experiments, "_report", report)
     argv = ["verify", "--n", "4", "--k", "2", "--trials", "2", "--seed", "5"]
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
@@ -365,6 +376,84 @@ def test_conjecture_scan_extremes_rerun_alone():
         assert verify_volume_bounds(random_subspace(8, 3, seed)).ratios[key] == value
 
 
+def spy_on_groups(monkeypatch):
+    """The number of hulls in each group whose flags grow in one pass."""
+    groups, real = [], framegeo.polytopes._polar_volume
+
+    def polar_volume(hulls):
+        groups.append(len(hulls))
+        return real(hulls)
+
+    monkeypatch.setattr(framegeo.polytopes, "_polar_volume", polar_volume)
+    return groups
+
+
+# trial counts that span more than one block of draws and more than one
+# group of hulls
+BLOCKED_REQUESTS = [(4, 1, 70, 3), (3, 2, 300, 5), (6, 3, 70, 20), (14, 4, 40, 2),
+                    (10, 5, 40, 1), (14, 5, 36, 4)]
+
+
+@pytest.mark.parametrize("n,k,trials,seed", BLOCKED_REQUESTS)
+def test_run_suite_gives_every_trial_the_bits_it_has_alone(monkeypatch, n, k, trials, seed):
+    groups = spy_on_groups(monkeypatch)
+    reports, _ = run_suite([SuiteSpec(n, k, trials, seed)])
+    assert len(groups) > 1 and max(groups) > 1
+    monkeypatch.undo()
+    assert len(reports) == trials
+    for t, report in enumerate(reports):
+        s = trial_seed(seed, t)
+        alone = framegeo.experiments._verify([random_subspace(n, k, s)], True, [t], [s])[0]
+        assert (report.trial_id, report.seed) == (t, s)
+        assert repr(report.ratios) == repr(alone.ratios)
+        assert repr(report.extras) == repr(alone.extras)
+        assert report.checks == alone.checks
+        assert report.profile_uniform == alone.profile_uniform
+
+
+def test_ellipsoid_suite_gives_every_trial_the_bits_it_has_alone():
+    n, k, trials, seed = 40, 5, 40, 3
+    reports, _ = run_suite([SuiteSpec(n, k, trials, seed, ("ellipsoid",))])
+    for t, report in enumerate(reports):
+        s = trial_seed(seed, t)
+        alone = verify_ellipsoid_bounds(random_subspace(n, k, s), t, s)
+        assert repr(report.ratios) == repr(alone.ratios)
+        assert report.checks == alone.checks
+
+
+@pytest.mark.parametrize("n,k,trials,seed", BLOCKED_REQUESTS)
+def test_conjecture_scan_gives_every_trial_the_bits_it_has_alone(monkeypatch, n, k,
+                                                                 trials, seed):
+    groups = spy_on_groups(monkeypatch)
+    seen, real = [], framegeo.experiments._polytope_ratios
+
+    def recorded(frames):
+        seen.extend(real(frames))
+        return seen[-len(frames):]
+
+    monkeypatch.setattr(framegeo.experiments, "_polytope_ratios", recorded)
+    summary = conjecture_scan(n, k, trials, seed)
+    assert len(groups) > 1 and max(groups) > 1
+    monkeypatch.undo()
+    alone = [verify_volume_bounds(random_subspace(n, k, trial_seed(seed, t))).ratios
+             for t in range(trials)]
+    assert len(seen) == trials
+    for (cube, cross, _), ratios in zip(seen, alone):
+        assert (repr(cube), repr(cross)) == (repr(ratios["cube_section_ratio"]),
+                                             repr(ratios["cross_projection_ratio"]))
+    # the extremes and the counterexample are read off those same bits
+    cubes = [ratios["cube_section_ratio"] for ratios in alone]
+    crosses = [ratios["cross_projection_ratio"] for ratios in alone]
+    top, bottom = cubes.index(max(cubes)), crosses.index(min(crosses))
+    assert (summary.max_cube_trial, summary.max_cube_seed) == (top, trial_seed(seed, top))
+    assert (summary.min_cross_trial, summary.min_cross_seed) == (bottom,
+                                                                 trial_seed(seed, bottom))
+    assert repr(summary.max_cube_ratio) == repr(cubes[top])
+    assert repr(summary.min_cross_ratio) == repr(crosses[bottom])
+    assert summary.counterexample is None and min(crosses) >= summary.bound_2pow
+    assert summary.ball2_violations == () and max(cubes) <= summary.bound_ball2
+
+
 def test_conjecture_scan_reports_planted_violations_and_counterexample(monkeypatch, capsys):
     # no Haar draw crosses either two-power bound, so the scan's violation
     # and counterexample paths are reached by planting ratios on chosen trials
@@ -374,10 +463,12 @@ def test_conjecture_scan_reports_planted_violations_and_counterexample(monkeypat
     cross_plant = {3: two_pow * (1 - 1e-6), 6: two_pow * 0.5}
     real, calls = framegeo.experiments._polytope_ratios, itertools.count()
 
-    def planted(frame):
-        t = next(calls) % trials
-        cube, cross, product = real(frame)
-        return cube_plant.get(t, cube), cross_plant.get(t, cross), product
+    def planted(frames):
+        out = []
+        for cube, cross, product in real(frames):
+            t = next(calls) % trials
+            out.append((cube_plant.get(t, cube), cross_plant.get(t, cross), product))
+        return out
 
     monkeypatch.setattr(framegeo.experiments, "_polytope_ratios", planted)
     summary = conjecture_scan(n, k, trials, seed)

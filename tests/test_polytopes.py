@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -202,7 +203,7 @@ def test_every_hull_entry_point_handles_k1():
     section = polytope_from_frame(frame)
     assert np.array_equal(enumerate_vertices(section).vrep, np.array([[1.0 / 0.8]]))
     assert volume(section) == 2.0 / 0.8
-    assert framegeo.polytopes._frame_volumes(frame) == (volume(section), volume(cross))
+    assert framegeo.polytopes._frame_volumes([frame])[0] == (volume(section), volume(cross))
     hrep = Polytope(k=1, hrep=np.array([[0.5], [-2.0], [1.0]]))
     assert np.array_equal(enumerate_vertices(hrep).vrep, np.array([[0.5]]))
     assert volume(hrep) == 1.0
@@ -249,7 +250,7 @@ def test_codimension_one_cube_section_matches_ball(n, master):
     for t in range(40):
         frame = project_standard_basis(random_subspace(n, n - 1, trial_seed(master, t)))
         exact = ball_section_volume(orthogonal_completion(frame)[-1])
-        for section in (_frame_volumes(frame)[0], volume(polytope_from_frame(frame))):
+        for section in (_frame_volumes([frame])[0][0], volume(polytope_from_frame(frame))):
             assert section == pytest.approx(exact, rel=1e-13)
             assert section * (1 + 1e-9) != pytest.approx(exact, rel=1e-13)
 
@@ -314,8 +315,8 @@ def test_trial_volumes_ignore_the_order_and_signs_of_the_frame(size, seed, data)
     signs = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n,
                                         max_size=n)))
     moved = FrameSet(n=n, k=k, vectors=signs[:, None] * frame.vectors[order])
-    want = framegeo.polytopes._frame_volumes(frame)
-    got = framegeo.polytopes._frame_volumes(moved)
+    want = framegeo.polytopes._frame_volumes([frame])[0]
+    got = framegeo.polytopes._frame_volumes([moved])[0]
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -393,7 +394,7 @@ def test_planar_trial_volumes_match_a_polygon_oracle(n):
         v = frame.vectors
         section = shoelace_area(oracle_section_vertices(v))
         cross = polygon_area(monotone_chain_hull(np.vstack([v, -v])))
-        got = (*_frame_volumes(frame), volume(polytope_from_frame(frame)),
+        got = (*_frame_volumes([frame])[0], volume(polytope_from_frame(frame)),
                volume(cross_projection(frame)))
         assert got == pytest.approx((section, cross, section, cross), rel=1e-12, abs=0.0)
 
@@ -1003,7 +1004,7 @@ def test_volume_of_a_near_degenerate_k5_section(seed):
     frame = project_standard_basis(random_subspace(14, 5, seed))
     section = polytope_from_frame(frame)
     got = volume(section)
-    assert framegeo.polytopes._frame_volumes(frame)[0] == pytest.approx(got, rel=1e-14, abs=0.0)
+    assert framegeo.polytopes._frame_volumes([frame])[0][0] == pytest.approx(got, rel=1e-14, abs=0.0)
     # oracle: a joggled hull of the +/- vertices, good to about 1e-9
     verts = enumerate_vertices(section).vrep
     joggled = ConvexHull(np.vstack([verts, -verts]), qhull_options="QJ").volume
@@ -1046,7 +1047,7 @@ def cross_rows(k):
 
 def assert_polar_volume_matches_the_brute_force_flag_sum(rows):
     hull = framegeo.polytopes._hull(rows)
-    assert framegeo.polytopes._polar_volume(hull) == pytest.approx(
+    assert framegeo.polytopes._polar_volume([hull])[0] == pytest.approx(
         brute_force_polar_volume(hull), rel=1e-13, abs=0.0)
 
 
@@ -1078,9 +1079,84 @@ def test_polar_volume_at_k6_matches_closed_forms_and_a_hull_of_the_polar():
     polar_volume = framegeo.polytopes._polar_volume
     for n in (12, 18):
         frame = project_standard_basis(equality_subspace(n, 6))
-        got = polar_volume(framegeo.polytopes._hull(frame.vectors))
+        got = polar_volume([framegeo.polytopes._hull(frame.vectors)])[0]
         assert got == pytest.approx(2.0 ** 6 * (n / 6) ** 3, rel=1e-12)
     hull = framegeo.polytopes._hull(
         project_standard_basis(random_subspace(12, 6, trial_seed(30, 0))).vectors)
     want = ConvexHull(framegeo.polytopes._polar_points(hull)).volume
-    assert polar_volume(hull) == pytest.approx(want, rel=1e-12)
+    assert polar_volume([hull])[0] == pytest.approx(want, rel=1e-12)
+
+
+def assert_grouped_growth_matches_each_hull_alone(hulls, k):
+    """Each hull's section volume, grown in its group and in one group of
+    all of them, is bit for bit the one it has alone; returns the groups."""
+    polar_volume = framegeo.polytopes._polar_volume
+    alone = [repr(polar_volume([hull])[0]) for hull in hulls]
+    groups = list(framegeo.polytopes._hull_groups(hulls, k))
+    assert [hull for group in groups for hull in group] == hulls
+    assert [repr(volume) for group in groups for volume in polar_volume(group)] == alone
+    assert [repr(volume) for volume in polar_volume(hulls)] == alone
+    return groups
+
+
+HAAR_SIZES = {2: ((3, 2), (7, 2)), 3: ((6, 3), (11, 3)), 4: ((8, 4), (14, 4)),
+              5: ((10, 5), (14, 5))}
+
+
+@pytest.mark.parametrize("k,draws", [(2, 60), (3, 20), (4, 5), (5, 3)])
+def test_grouped_flag_growth_matches_each_hull_alone(k, draws):
+    # Haar hulls, with the degenerate hulls (repeated, zero and interior
+    # rows, split facets) among them and, at k = 5, the near-degenerate ones
+    hull_of_rows = framegeo.polytopes._hull
+    haar = [hull_of_rows(project_standard_basis(random_subspace(n, k, trial_seed(30, t))).vectors)
+            for n, _ in HAAR_SIZES[k] for t in range(draws)]
+    hulls = (haar[:draws] + [hull_of_rows(corner_rows(k)), hull_of_rows(cross_rows(k))]
+             + haar[draws:])
+    if k == 5:
+        hulls += [hull_of_rows(project_standard_basis(random_subspace(14, 5, seed)).vectors)
+                  for seed in NEAR_DEGENERATE_K5_SEEDS]
+    groups = assert_grouped_growth_matches_each_hull_alone(hulls, k)
+    # the groups split at the facet budget: each holds it unless it is one
+    # hull, and the next hull would overflow it
+    budget = framegeo.polytopes._GROUP_FACETS
+    facets = [sum(len(hull.equations) for hull in group) for group in groups]
+    assert len(groups) > 1 and max(map(len, groups)) > 1
+    for group, total, after in zip(groups, facets, groups[1:] + [None]):
+        assert total <= budget or len(group) == 1
+        if after is not None:
+            assert total + len(after[0].equations) > budget
+
+
+def test_grouped_flag_growth_of_intervals_matches_each_alone():
+    hulls = [framegeo.polytopes._hull(np.array(rows)) for rows in
+             ([[0.6], [0.0], [-0.8]], [[2.0]], [[-0.5], [0.25]], [[1e-9], [3.0]])]
+    assert_grouped_growth_matches_each_hull_alone(hulls, 1)
+
+
+def test_grouped_flag_growth_at_k6_matches_each_hull_alone():
+    # faces of 2, 3 and 4 vertices are keyed across the group
+    subspaces = (equality_subspace(12, 6), random_subspace(12, 6, trial_seed(30, 0)),
+                 equality_subspace(18, 6), random_subspace(14, 6, trial_seed(30, 1)))
+    hulls = [framegeo.polytopes._hull(project_standard_basis(s).vectors) for s in subspaces]
+    assert_grouped_growth_matches_each_hull_alone(hulls, 6)
+
+
+def test_hull_groups_split_at_the_facet_budget_and_the_int64_key_range():
+    def hull(facets, vertices):
+        return SimpleNamespace(equations=np.zeros((facets, 1)), vertices=np.arange(vertices))
+
+    def sizes(groups, attribute):
+        return [[len(getattr(h, attribute)) for h in group] for group in groups]
+
+    budget = framegeo.polytopes._GROUP_FACETS
+    hulls = [hull(f, 4) for f in (300, budget - 312, 12, budget + 1, 1, budget - 1, 1)]
+    assert sizes(framegeo.polytopes._hull_groups(hulls, 5), "equations") == [
+        [300, budget - 312, 12], [budget + 1], [1, budget - 1], [1]]
+    # keys of k - 2 = 4 digits: a group keeps V^4 < 2^63 for its V vertices
+    limit = math.isqrt(math.isqrt(2 ** 63))
+    assert limit ** 4 < 2 ** 63 <= (limit + 1) ** 4
+    hulls = [hull(1, v) for v in (limit - 1, 1, 1, limit + 5, 1)]
+    assert sizes(framegeo.polytopes._hull_groups(hulls, 6), "vertices") == [
+        [limit - 1, 1], [1], [limit + 5], [1]]
+    # at k = 3 no face is keyed, and vertices never split a group
+    assert len(list(framegeo.polytopes._hull_groups(hulls, 3))) == 1
