@@ -12,11 +12,17 @@ support plus up to k points outside the cover, whose KKT system is one
 Cholesky solve.  It is kept if it raises log det by more than the Armijo
 amount, and otherwise the step is a Frank-Wolfe or away step (Todd and
 Yildirim).  The exit certificate: every point inside (1 + eps) times the
-cover, every support point outside (1 - eps) times it.
+cover, every support point outside (1 - eps) times it.  The fit advances a
+block of point sets of one shape round by round (``lowner_block``): one
+einsum gives every unfinished set's leverages and stacked argmax, argmin and
+masks its tests and points, while each set keeps its own triangular solves,
+Newton solves and Cholesky factorizations, so it has the bits it has alone;
+``lowner_symmetric`` is a block of one.
 
 ``ellipsoid_volume_ratio`` gives vol(E)/vol(B^k) = exp(-1/2 log det A)
 without forming either volume, so the Lowner and John ratios hold at any k
-the fit reaches, although vol(B^k) is subnormal from k = 436.
+the fit reaches, although vol(B^k) is subnormal from k = 436;
+``ellipsoid_volume_ratios`` gives a block's from one stacked determinant.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ DEFAULT_EPS = 1e-7
 MAX_ITERATIONS = 10 ** 6
 _ARMIJO = 1e-4  # fraction of the predicted log det rise a Newton step must keep
 _FLAT = 1e-13  # per unit of k, a predicted log det rise below its rounding
+_EPS = np.finfo(float).eps
 
 
 class SpanError(ValueError):
@@ -60,16 +67,14 @@ class Ellipsoid:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float)
+        mat = np.asarray(self.matrix, dtype=float)
         if mat.shape != (self.k, self.k):
             raise ValueError(f"matrix must be {self.k} x {self.k}, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise ValueError("matrix contains non-finite entries")
-        mat = 0.5 * (mat + mat.T)
-        try:
-            np.linalg.cholesky(mat)
-        except np.linalg.LinAlgError:
-            raise ValueError("matrix is not positive-definite") from None
+        mat = 0.5 * (mat + mat.T)  # a new array, which the caller cannot alter
+        if _cholesky(mat) is None:
+            raise ValueError("matrix is not positive-definite")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -97,10 +102,16 @@ def unit_ball_volume(k: int) -> float:
 def ellipsoid_volume_ratio(e: Ellipsoid) -> float:
     """vol(e) / vol(B^k) = exp(-1/2 log det A), formed without either volume,
     so it holds at any k although vol(B^k) is subnormal from k = 436."""
-    sign, logdet = np.linalg.slogdet(e.matrix)
-    if sign <= 0:
+    return ellipsoid_volume_ratios([e])[0]
+
+
+def ellipsoid_volume_ratios(ellipsoids) -> list[float]:
+    """``ellipsoid_volume_ratio`` of each of a block of ellipsoids in R^k,
+    from one stacked log-determinant."""
+    sign, logdet = np.linalg.slogdet(np.array([e.matrix for e in ellipsoids]))
+    if (sign <= 0).any():
         raise ValueError("ellipsoid matrix must be positive-definite")
-    return math.exp(-0.5 * logdet)
+    return [math.exp(-0.5 * value) for value in logdet.tolist()]
 
 
 def ellipsoid_volume(e: Ellipsoid) -> float:
@@ -155,62 +166,116 @@ def lowner_symmetric(points, eps: float = DEFAULT_EPS,
     raise SpanError, an empty (0, k) array with rank 0, and so do points
     whose weighted moment matrix M(u) loses positive definiteness in
     floating point (reported as rank k - 1).
+
+    The fit is ``lowner_block``, which advances a block of point sets round
+    by round, on a block of one set.
     """
-    P = np.asarray(points, dtype=float)
-    if P.ndim != 2 or P.shape[1] == 0:
-        raise ValueError("points must be an (m, k) array with k >= 1")
+    return lowner_block([points], eps, max_iterations)[0]
+
+
+def lowner_block(point_sets, eps: float = DEFAULT_EPS,
+                 max_iterations: int = MAX_ITERATIONS) -> list[LownerFit]:
+    """``lowner_symmetric`` of each of a block of point sets of one shape
+    (m, k), advanced round by round, each fit with the bits it has alone.
+
+    In a round every unfinished set forms Y = L^{-1} P^T with its own
+    triangular solve and copies it into its row of one (sets, m, k) buffer;
+    one einsum over the buffer gives all the leverages, and stacked argmax,
+    argmin and masks give each set's exit test, Frank-Wolfe and away points
+    and entering candidates.  Each unfinished set then takes its own Newton
+    trial or Frank-Wolfe step, with its own Cholesky factorizations and
+    solves, and leaves the block once it is certified.  The sets' shapes,
+    entries and ranks are checked in order before the first round; in a
+    round the first failing set in order raises, at the cap the first
+    unfinished one.  Sets that fail in different rounds thus need not
+    raise the error of the first of them in order.
+    """
+    sets = [np.asarray(points, dtype=float) for points in point_sets]
+    for P in sets:
+        if P.ndim != 2 or P.shape[1] == 0:
+            raise ValueError("points must be an (m, k) array with k >= 1")
+        if P.shape != sets[0].shape:
+            raise ValueError("point sets must share one shape (m, k)")
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
-    if not np.all(np.isfinite(P)):
-        raise ValueError("points contain non-finite entries")
+    for P in sets:
+        if not np.isfinite(P).all():
+            raise ValueError("points contain non-finite entries")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    m, k = P.shape
-    R, pivots = lapack.dgeqp3(P.T)[:2]
-    diag = np.abs(np.diagonal(R))
-    tol = diag.max(initial=0.0) * max(m, k) * np.finfo(float).eps
-    rank = int(np.count_nonzero(diag > tol))
-    if rank < k:
-        raise SpanError(f"points span a {rank}-dimensional subspace of R^{k}", rank)
+    if not sets:
+        return []
+    m, k = sets[0].shape
+    U = np.zeros((len(sets), m))
+    for b, P in enumerate(sets):
+        R, pivots = lapack.dgeqp3(P.T)[:2]
+        diag = np.abs(R.diagonal())
+        rank = int(np.count_nonzero(diag > diag.max(initial=0.0) * max(m, k) * _EPS))
+        if rank < k:
+            raise SpanError(f"points span a {rank}-dimensional subspace of R^{k}", rank)
+        U[b, pivots[:k] - 1] = 1.0 / k
 
-    u = np.zeros(m)
-    u[pivots[:k] - 1] = 1.0 / k
     threshold = k * (1.0 + eps)
     floor = k * (1.0 - eps)
-    L = None
-    newton_steps = 0
+    fits = [None] * len(sets)
+    # the unfinished sets in order: set live[j] keeps its weights in U[j],
+    # its Cholesky factor in Ls[j], and its Y = L^{-1} P^T in Ys[j] and,
+    # transposed, in buffer[j]
+    live = list(range(len(sets)))
+    Ls = [None] * len(sets)
+    Ys = [None] * len(sets)
+    newton_steps = [0] * len(sets)
+    buffer = np.empty((len(sets), m, k))
     for iterations in range(max_iterations + 1):
-        if L is None:
-            L = _cholesky((P.T * u) @ P)
-            if L is None:
-                raise SpanError(f"points lie within rounding of a proper subspace "
-                                f"of R^{k}: M(u) is not positive-definite", k - 1)
-        Y = lapack.dtrtrs(L, P.T, lower=1)[0]
-        g = np.einsum("ij,ij->j", Y, Y)
-        S = u.nonzero()[0]
-        i_fw = int(g.argmax())
-        i_aw = int(S[g[S].argmin()])
-        gap = max(g[i_fw] - k, k - g[i_aw])
-        if g[i_fw] <= threshold and g[i_aw] >= floor:
-            break
-        if iterations == max_iterations:
-            raise ConvergenceError(
-                f"no convergence within {max_iterations} iterations "
-                f"(remaining gap {gap:.3e})", float(gap))
-        entering = ((g > threshold) & (u == 0.0)).nonzero()[0]
-        if entering.size > k:
-            entering = entering[np.argsort(-g[entering], kind="stable")[:k]]
-        L = _newton_step(P, u, S, entering, L, Y, g, k)
-        if L is None:
-            _frank_wolfe_step(u, g, i_fw, i_aw, k)
-            u /= u.sum()
-        else:
-            newton_steps += 1
-
-    L_inv = lapack.dtrtri(L, lower=1)[0]
-    ell = Ellipsoid(k=k, matrix=(L_inv.T @ L_inv) / k)
-    return LownerFit(ellipsoid=ell, weights=u, iterations=iterations,
-                     gap=float(gap), newton_steps=newton_steps)
+        for j, b in enumerate(live):
+            P = sets[b]
+            if Ls[j] is None:
+                Ls[j] = _cholesky((P.T * U[j]) @ P)
+                if Ls[j] is None:
+                    raise SpanError(f"points lie within rounding of a proper subspace "
+                                    f"of R^{k}: M(u) is not positive-definite", k - 1)
+            Ys[j] = lapack.dtrtrs(Ls[j], P.T, lower=1)[0]
+            buffer[j] = Ys[j].T
+        g = np.einsum("bij,bij->bi", buffer, buffer)
+        off = np.logical_not(U)  # the points off each set's support
+        i_fw = g.argmax(axis=1).tolist()
+        on_support = g.copy()
+        on_support[off] = np.inf
+        i_aw = on_support.argmin(axis=1).tolist()
+        entering_all = None
+        stepping = []
+        for j, b in enumerate(live):
+            g_fw, g_aw = g.item(j, i_fw[j]), g.item(j, i_aw[j])
+            gap = max(g_fw - k, k - g_aw)
+            if g_fw <= threshold and g_aw >= floor:
+                L_inv = lapack.dtrtri(Ls[j], lower=1)[0]
+                fits[b] = LownerFit(Ellipsoid(k, (L_inv.T @ L_inv) / k), U[j].copy(),
+                                    iterations, gap, newton_steps[b])
+                continue
+            if iterations == max_iterations:
+                raise ConvergenceError(
+                    f"no convergence within {max_iterations} iterations "
+                    f"(remaining gap {gap:.3e})", gap)
+            if entering_all is None:
+                entering_all = (g > threshold) & off
+            stepping.append(j)
+            u, gj = U[j], g[j]
+            entering = entering_all[j].nonzero()[0]
+            if entering.size > k:
+                entering = entering[np.argsort(-gj[entering], kind="stable")[:k]]
+            Ls[j] = _newton_step(sets[b], u, u.nonzero()[0], entering, Ls[j], Ys[j], gj, k)
+            if Ls[j] is None:
+                _frank_wolfe_step(u, gj, i_fw[j], i_aw[j], k)
+                u /= u.sum()
+            else:
+                newton_steps[b] += 1
+        if not stepping:
+            return fits
+        if len(stepping) < len(live):
+            live = [live[j] for j in stepping]
+            Ls = [Ls[j] for j in stepping]
+            U = U[stepping]
+            buffer = buffer[:len(live)]
 
 
 def _cholesky(M):
@@ -257,7 +322,7 @@ def _newton_step(P, u, S, E, L, Y, g, k: int):
         gA = g[A]
         d = _newton_direction(Y[:, A], k - gA)
         falling = d[S.size:] <= 0.0
-        if not falling.any():
+        if not np.count_nonzero(falling):
             break
         E = E[~falling]
         A = np.concatenate((S, E))
@@ -294,8 +359,9 @@ def _newton_direction(YA, r):
     Q = YA.T @ YA
     H = Q * Q
     s = r.size
-    rhs = np.ones((2, s))
+    rhs = np.empty((2, s))
     rhs[0] = r
+    rhs[1] = 1.0
     x, info = lapack.dposv(H, rhs.T, lower=1)[1:]
     if info == 0:
         sum_a, sum_b = x.sum(axis=0)

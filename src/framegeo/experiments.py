@@ -30,9 +30,13 @@ projections is exploratory and is reported without being asserted.
 A request runs its trials in blocks, stage by stage, since each stage of a
 small trial costs mostly its calls' overhead: one stacked QR draws the
 block's subspaces, every frame is projected and hulled, the sections' flags
-grow for a group of hulls at a time, and then each trial is fitted and
-checked.  A block gives each trial the bits it has alone, and the public
-one-trial functions are the same path with a block of one.
+grow for a group of hulls at a time, the block's Lowner fits advance round
+by round together (``lowner_block``), one stacked log-determinant gives
+their ratios and one stacked einsum the norm profiles, and then each
+trial's checks are assembled.  A block gives each trial the bits it has
+alone, and the public one-trial functions are the same path with a block of
+one; where the block's fit fails, its trials are fitted again one at a time
+in order, so the first failing trial raises what it raises alone.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .ellipsoids import (DEFAULT_EPS, ellipsoid_volume_ratio, lowner_symmetric,
+from .ellipsoids import (DEFAULT_EPS, ConvergenceError, SpanError,
+                         ellipsoid_volume_ratios, lowner_block, lowner_symmetric,
                          unit_ball_volume)
 from .frames import Subspace, project_standard_basis
 from . import frames as _frames
@@ -165,10 +170,6 @@ class ExperimentReport:
         return all(check.holds() for check in self.checks.values())
 
 
-def _profile_uniform(frame) -> bool:
-    return bool(np.max(np.abs(frame.squared_norms() - frame.k / frame.n)) <= BOUND_TOL)
-
-
 def _polytope_ratios(frames) -> list[tuple[float, float, float]]:
     """Normalized (cube section, cross projection) ratios of each of a block
     of frames projected from Subspaces, and the product of the two volumes."""
@@ -177,12 +178,21 @@ def _polytope_ratios(frames) -> list[tuple[float, float, float]]:
             for section, cross in _polytopes._frame_volumes(frames)]
 
 
-def _report(frame, polytope, trial_id: int, seed: int) -> ExperimentReport:
-    """One trial's Lowner fit and checks, with its (cube, cross, product) of
-    ``_polytope_ratios``, or None for the ellipsoid bounds alone."""
-    n, k = frame.n, frame.k
-    fit = lowner_symmetric(frame.vectors, eps=DEFAULT_EPS)
-    lowner = ellipsoid_volume_ratio(fit.ellipsoid)
+def _fits(frames):
+    """The Lowner fit of each of a block of frames, advanced together.  Where
+    the block raises, the frames are fitted one at a time in order, so the
+    first failing trial raises what it raises alone."""
+    vectors = [frame.vectors for frame in frames]
+    try:
+        return lowner_block(vectors, eps=DEFAULT_EPS)
+    except (SpanError, ConvergenceError):
+        return [lowner_symmetric(points, eps=DEFAULT_EPS) for points in vectors]
+
+
+def _report(n: int, k: int, lowner: float, profile_uniform: bool, polytope,
+            trial_id: int, seed: int) -> ExperimentReport:
+    """One trial's checks from its Lowner ratio, with its (cube, cross,
+    product) of ``_polytope_ratios``, or None for the ellipsoid bounds alone."""
     lower, upper = (k / n) ** (k / 2), (n / k) ** (k / 2)
     # the John ellipsoid is the cover's polar, and vol(E) vol(E polar) = vol(B^k)^2
     checks = {"lowner_ratio": Check(lowner, lower, False),
@@ -200,17 +210,25 @@ def _report(frame, polytope, trial_id: int, seed: int) -> ExperimentReport:
     ratios = {column: checks[column].value for column, _ in _RATIOS if column in checks}
     return ExperimentReport(trial_id=trial_id, n=n, k=k, seed=seed,
                             ratios=ratios, checks=checks,
-                            profile_uniform=_profile_uniform(frame),
+                            profile_uniform=profile_uniform,
                             extras={} if polytope is None else {"volume_product": product})
 
 
 def _verify(subspaces, volumes: bool, trial_ids, seeds) -> list[ExperimentReport]:
     """A block of trials, stage by stage: every subspace is projected, then
     every frame's volumes are taken (before any fit, so an unsupported k
-    fails first), then each trial is fitted and checked."""
+    fails first), then the block is fitted, its Lowner ratios read off one
+    stacked log-determinant and its norm profiles off one stacked einsum,
+    and each trial's checks are assembled."""
     frames = [project_standard_basis(subspace) for subspace in subspaces]
+    n, k = frames[0].n, frames[0].k
     ratios = _polytope_ratios(frames) if volumes else [None] * len(frames)
-    return [_report(*trial) for trial in zip(frames, ratios, trial_ids, seeds)]
+    lowners = ellipsoid_volume_ratios([fit.ellipsoid for fit in _fits(frames)])
+    vectors = np.array([frame.vectors for frame in frames])
+    norms = np.einsum("bij,bij->bi", vectors, vectors)
+    uniform = (np.abs(norms - k / n).max(axis=1) <= BOUND_TOL).tolist()
+    return [_report(n, k, *trial)
+            for trial in zip(lowners, uniform, ratios, trial_ids, seeds)]
 
 
 def verify_ellipsoid_bounds(subspace: Subspace, trial_id: int = 0,

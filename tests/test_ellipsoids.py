@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import framegeo.ellipsoids
 from framegeo.ellipsoids import (DEFAULT_EPS, ConvergenceError, Ellipsoid,
                                  SpanError, ellipsoid_volume,
-                                 ellipsoid_volume_ratio, john_of_cube_section,
-                                 lowner_symmetric, polar_ellipsoid, unit_ball_volume)
+                                 ellipsoid_volume_ratio, ellipsoid_volume_ratios,
+                                 john_of_cube_section, lowner_block, lowner_symmetric,
+                                 polar_ellipsoid, unit_ball_volume)
 from framegeo.frames import Subspace, project_standard_basis
 from framegeo.majorization import NormProfile, construct_realization
 from framegeo.polytopes import equality_subspace
@@ -415,6 +416,135 @@ def test_repeated_points_keep_the_certificate(kind, n, k, seed):
     assert np.all(fit.weights[~pts.any(axis=1)] == 0.0)
     ref = ellipsoid_volume(lowner_symmetric(frame).ellipsoid)
     assert ellipsoid_volume(fit.ellipsoid) == pytest.approx(ref, rel=1e-9)
+
+
+def fit_bits(fit):
+    """Every bit of a fit: its matrix, weights, step counts and gap."""
+    return (repr(fit.ellipsoid.matrix.tolist()), repr(fit.weights.tolist()),
+            fit.iterations, fit.newton_steps, repr(fit.gap))
+
+
+def haar_block(n, k, size, master=1):
+    return [project_standard_basis(random_subspace(n, k, trial_seed(master, t))).vectors
+            for t in range(size)]
+
+
+@pytest.mark.parametrize("n,k,size", [(6, 3, 20), (14, 4, 32), (40, 5, 10), (200, 20, 16),
+                                      (4, 1, 20), (5, 2, 20)])
+def test_a_block_fit_gives_every_set_the_bits_it_has_alone(n, k, size):
+    # a round stacks only the leverages and the tests read off them; each
+    # set keeps its own solves and factorizations, and leaves the block
+    # once certified, at the start or after five steps or more
+    sets = haar_block(n, k, size)
+    alone = [fit_bits(lowner_symmetric(points)) for points in sets]
+    assert [fit_bits(fit) for fit in lowner_block(sets)] == alone
+    assert [fit_bits(fit) for fit in lowner_block(sets[::-1])] == alone[::-1]
+    steps = [bits[2] for bits in alone]
+    if k in (3, 4):
+        assert 0 in steps and max(steps) >= 5
+
+
+def test_a_set_whose_newton_trial_is_rejected_steps_alone_in_its_block(monkeypatch):
+    # the set's first Newton trial is rejected, so it takes a Frank-Wolfe or
+    # away step from its own row of leverages while the others take Newton
+    # steps; the step and every fit keep the bits they have alone
+    sets = haar_block(40, 5, 10)
+    target, rejected, first_order = sets[3], [], []
+    newton_step = framegeo.ellipsoids._newton_step
+    frank_wolfe_step = framegeo.ellipsoids._frank_wolfe_step
+
+    def reject_once(P, *args):
+        if P is target and not rejected:
+            rejected.append(P)
+            return None
+        return newton_step(P, *args)
+
+    def recorded(u, g, i_fw, i_aw, k):
+        frank_wolfe_step(u, g, i_fw, i_aw, k)
+        first_order.append((i_fw, i_aw, repr(u.tolist())))
+
+    monkeypatch.setattr(framegeo.ellipsoids, "_newton_step", reject_once)
+    monkeypatch.setattr(framegeo.ellipsoids, "_frank_wolfe_step", recorded)
+    fits = lowner_block(sets)
+    in_block = first_order[:]
+    rejected.clear()
+    first_order.clear()
+    alone = [lowner_symmetric(points) for points in sets]
+    assert len(in_block) == 1 and in_block == first_order
+    assert [fit_bits(fit) for fit in fits] == [fit_bits(fit) for fit in alone]
+    assert [fit.iterations - fit.newton_steps for fit in fits] == [0, 0, 0, 1, 0, 0, 0, 0, 0, 0]
+    assert_certificate(target, fits[3])
+
+
+def test_a_set_with_repeated_points_takes_least_squares_in_its_block(lstsq_calls):
+    V = haar_block(20, 4, 4)
+    sets = [np.vstack([V[0], V[1]]), np.vstack([V[2], V[2]]), np.vstack([V[3], -V[1]])]
+    fits = lowner_block(sets)
+    assert lstsq_calls
+    alone = [lowner_symmetric(points) for points in sets]
+    assert [fit_bits(fit) for fit in fits] == [fit_bits(fit) for fit in alone]
+    for points, fit in zip(sets, fits):
+        assert_certificate(points, fit)
+
+
+def test_a_capped_block_raises_what_its_first_capped_set_raises_alone():
+    # at a cap of 4 steps the first three sets of the block certify and five
+    # of the others do not, the fourth first, each with its own gap; the
+    # block raises in the round of the cap
+    sets = haar_block(40, 5, 10)
+    sets = sets[3:] + sets[:3]
+    capped = []
+    for points in sets:
+        try:
+            lowner_symmetric(points, max_iterations=4)
+        except ConvergenceError as err:
+            capped.append(err)
+    assert len(capped) == 5 and len({err.gap for err in capped}) == 5
+    with pytest.raises(ConvergenceError) as err:
+        lowner_block(sets, max_iterations=4)
+    assert (str(err.value), repr(err.value.gap)) == (str(capped[0]), repr(capped[0].gap))
+
+
+def _near_plane(s=1e-8):
+    rng = np.random.default_rng(9)
+    pts = rng.standard_normal((8, 3))
+    pts[:, 1] = pts[:, 0] + s * rng.standard_normal(8)
+    return pts
+
+
+@pytest.mark.parametrize("make,rank", [
+    (lambda V: V * [1.0, 1.0, 0.0], 2),   # spans a plane: fails at the start
+    (lambda V: _near_plane(), 2),          # within rounding of one: fails in a round
+], ids=["plane", "near-plane"])
+def test_a_rank_deficient_set_in_a_block_raises_its_span_error(make, rank):
+    sets = haar_block(8, 3, 5)
+    sets[2] = make(sets[2])
+    with pytest.raises(SpanError) as alone:
+        lowner_symmetric(sets[2])
+    with pytest.raises(SpanError) as err:
+        lowner_block(sets)
+    assert err.value.rank == alone.value.rank == rank
+    assert str(err.value) == str(alone.value)
+
+
+def test_a_block_takes_sets_of_one_shape():
+    assert lowner_block([]) == []
+    with pytest.raises(ValueError, match="one shape"):
+        lowner_block([np.eye(3), np.eye(4)[:, :3]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 20, 600])
+def test_stacked_volume_ratios_are_each_ratio_alone(k):
+    # one stacked log-determinant gives every ellipsoid's ratio bit for bit,
+    # past the unit ball's underflow too
+    rng = np.random.default_rng(k)
+    ellipsoids = []
+    for _ in range(4):
+        B = rng.standard_normal((k, k))
+        ellipsoids.append(Ellipsoid(k=k, matrix=B @ B.T / k + np.eye(k)))
+    alone = [math.exp(-0.5 * np.linalg.slogdet(e.matrix)[1]) for e in ellipsoids]
+    assert repr(ellipsoid_volume_ratios(ellipsoids)) == repr(alone)
+    assert repr([ellipsoid_volume_ratio(e) for e in ellipsoids]) == repr(alone)
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (12, 4)])

@@ -17,14 +17,15 @@ import framegeo.majorization
 import framegeo.polytopes
 from framegeo import jsonio
 from framegeo.cli import main
-from framegeo.ellipsoids import DEFAULT_EPS, Ellipsoid, lowner_symmetric
+from framegeo.ellipsoids import (DEFAULT_EPS, Ellipsoid, SpanError, ellipsoid_volume_ratio,
+                                 lowner_block, lowner_symmetric)
 from framegeo.experiments import (BOUND_TOL, CSV_COLUMNS, Check,
                                   ConjectureScanSummary, ExperimentReport,
                                   SuiteSpec, conjecture_scan,
                                   random_subspace, render_csv, run_suite,
                                   splitmix64, trial_seed,
                                   verify_ellipsoid_bounds, verify_volume_bounds)
-from framegeo.frames import Subspace, project_standard_basis
+from framegeo.frames import FrameSet, Subspace, project_standard_basis
 from framegeo.majorization import NormProfile, construct_realization
 from framegeo.polytopes import UnsupportedDimensionError, equality_subspace
 
@@ -168,12 +169,11 @@ def test_checks_are_relative_to_a_tiny_bound(monkeypatch):
     # cover of the frame, and a margin of 1e-6 would pass it
     k = 20
 
-    def shrunk(points, eps):
-        fit = lowner_symmetric(points, eps=eps)
-        matrix = fit.ellipsoid.matrix * 4.0 ** (1 / k)
-        return fit._replace(ellipsoid=Ellipsoid(k=k, matrix=matrix))
+    def shrunk(point_sets, eps):
+        return [fit._replace(ellipsoid=Ellipsoid(k=k, matrix=fit.ellipsoid.matrix * 4.0 ** (1 / k)))
+                for fit in lowner_block(point_sets, eps=eps)]
 
-    monkeypatch.setattr(framegeo.experiments, "lowner_symmetric", shrunk)
+    monkeypatch.setattr(framegeo.experiments, "lowner_block", shrunk)
     r = verify_ellipsoid_bounds(equality_subspace(200, k))
     assert r.ratios["lowner_ratio"] == pytest.approx(r.checks["lowner_ratio"].bound / 2,
                                                      rel=1e-9)
@@ -281,9 +281,9 @@ def test_exit_status_flags_failures(capsys, monkeypatch):
     real = framegeo.experiments._report
     failing = set()
 
-    def report(frame, polytope, trial_id, seed):
-        r = real(frame, polytope, trial_id, seed)
-        if trial_id not in failing:
+    def report(*trial):
+        r = real(*trial)
+        if r.trial_id not in failing:
             return r
         return dataclasses.replace(r, checks={**r.checks, "john_ratio": Check(3.0, 2.0, True)})
 
@@ -295,6 +295,58 @@ def test_exit_status_flags_failures(capsys, monkeypatch):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"bound violated: trial 1 seed {trial_seed(5, 1)}: john_ratio\n"
+
+
+def test_a_failing_block_stops_on_its_first_failing_trial(capsys, monkeypatch):
+    # trial 1 loses positive definiteness within a few steps and trial 3
+    # spans a plane, which the block finds before its first round; the block
+    # raises trial 3's error, so the trials are fitted again in order and
+    # verify stops on trial 1 with what trial 1 raises alone
+    rng = np.random.default_rng(9)
+    near_plane = rng.standard_normal((8, 3))
+    near_plane[:, 1] = near_plane[:, 0] + 1e-8 * rng.standard_normal(8)
+    project = framegeo.experiments.project_standard_basis
+    fit_block = framegeo.experiments.lowner_block
+    projected, raised = [], []
+
+    def planted(subspace):
+        frame = project(subspace)
+        projected.append(frame)
+        vectors = {1: near_plane, 3: frame.vectors * [1.0, 1.0, 0.0]}.get(len(projected) - 1)
+        return frame if vectors is None else FrameSet(n=8, k=3, vectors=vectors)
+
+    def recorded(point_sets, **kwargs):
+        try:
+            return fit_block(point_sets, **kwargs)
+        except SpanError as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(framegeo.experiments, "project_standard_basis", planted)
+    monkeypatch.setattr(framegeo.experiments, "lowner_block", recorded)
+    argv = ["verify", "--n", "8", "--k", "3", "--trials", "5", "--seed", "2",
+            "--experiments", "ellipsoid"]
+    code = main(argv)
+    with pytest.raises(SpanError) as alone:
+        lowner_symmetric(near_plane, eps=DEFAULT_EPS)
+    assert len(projected) == 5 and len(raised) == 1
+    assert str(raised[0]) == "points span a 2-dimensional subspace of R^3" != str(alone.value)
+    assert (code, capsys.readouterr().err) == (2, f"error: {alone.value}\n")
+
+
+def test_a_block_reads_each_trials_lowner_ratio_and_profile_flag_alone():
+    # one stacked log-determinant and one stacked einsum give each trial
+    # the Lowner ratio and the profile flag it has alone
+    subspaces = [equality_subspace(6, 3), random_subspace(6, 3, 1),
+                 skew_subspace(np.full(6, 0.5), k=3), random_subspace(6, 3, 2)]
+    reports = framegeo.experiments._verify(subspaces, False, range(4), range(4))
+    for subspace, report in zip(subspaces, reports):
+        frame = project_standard_basis(subspace)
+        fit = lowner_symmetric(frame.vectors, eps=DEFAULT_EPS)
+        assert repr(report.ratios["lowner_ratio"]) == repr(ellipsoid_volume_ratio(fit.ellipsoid))
+        assert report.profile_uniform == bool(
+            np.max(np.abs(frame.squared_norms() - 0.5)) <= BOUND_TOL)
+    assert [report.profile_uniform for report in reports] == [True, False, True, False]
 
 
 def test_equality_csv_flags_column():
@@ -529,8 +581,13 @@ def test_one_trial_certifies_once_and_hulls_the_frame_once(monkeypatch, trial, h
                             counted("certifications", module.certify_unit_decomposition))
     monkeypatch.setattr(framegeo.experiments, "project_standard_basis",
                         counted("projections", framegeo.experiments.project_standard_basis))
-    monkeypatch.setattr(framegeo.experiments, "lowner_symmetric",
-                        counted("fits", framegeo.experiments.lowner_symmetric))
+    fit_block = framegeo.experiments.lowner_block
+
+    def fitted(point_sets, **kwargs):
+        counts["fits"] += len(point_sets)
+        return fit_block(point_sets, **kwargs)
+
+    monkeypatch.setattr(framegeo.experiments, "lowner_block", fitted)
     trial()
     assert counts == {"subspaces": 1, "hulls": hulls, "certifications": 0,
                       "projections": 1, "fits": fits}

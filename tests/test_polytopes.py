@@ -283,11 +283,12 @@ def test_section_volume_is_exact_on_a_non_simplicial_hull(k):
         2.0 ** k / math.factorial(k), rel=1e-12)
 
 
-def test_section_volume_with_more_points_than_int64_keys_by_point_index():
-    # 28 000 functionals at k = 5: the cross-polytope's corners and interior
-    # points.  Keyed by the index of each of the 56 000 +/- points, a face of
-    # 4 facet vertices would need 56 001^4 > 2^63 keys.  The section is the
-    # cube [-1, 1]^5.
+def test_section_volume_of_the_cube_from_28000_functionals_27995_interior():
+    # 28 000 functionals at k = 5: the cross-polytope's 5 corners and 27 995
+    # points inside it, which bound nothing.  The section is the cube
+    # [-1, 1]^5.  Faces are keyed by at most 3 hull-vertex numbers here, so
+    # no key nears 2^63; the int64 key range is checked by
+    # test_hull_groups_split_at_the_facet_budget_and_the_int64_key_range.
     inner = np.random.default_rng(9).uniform(-0.1, 0.1, (28_000 - 5, 5))
     assert volume(Polytope(k=5, hrep=np.vstack([np.eye(5), inner]))) == pytest.approx(
         32.0, rel=1e-12)
