@@ -12,8 +12,9 @@ then checks the volume ratios against the bounds:
 
 together with the sandwich between polytope and ellipsoid ratios and, as
 report entries but not CSV columns, Vaaler's vol(cube section) >= 2^k,
-Blaschke-Santalo's vol(cube section) * vol(cross projection) <= vol(B^k)^2
-and, for k <= 3 where it is proved, Mahler's lower bound on that product,
+Ball's vol(cube section) / vol(Q^k) <= 2^{(n-k)/2} (tighter than (n/k)^{k/2}
+for n < 2k), Blaschke-Santalo's
+vol(cube section) * vol(cross projection) <= vol(B^k)^2 and, for k <= 3 where it is proved, Mahler's lower bound on that product,
 4^k / k!.
 Every check is a ``Check(value, bound, is_upper)`` relative to its bound b:
 an upper bound holds when the value is at most b + tol |b|, a lower one when
@@ -42,6 +43,7 @@ in order, so the first failing trial raises what it raises alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -194,6 +196,8 @@ def _report(n: int, k: int, lowner: float, profile_uniform: bool, polytope,
     """One trial's checks from its Lowner ratio, with its (cube, cross,
     product) of ``_polytope_ratios``, or None for the ellipsoid bounds alone."""
     lower, upper = (k / n) ** (k / 2), (n / k) ** (k / 2)
+    # Ball's 2^{(n-k)/2} passes every float from n - k = 2 max_exp on
+    ball2 = 2.0 ** ((n - k) / 2) if n - k < 2 * sys.float_info.max_exp else math.inf
     # the John ellipsoid is the cover's polar, and vol(E) vol(E polar) = vol(B^k)^2
     checks = {"lowner_ratio": Check(lowner, lower, False),
               "john_ratio": Check(1.0 / lowner, upper, True)}
@@ -204,6 +208,7 @@ def _report(n: int, k: int, lowner: float, profile_uniform: bool, polytope,
                       chain_cube=Check(cube, 1.0 / lowner, True),
                       chain_cross=Check(cross, lowner, False),
                       vaaler=Check(cube, 1.0, False),
+                      ball2=Check(cube, ball2, True),
                       blaschke_santalo=Check(product, unit_ball_volume(k) ** 2, True))
         if k <= 3:  # proved for k = 2 (Mahler) and k = 3 (Iriyeh-Shibata)
             checks["mahler"] = Check(product, 4.0 ** k / math.factorial(k), False)

@@ -3,10 +3,13 @@
 A certified frame v_1, ..., v_n in R^k defines two polar bodies: the cube
 section {y : |<v_i, y>| <= 1 for all i} (an H-representation) and the
 cross-polytope projection, the absolute convex hull of the v_i (a
-V-representation).  Both representations store one row per +/- pair, and
-rows are merged only where a body stores them.  Every hull of +/- rows
-comes from one helper, ``_hull``, which stands in for qhull at k = 1 with
-the interval [-t, t].  Exact volumes, for k <= K_EXACT and any number of
+V-representation).  Both representations store one row per +/- pair.  A
+frame's two bodies share what they are built from: its certified vectors
+are collapsed to +/- representatives once per frame object, and the hull
+of those representatives, built when either body first needs it, is the
+section's own hull and gives the projection's vertices.  Every hull of +/-
+rows comes from one helper, ``_hull``, which stands in for qhull at k = 1
+with the interval [-t, t].  Exact volumes, for k <= K_EXACT and any number of
 rows, take one hull: a V-rep body's is the volume of the hull of its +/-
 vertices, and an H-rep body's is the volume of the polar of the hull of its
 +/- functionals, summed over a pulling triangulation of the polar's
@@ -22,9 +25,11 @@ numbering their facets and vertices hull after hull, which leaves each
 hull's volume bit for bit as it is alone.
 A body of either representation keeps the hull of its +/- rows and the
 points polar to its facets, once built, for k <= K_EXACT and rows that span
-R^k: an H-rep body's vertices (facet dualization) or a V-rep body's
-functionals.  Its volume, its vertices and its Monte Carlo hit test read
-them, and its support at u is the maximum of |<s, u>| over its vertices.
+R^k (a frame's section takes its frame's hull, with no rank test, since
+certified rows span): an H-rep body's vertices (facet dualization) or a
+V-rep body's functionals.  Its volume, its vertices and its Monte Carlo hit
+test read them, and its support at u is the maximum of |<s, u>| over its
+vertices.
 Otherwise the support of {|<g_i, y>| <= 1} at u is the gauge of
 conv(+/- g_i) at u (LP duality), so the package has one linear program,
 ``absolute_hull_gauge``.  It is posed on the orthonormal rows of the
@@ -88,12 +93,14 @@ class Polytope:
     body has exactly one representation, the other is None.  It is
     read-only, so it may keep the hull of its +/- rows and the points polar
     to its facets, once built, in cached properties that take no part in
-    repr.  Bodies compare by identity.
+    repr.  Bodies compare by identity.  A frame's section also holds the
+    frame's ``_FrameRows``, whose hull is the section's (not a field).
     """
 
     k: int
     vrep: Optional[np.ndarray] = None
     hrep: Optional[np.ndarray] = None
+    _frame_rows = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -113,11 +120,14 @@ class Polytope:
     def _rows_hull(self):
         """The hull of the body's +/- rows, built once: a V-rep body is it,
         an H-rep body its polar.  None above K_EXACT, where no hull is
-        built, and where the rows do not span R^k."""
-        rows = self.hrep if self.vrep is None else self.vrep
-        if self.k > K_EXACT or not _spans(rows):
+        built, and where the rows do not span R^k.  A frame's section takes
+        the hull of its frame's rows, which span."""
+        if self.k > K_EXACT:
             return None
-        return _hull(rows)
+        if self._frame_rows is not None:
+            return self._frame_rows.hull
+        rows = self.hrep if self.vrep is None else self.vrep
+        return _hull(rows) if _spans(rows) else None
 
     @functools.cached_property
     def _facet_points(self):
@@ -177,16 +187,43 @@ class _Interval(NamedTuple):
     volume: float
     vertices: np.ndarray
     equations: np.ndarray
+    points: np.ndarray
 
 
 def _hull(rows: np.ndarray):
     """Convex hull of the +/- rows; qhull cannot run at k = 1, where the hull
     is [-t, t], t = max |row|, with the argmax row as its vertex."""
+    points = np.vstack([rows, -rows])
     if rows.shape[1] == 1:
         top = int(np.argmax(np.abs(rows[:, 0])))
         t = float(abs(rows[top, 0]))
-        return _Interval(2.0 * t, np.array([top]), np.array([[1.0, -t], [-1.0, -t]]))
-    return ConvexHull(np.vstack([rows, -rows]))
+        return _Interval(2.0 * t, np.array([top]), np.array([[1.0, -t], [-1.0, -t]]), points)
+    return ConvexHull(points)
+
+
+class _FrameRows:
+    """What a frame's section and projection share: the +/- representatives
+    of its certified vectors and, built on first use, their hull."""
+
+    def __init__(self, reps: np.ndarray):
+        reps.setflags(write=False)
+        self.reps = reps
+
+    @functools.cached_property
+    def hull(self):
+        return _hull(self.reps)
+
+
+def _shared_rows(frame: FrameSet) -> _FrameRows:
+    """The ``_FrameRows`` of a frame, which is certified on every call; its
+    vectors are collapsed once per frame object, which keeps them, so another
+    frame with the same vectors builds its own."""
+    vectors = _certified_vectors(frame, certify_unit_decomposition(frame))
+    rows = getattr(frame, "_polytope_rows", None)
+    if rows is None:
+        rows = _FrameRows(_collapse_rows(vectors))
+        object.__setattr__(frame, "_polytope_rows", rows)
+    return rows
 
 
 def _require_exact(k: int) -> None:
@@ -200,10 +237,13 @@ def polytope_from_frame(frame: FrameSet) -> Polytope:
     """Cube section {y : |<v_i, y>| <= 1} of a certified frame (H-rep).
 
     Zero vectors impose no constraint and are dropped; duplicate functionals
-    are collapsed.
+    are collapsed.  The section's hull, once built, is the frame's, shared
+    with ``cross_projection``.
     """
-    vectors = _certified_vectors(frame, certify_unit_decomposition(frame))
-    return Polytope(k=frame.k, hrep=_collapse_rows(vectors))
+    rows = _shared_rows(frame)
+    section = Polytope(k=frame.k, hrep=rows.reps)
+    object.__setattr__(section, "_frame_rows", rows)
+    return section
 
 
 def absolute_hull_gauge(generators, point) -> float:
@@ -225,7 +265,7 @@ def absolute_hull_gauge(generators, point) -> float:
     """
     W = np.ascontiguousarray(generators, dtype=float)
     y = np.asarray(point, dtype=float)
-    if W.ndim != 2 or not np.isfinite(W).all():
+    if W.ndim != 2:
         raise ValueError("generators must be a finite (m, k) array")
     if y.shape != W.shape[1:] or not np.isfinite(y).all():
         raise ValueError(f"point must be a finite vector of shape ({W.shape[1]},)")
@@ -236,11 +276,12 @@ class _GaugePlan(NamedTuple):
     """What every gauge point of the generators W = U Sigma V^T shares:
     U_r^T, sigma_1 .. sigma_r and V_r^T, r the number of sigma_i above
     rounding, and the simplex's first basis, the first r pivots of a
-    column-pivoted QR of U_r^T, with the inverse of its columns."""
+    column-pivoted QR of U_r^T, with its columns and their inverse."""
     ut: np.ndarray
     sigma: np.ndarray
     vh: np.ndarray
     basis: np.ndarray
+    columns: np.ndarray
     inverse: np.ndarray
 
 
@@ -248,14 +289,19 @@ class _GaugePlan(NamedTuple):
 def _gauge_plan(shape: tuple, data: bytes) -> _GaugePlan:
     """The ``_GaugePlan`` of the float generators with this shape and C-order
     bytes, kept for the last _GAUGE_PLANS generator sets; it is shared by
-    every caller, so each of its arrays is read-only."""
+    every caller, so each of its arrays is read-only.  Generators that are
+    not finite raise ValueError, and no plan is kept for them."""
     m, k = shape
-    u, s, vh = np.linalg.svd(np.frombuffer(data).reshape(shape), full_matrices=False)
+    W = np.frombuffer(data).reshape(shape)
+    if not np.isfinite(W).all():
+        raise ValueError("generators must be a finite (m, k) array")
+    u, s, vh = np.linalg.svd(W, full_matrices=False)
     r = int(np.count_nonzero(s > s.max(initial=0.0) * max(m, k) * np.finfo(float).eps))
     ut = u[:, :r].T
     # LAPACK rejects a QR of no rows; at r = 0 no point reaches the simplex
     basis = lapack.dgeqp3(ut)[1][:r] - 1 if r else np.zeros(0, dtype=np.int32)
-    plan = _GaugePlan(ut, s[:r], vh[:r], basis, np.linalg.inv(ut[:, basis]))
+    columns = ut[:, basis]
+    plan = _GaugePlan(ut, s[:r], vh[:r], basis, columns, np.linalg.inv(columns))
     for array in plan:
         array.setflags(write=False)
     return plan
@@ -264,9 +310,19 @@ def _gauge_plan(shape: tuple, data: bytes) -> _GaugePlan:
 def _factored_gauge(plan: _GaugePlan, y: np.ndarray) -> float:
     """``absolute_hull_gauge`` at y from the generators' ``_GaugePlan``."""
     coords = plan.vh @ y
-    if np.linalg.norm(y - coords @ plan.vh) > TAU_GEO * np.linalg.norm(y):
+    off = y - coords @ plan.vh
+    if math.sqrt(off @ off) > TAU_GEO * math.sqrt(y @ y):
         return math.inf
     return _least_l1(plan, coords / plan.sigma) if plan.sigma.size else 0.0
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b by LAPACK's gesv, as ``np.linalg.solve`` forms it, without
+    numpy's per-call wrappers; a singular a raises LinAlgError."""
+    x, info = lapack.dgesv(a, b)[2:]
+    if info:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 def _least_l1(plan: _GaugePlan, b: np.ndarray) -> float:
@@ -290,27 +346,32 @@ def _least_l1(plan: _GaugePlan, b: np.ndarray) -> float:
     A = plan.ut
     r, m = A.shape
     basis = plan.basis.copy()
-    sign = np.where(np.linalg.solve(A[:, basis], b) < 0.0, -1.0, 1.0)
+    sign = np.where(_solve(plan.columns, b) < 0.0, -1.0, 1.0)
     inverse = plan.inverse * sign[:, None]
+    bound = 1.0 + _LP_TOL
     for _ in range(_LP_PIVOTS_PER_COLUMN * (m + r)):
         z = inverse @ b
         y = inverse.sum(axis=0)
-        reduced = y @ A
-        over = (np.abs(reduced) > 1.0 + _LP_TOL).nonzero()[0]
-        if over.size == 0:
+        reduced = (y @ A).tolist()
+        j = next((j for j, value in enumerate(reduced) if abs(value) > bound), None)
+        if j is None:
             break
-        j = over[0]
         entering = math.copysign(1.0, reduced[j])
-        step = inverse @ (entering * A[:, j])
-        rising = (step > _LP_TOL * np.abs(step).max()).nonzero()[0]
-        if rising.size == 0:
+        step = (inverse @ (entering * A[:, j])).tolist()
+        levels = z.tolist()
+        rise, floor = (_LP_TOL * max(map(abs, values)) for values in (step, levels))
+        # degenerate entries are zeros, so that ties are exact; they leave
+        # by the lowest column index
+        leaving = min((((level if level > floor else 0.0) / rate, basis[i], i)
+                       for i, (level, rate) in enumerate(zip(levels, step)) if rate > rise),
+                      default=None)
+        if leaving is None:
             raise ArithmeticError("gauge program failed: no leaving column")
-        # degenerate entries are zeros, so that ties are exact
-        level = np.where(z > _LP_TOL * np.abs(z).max(), z, 0.0)[rising] / step[rising]
-        ties = rising[level == level.min()]
-        leaving = ties[np.argmin(basis[ties])]
-        basis[leaving], sign[leaving] = j, entering
-        inverse = np.linalg.inv(A[:, basis] * sign)
+        i = leaving[2]
+        basis[i], sign[i] = j, entering
+        # C order, as np.linalg.inv returns it: matmul sums in another order
+        # over a Fortran-order matrix
+        inverse = np.ascontiguousarray(_solve(A[:, basis] * sign, np.eye(r)))
     else:
         raise ArithmeticError("gauge program failed: pivot limit reached")
     value = float(z.sum())
@@ -327,11 +388,11 @@ def cross_projection(frame: FrameSet) -> Polytope:
     Duplicates are collapsed and non-extreme points are removed, so the
     stored rows are exactly the vertex representatives.  A certified frame
     spans R^k, so the vertices are those of the convex hull of the +/-
-    representatives.
+    representatives, the hull the frame's section shares.
     """
-    reps = _collapse_rows(_certified_vectors(frame, certify_unit_decomposition(frame)))
-    keep = np.unique(_hull(reps).vertices % reps.shape[0])
-    return Polytope(k=frame.k, vrep=reps[keep])
+    rows = _shared_rows(frame)
+    keep = np.unique(rows.hull.vertices % rows.reps.shape[0])
+    return Polytope(k=frame.k, vrep=rows.reps[keep])
 
 
 def _polar_points(hull) -> np.ndarray:
@@ -401,8 +462,8 @@ def _polar_volume(hulls) -> np.ndarray:
     of one hull meets another's, each hull's chains stay contiguous and in
     the order they have when it grows alone, and its volume, summed over
     them, is bit for bit the one it has alone.  A key of j digits is below
-    V^j for the group's V vertices, so the group must keep V^(k-2) < 2^63
-    (``_hull_groups``).
+    V^j for the group's V vertices, so the group must keep V^(k-2) < 2^63;
+    ``_hull_groups`` keeps it for the hulls' point counts, which bound V.
     """
     points = np.vstack([_polar_points(hull) for hull in hulls])
     k = points.shape[1]
@@ -460,18 +521,20 @@ def _hull_groups(hulls, k: int):
     """Runs of consecutive hulls in R^k whose polar flags grow in one pass
     of ``_polar_volume``.  A hull joins the run while the run keeps at most
     _GROUP_FACETS facets, past which a pass costs more per hull than it
-    saves, and its V vertices keep V^(k-2) < 2^63, so that every face key
-    fits an int64; otherwise it starts the next run, alone if need be."""
-    group, facets, vertices = [], 0, 0
+    saves, and its P points keep P^(k-2) < 2^63: P bounds the run's vertex
+    count, so every face key fits an int64, and no hull's vertices are
+    computed (scipy finds them by a sort per hull).  Otherwise it starts the
+    next run, alone if need be."""
+    group, facets, points = [], 0, 0
     for hull in hulls:
-        size, count = len(hull.equations), len(hull.vertices)
+        size, count = len(hull.equations), len(hull.points)
         if group and (facets + size > _GROUP_FACETS
-                      or (vertices + count) ** (k - 2) >= 2 ** 63):
+                      or (points + count) ** (k - 2) >= 2 ** 63):
             yield group
-            group, facets, vertices = [], 0, 0
+            group, facets, points = [], 0, 0
         group.append(hull)
         facets += size
-        vertices += count
+        points += count
     if group:
         yield group
 
@@ -547,7 +610,7 @@ def support_function(p: Polytope, direction) -> float:
         raise ValueError(f"direction must be a finite vector of shape ({p.k},)")
     points = p._facet_points if p.vrep is None else p.vrep
     if points is not None:
-        return float(np.max(np.abs(points @ u), initial=0.0))
+        return float(np.abs(points @ u).max(initial=0.0))
     h = absolute_hull_gauge(p.hrep, u)
     if h == math.inf:
         raise UnboundedBodyError("support is unbounded in this direction")

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 from scipy.spatial import QhullError
 
+import framegeo.experiments
 import framegeo.polytopes
 from framegeo import jsonio
 from framegeo.cli import main
 from framegeo.ellipsoids import (ConvergenceError, Ellipsoid, ellipsoid_volume_ratio,
                                  john_of_cube_section, lowner_symmetric,
                                  polar_ellipsoid, unit_ball_volume)
-from framegeo.experiments import (SuiteSpec, random_subspace, run_suite, trial_seed,
-                                  verify_volume_bounds)
+from framegeo.experiments import (BOUND_TOL, SuiteSpec, random_subspace, run_suite,
+                                  trial_seed, verify_volume_bounds)
 from framegeo.frames import project_standard_basis
 from framegeo.polytopes import equality_subspace
 
@@ -194,6 +195,44 @@ def test_verify_names_the_violated_proved_inequality(capsys, monkeypatch, entry,
         assert line.split(",")[10:14] == ["True"] * 4
     assert captured.err.splitlines() == [
         f"bound violated: trial {t} seed {seeds[t]}: {entry}" for t in range(2)]
+
+
+def test_verify_fails_a_cube_ratio_past_balls_two_power_bound(capsys, monkeypatch):
+    # at n < 2k Ball's 2^{(n-k)/2} = 2 is below (n/k)^{k/2} = 2.25, so a cube
+    # ratio 1e-6 past its tolerance breaks no other check: the John ratio is
+    # planted at 2.2 and the cross ratio at 0.5
+    n, k = 6, 4
+    bound = 2.0 ** ((n - k) / 2)
+
+    def plant(cube):
+        volumes = (cube * 2.0 ** k, 0.5 * 2.0 ** k / math.factorial(k))
+        monkeypatch.setattr(framegeo.polytopes, "_frame_volumes",
+                            lambda frames: [volumes] * len(frames))
+
+    monkeypatch.setattr(framegeo.experiments, "ellipsoid_volume_ratios",
+                        lambda ellipsoids: [1.0 / 2.2] * len(ellipsoids))
+    plant(bound * (1.0 + 0.5 * BOUND_TOL))
+    assert verify_volume_bounds(random_subspace(n, k, 1)).proved_ok
+    plant(bound * (1.0 + BOUND_TOL + 1e-6))
+    report = verify_volume_bounds(random_subspace(n, k, 1))
+    assert [key for key, ok in report.passes.items() if not ok] == ["ball2"]
+    assert not report.proved_ok
+    assert main(["verify", "--n", "6", "--k", "4", "--trials", "2", "--seed", "7"]) == 1
+    captured = capsys.readouterr()
+    # no CSV column shows it
+    for line in captured.out.splitlines()[2:]:
+        assert line.split(",")[10:14] == ["True"] * 4
+    assert captured.err.splitlines() == [
+        f"bound violated: trial {t} seed {trial_seed(7, t)}: ball2" for t in range(2)]
+
+
+def test_balls_two_power_bound_past_the_largest_float_holds_every_ratio():
+    def bound(n, k):
+        report = framegeo.experiments._report(n, k, 1.0, False, (1.0, 1.0, 1.0), 0, 0)
+        return report.checks["ball2"]
+
+    assert bound(2049, 2).bound == 2.0 ** 1023.5
+    assert bound(2050, 2).bound == math.inf and bound(2050, 2).holds()
 
 
 def test_verify_past_the_gamma_overflow(capsys):

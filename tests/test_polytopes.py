@@ -526,6 +526,55 @@ def test_gauge_matches_highs_and_its_dual_bound():
     assert infinite == 4 * 3
 
 
+def _numpy_gauge(W, point):
+    """The gauge simplex as written on numpy's linear algebra, with the
+    plan's factorization: np.linalg.solve for the signs, np.linalg.inv for
+    each new basis, np.linalg.norm for the span test, and numpy's own
+    ratio test."""
+    plan = framegeo.polytopes._gauge_plan(W.shape, W.tobytes())
+    coords = plan.vh @ point
+    if np.linalg.norm(point - coords @ plan.vh) > TAU_GEO * np.linalg.norm(point):
+        return math.inf
+    if plan.sigma.size == 0:
+        return 0.0
+    b, A, tol = coords / plan.sigma, plan.ut, framegeo.polytopes._LP_TOL
+    r, m = A.shape
+    basis = plan.basis.copy()
+    sign = np.where(np.linalg.solve(A[:, basis], b) < 0.0, -1.0, 1.0)
+    inverse = plan.inverse * sign[:, None]
+    for _ in range(framegeo.polytopes._LP_PIVOTS_PER_COLUMN * (m + r)):
+        z = inverse @ b
+        y = inverse.sum(axis=0)
+        reduced = y @ A
+        over = (np.abs(reduced) > 1.0 + tol).nonzero()[0]
+        if over.size == 0:
+            break
+        j = over[0]
+        entering = math.copysign(1.0, reduced[j])
+        step = inverse @ (entering * A[:, j])
+        rising = (step > tol * np.abs(step).max()).nonzero()[0]
+        level = np.where(z > tol * np.abs(z).max(), z, 0.0)[rising] / step[rising]
+        ties = rising[level == level.min()]
+        leaving = ties[np.argmin(basis[ties])]
+        basis[leaving], sign[leaving] = j, entering
+        inverse = np.linalg.inv(A[:, basis] * sign)
+    return float(z.sum())
+
+
+def test_gauge_matches_the_simplex_on_numpy_linear_algebra():
+    identical = cases = 0
+    for W, point in _gauge_oracle_cases():
+        value, reference = absolute_hull_gauge(W, point), _numpy_gauge(W, point)
+        if math.isinf(reference):
+            assert value == math.inf
+            continue
+        assert value == pytest.approx(reference, rel=1e-14, abs=0.0)
+        identical += value == reference
+        cases += 1
+    # the same pivots, and nearly always the same roundings
+    assert identical >= 0.9 * cases
+
+
 @pytest.mark.parametrize("generators,point", [
     ([[math.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]),  # returned inf
     (np.eye(2), [math.nan, 1.0]),                  # raised ArithmeticError
@@ -658,11 +707,11 @@ def test_section_support_reads_kept_vertices_in_the_exact_range(monkeypatch):
     assert (len(gauges), len(hulls), len(lps)) == (3, 1, 0)
 
 
-def test_prescribed_norm_query_runs_one_rank_test_and_two_hulls(rank_calls, monkeypatch):
-    # the cross projection makes one hull; the section's span check and hull
-    # run once, on its first support value, and its volume reuses both;
-    # certification and the Lowner fit run none.  Rows are merged only where
-    # the two bodies store them.
+def test_prescribed_norm_query_runs_no_rank_test_and_one_hull(rank_calls, monkeypatch):
+    # the frame's rows are collapsed once, for both bodies; the cross
+    # projection builds the frame's hull, which the section's support values,
+    # volume and estimate read; certified rows span, so no span check runs,
+    # and neither does the Lowner fit
     hulls = _count_calls(monkeypatch, "ConvexHull")
     collapses = _count_calls(monkeypatch, "_collapse_rows")
     profile = random_realizable_profile(8, 4, seed=trial_seed(1, 0))
@@ -674,7 +723,68 @@ def test_prescribed_norm_query_runs_one_rank_test_and_two_hulls(rank_calls, monk
         support_function(cross, u)
     volume(section)
     estimate_volume(section, samples=2000, seed=3)
-    assert (len(rank_calls), len(hulls), len(collapses)) == (1, 2, 2)
+    assert (len(rank_calls), len(hulls), len(collapses)) == (0, 1, 1)
+
+
+@pytest.mark.parametrize("n,k,seed", [(2, 1, 4), (8, 4, 5), (9, 5, 6), (7, 3, 7)])
+def test_section_beside_its_projection_matches_a_section_alone(n, k, seed):
+    vectors = project_standard_basis(random_subspace(n, k, seed)).vectors
+    frame = FrameSet(n=n, k=k, vectors=vectors)
+    cross = cross_projection(frame)
+    beside = polytope_from_frame(frame)
+    alone = polytope_from_frame(FrameSet(n=n, k=k, vectors=vectors))
+    # a body with the same rows and no frame checks its span and builds its own hull
+    unframed = Polytope(k=k, hrep=alone.hrep)
+    directions = np.random.default_rng(seed).standard_normal((8, k))
+    for section in (alone, unframed):
+        assert np.array_equal(beside.hrep, section.hrep)
+        assert volume(beside) == volume(section)
+        assert [support_function(beside, u) for u in directions] == [
+            support_function(section, u) for u in directions]
+        assert np.array_equal(enumerate_vertices(beside).vrep, enumerate_vertices(section).vrep)
+        assert estimate_volume(beside, 3000, seed) == estimate_volume(section, 3000, seed)
+    # the section reads the hull the projection built, in either order
+    assert beside._rows_hull is frame._polytope_rows.hull
+    late = FrameSet(n=n, k=k, vectors=vectors)
+    first = polytope_from_frame(late)
+    assert np.array_equal(cross_projection(late).vrep, cross.vrep)
+    assert volume(first) == volume(alone)
+
+
+def test_a_new_frame_with_the_same_vectors_builds_its_own_hull(monkeypatch):
+    hulls = _count_calls(monkeypatch, "ConvexHull")
+    collapses = _count_calls(monkeypatch, "_collapse_rows")
+    vectors = construct_realization(random_realizable_profile(8, 4, trial_seed(3, 0))).vectors
+    frame = FrameSet(n=8, k=4, vectors=vectors)
+    for _ in range(2):
+        volume(polytope_from_frame(frame))
+        cross_projection(frame)
+    assert (len(hulls), len(collapses)) == (1, 1)
+    replay = FrameSet(n=8, k=4, vectors=vectors)
+    volume(polytope_from_frame(replay))
+    cross_projection(replay)
+    assert (len(hulls), len(collapses)) == (2, 2)
+    # above the exact range the section builds no hull, the projection one
+    high = project_standard_basis(random_subspace(9, 6, 3))
+    section = polytope_from_frame(high)
+    support_function(section, np.ones(6))
+    assert len(hulls) == 2
+    cross_projection(high)
+    support_function(section, np.ones(6))
+    assert len(hulls) == 3 and section._rows_hull is None
+
+
+def test_every_frame_is_certified_on_every_build(monkeypatch):
+    certifications = _count_calls(monkeypatch, "certify_unit_decomposition")
+    vectors = project_standard_basis(random_subspace(8, 4, 9)).vectors
+    frame = FrameSet(n=8, k=4, vectors=vectors)
+    for build in (polytope_from_frame, cross_projection, polytope_from_frame):
+        build(frame)
+    assert len(certifications) == 3
+    bad = FrameSet(n=8, k=4, vectors=1.01 * vectors)
+    for build in (polytope_from_frame, cross_projection):
+        with pytest.raises(CertificationError):
+            build(bad)
 
 
 def test_cross_projection_builds_its_one_hull_and_keeps_it(monkeypatch):
@@ -1143,8 +1253,8 @@ def test_grouped_flag_growth_at_k6_matches_each_hull_alone():
 
 
 def test_hull_groups_split_at_the_facet_budget_and_the_int64_key_range():
-    def hull(facets, vertices):
-        return SimpleNamespace(equations=np.zeros((facets, 1)), vertices=np.arange(vertices))
+    def hull(facets, points):
+        return SimpleNamespace(equations=np.zeros((facets, 1)), points=np.empty((points, 0)))
 
     def sizes(groups, attribute):
         return [[len(getattr(h, attribute)) for h in group] for group in groups]
@@ -1153,11 +1263,32 @@ def test_hull_groups_split_at_the_facet_budget_and_the_int64_key_range():
     hulls = [hull(f, 4) for f in (300, budget - 312, 12, budget + 1, 1, budget - 1, 1)]
     assert sizes(framegeo.polytopes._hull_groups(hulls, 5), "equations") == [
         [300, budget - 312, 12], [budget + 1], [1, budget - 1], [1]]
-    # keys of k - 2 = 4 digits: a group keeps V^4 < 2^63 for its V vertices
+    # keys of k - 2 = 4 digits: a group keeps P^4 < 2^63 for its P points,
+    # which bound its vertices
     limit = math.isqrt(math.isqrt(2 ** 63))
     assert limit ** 4 < 2 ** 63 <= (limit + 1) ** 4
-    hulls = [hull(1, v) for v in (limit - 1, 1, 1, limit + 5, 1)]
-    assert sizes(framegeo.polytopes._hull_groups(hulls, 6), "vertices") == [
+    hulls = [hull(1, p) for p in (limit - 1, 1, 1, limit + 5, 1)]
+    assert sizes(framegeo.polytopes._hull_groups(hulls, 6), "points") == [
         [limit - 1, 1], [1], [limit + 5], [1]]
-    # at k = 3 no face is keyed, and vertices never split a group
+    # at k = 3 no face is keyed, and points never split a group
     assert len(list(framegeo.polytopes._hull_groups(hulls, 3))) == 1
+
+
+def test_hull_groups_close_at_the_key_bound_without_computing_vertices():
+    class Hull:
+        """A stand-in hull whose vertices, which scipy computes on demand
+        by a sort, must not be read."""
+
+        def __init__(self, points):
+            self.equations, self.points = np.zeros((1, 1)), np.empty((points, 0))
+
+        @property
+        def vertices(self):
+            raise AssertionError("vertices read")
+
+    # at k = 5 a key has 3 digits, and 2^21 points reach 2^63 exactly
+    half = 2 ** 20
+    groups = list(framegeo.polytopes._hull_groups([Hull(half), Hull(half - 1), Hull(1)], 5))
+    assert [[len(h.points) for h in group] for group in groups] == [[half, half - 1], [1]]
+    groups = list(framegeo.polytopes._hull_groups([Hull(half), Hull(half)], 5))
+    assert [len(group) for group in groups] == [1, 1]
