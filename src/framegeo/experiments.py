@@ -30,14 +30,15 @@ projections is exploratory and is reported without being asserted.
 
 A request runs its trials in blocks, stage by stage, since each stage of a
 small trial costs mostly its calls' overhead: one stacked QR draws the
-block's subspaces, every frame is projected and hulled, the sections' flags
-grow for a group of hulls at a time, the block's Lowner fits advance round
-by round together (``lowner_block``), one stacked log-determinant gives
-their ratios and one stacked einsum the norm profiles, and then each
-trial's checks are assembled.  A block gives each trial the bits it has
-alone, and the public one-trial functions are the same path with a block of
-one; where the block's fit fails, its trials are fitted again one at a time
-in order, so the first failing trial raises what it raises alone.
+block's subspaces and one stacked check takes their bases, every frame is
+projected (one copy of its basis) and hulled, the sections' flags grow for
+a group of hulls at a time, the block's Lowner fits advance round by round
+together (``lowner_block``), one stacked log-determinant gives their ratios
+and one stacked einsum the norm profiles, and then each trial's checks are
+assembled.  A block gives each trial the bits it has alone, and the
+public one-trial functions are the same path with a block of one; where
+the block's fit fails, its trials are fitted again one at a time in order,
+so the first failing trial raises what it raises alone.
 """
 
 from __future__ import annotations
@@ -102,15 +103,15 @@ def trial_seed(master_seed: int, trial_id: int) -> int:
 
 def _draw(n: int, k: int, seeds) -> list[Subspace]:
     """``random_subspace(n, k, seed)`` for each of the seeds, from one stacked
-    QR of their samples; each seed keeps its own generator, and each basis
-    its own check."""
+    QR of their samples; each seed keeps its own generator, and the block's
+    bases take one stacked check (``frames._subspaces``)."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     samples = np.array([np.random.default_rng(seed).standard_normal((n, k))
                         for seed in seeds])
     q, r = np.linalg.qr(samples)
     signs = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
-    return [Subspace(n=n, k=k, basis=(qs * sign).T) for qs, sign in zip(q, signs)]
+    return _frames._subspaces(n, k, (q * signs[:, None, :]).transpose(0, 2, 1))
 
 
 def random_subspace(n: int, k: int, seed: int) -> Subspace:
@@ -191,13 +192,17 @@ def _fits(frames):
         return [lowner_symmetric(points, eps=DEFAULT_EPS) for points in vectors]
 
 
+def _ball2_bound(n: int, k: int) -> float:
+    """Ball's bound 2^{(n-k)/2} on vol(cube section) / vol(Q^k); from n - k
+    = 2 max_exp on it passes every float, where it is inf."""
+    return 2.0 ** ((n - k) / 2) if n - k < 2 * sys.float_info.max_exp else math.inf
+
+
 def _report(n: int, k: int, lowner: float, profile_uniform: bool, polytope,
             trial_id: int, seed: int) -> ExperimentReport:
     """One trial's checks from its Lowner ratio, with its (cube, cross,
     product) of ``_polytope_ratios``, or None for the ellipsoid bounds alone."""
     lower, upper = (k / n) ** (k / 2), (n / k) ** (k / 2)
-    # Ball's 2^{(n-k)/2} passes every float from n - k = 2 max_exp on
-    ball2 = 2.0 ** ((n - k) / 2) if n - k < 2 * sys.float_info.max_exp else math.inf
     # the John ellipsoid is the cover's polar, and vol(E) vol(E polar) = vol(B^k)^2
     checks = {"lowner_ratio": Check(lowner, lower, False),
               "john_ratio": Check(1.0 / lowner, upper, True)}
@@ -208,7 +213,7 @@ def _report(n: int, k: int, lowner: float, profile_uniform: bool, polytope,
                       chain_cube=Check(cube, 1.0 / lowner, True),
                       chain_cross=Check(cross, lowner, False),
                       vaaler=Check(cube, 1.0, False),
-                      ball2=Check(cube, ball2, True),
+                      ball2=Check(cube, _ball2_bound(n, k), True),
                       blaschke_santalo=Check(product, unit_ball_volume(k) ** 2, True))
         if k <= 3:  # proved for k = 2 (Mahler) and k = 3 (Iriyeh-Shibata)
             checks["mahler"] = Check(product, 4.0 ** k / math.factorial(k), False)
@@ -261,7 +266,7 @@ class ConjectureScanSummary:
     min_cross_ratio: float
     bound_2pow: float        # exploratory lower bound 2^{(k-n)/2} for cross projections
     max_cube_ratio: float
-    bound_ball2: float       # proved upper bound 2^{(n-k)/2} for cube sections
+    bound_ball2: float       # proved upper bound 2^{(n-k)/2} for cube sections, or inf
     ball2_violations: tuple  # trial ids exceeding the proved bound (solver/volume bug)
     counterexample: Optional[dict]  # first trial below the exploratory bound, if any
     min_cross_trial: int     # trial id and seed of the minimum cross ratio
@@ -284,7 +289,7 @@ def conjecture_scan(n: int, k: int, trials: int, seed: int) -> ConjectureScanSum
     if trials < 1:
         raise ValueError("trials must be positive")
     bound_2pow = 2.0 ** ((k - n) / 2)
-    bound_ball2 = 2.0 ** ((n - k) / 2)
+    bound_ball2 = _ball2_bound(n, k)
     seeds = [trial_seed(seed, t) for t in range(trials)]
     ratios = []
     for block in _blocks(n, k, trials):

@@ -70,7 +70,10 @@ class FrameSet:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A k-dimensional subspace of R^n given by k orthonormal basis rows."""
+    """A k-dimensional subspace of R^n given by k orthonormal basis rows.
+
+    Its basis is checked by ``_orthonormal_bases`` on a stack of one, the
+    check a block of drawn bases takes at once (``_subspaces``)."""
 
     n: int
     k: int
@@ -83,15 +86,46 @@ class Subspace:
         if basis.shape != (self.k, self.n):
             raise FrameStructureError(
                 f"basis must have shape ({self.k}, {self.n}), got {basis.shape}")
-        dev = basis @ basis.T - np.eye(self.k)
-        i, j = np.unravel_index(np.argmax(np.abs(dev)), dev.shape)
-        if abs(dev[i, j]) > TAU_ORTH:
-            expected = 1.0 if i == j else 0.0
-            raise FrameStructureError(
-                f"basis rows {i} and {j} are not orthonormal: "
-                f"|<b_{i}, b_{j}> - {expected:g}| = {abs(dev[i, j]):.3e} > {TAU_ORTH:g}")
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", _orthonormal_bases(basis[None])[0])
+
+
+def _orthonormal_bases(bases: np.ndarray) -> np.ndarray:
+    """A stack of float bases, (b, k, n), made read-only once each has
+    finite entries and rows orthonormal within TAU_ORTH; otherwise the
+    FrameStructureError of the first basis that fails, naming the rows i
+    and j of the largest |<b_i, b_j> - delta_ij|."""
+    finite = np.isfinite(bases).all(axis=(1, 2))
+    dev = bases @ bases.transpose(0, 2, 1) - np.eye(bases.shape[1])
+    worst = np.abs(dev).max(axis=(1, 2))
+    failing = ~finite | (worst > TAU_ORTH)
+    if failing.any():
+        b = int(np.argmax(failing))
+        if not finite[b]:
+            raise FrameStructureError("basis contains non-finite entries")
+        i, j = np.unravel_index(np.argmax(np.abs(dev[b])), dev.shape[1:])
+        expected = 1.0 if i == j else 0.0
+        raise FrameStructureError(
+            f"basis rows {i} and {j} are not orthonormal: "
+            f"|<b_{i}, b_{j}> - {expected:g}| = {abs(dev[b, i, j]):.3e} > {TAU_ORTH:g}")
+    bases.setflags(write=False)
+    return bases
+
+
+def _checked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` whose fields are known to
+    pass its ``__post_init__`` already, without running it."""
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    return instance
+
+
+def _subspaces(n: int, k: int, bases: np.ndarray) -> list:
+    """The Subspaces of a stack of float bases, (b, k, n) with n >= k >= 1,
+    checked at once by ``_orthonormal_bases``; each basis is a read-only
+    view of the stack, which is copied to C order first."""
+    bases = _orthonormal_bases(np.ascontiguousarray(bases))
+    return [_checked(Subspace, n=n, k=k, basis=basis) for basis in bases]
 
 
 @dataclass(frozen=True)
@@ -166,9 +200,12 @@ def project_standard_basis(subspace: Subspace) -> FrameSet:
     The i-th output vector is the projection of e_i written in the
     subspace's basis coordinates, i.e. column i of the basis matrix.  The
     result is always a unit decomposition of R^k (up to roundoff in the
-    supplied basis).
+    supplied basis).  The Subspace's checks cover the frame's, so the basis
+    is copied once, to C order, and not checked again.
     """
-    return FrameSet(n=subspace.n, k=subspace.k, vectors=subspace.basis.T.copy())
+    vectors = subspace.basis.T.copy()
+    vectors.setflags(write=False)
+    return _checked(FrameSet, n=subspace.n, k=subspace.k, vectors=vectors)
 
 
 def gram_matrix(frame: FrameSet) -> GramMatrix:

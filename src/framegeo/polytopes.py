@@ -70,6 +70,7 @@ _CHUNK = 100_000       # samples estimate_volume draws at a time
 _BLOCK_IMAGE = 2 ** 14  # entries of the image of one block it tests (128 KiB)
 _GAUGE_PLANS = 16  # generator sets whose gauge plans are kept, O(m k) each
 _GROUP_FACETS = 512  # facets of the hulls whose flags grow in one pass
+_APEX_TABLE = 128  # entries a face apex table may hold per face key
 
 
 class DegenerateBodyError(ValueError):
@@ -430,6 +431,31 @@ def _flag_levels(k: int):
     return subsets, children, wedge
 
 
+def _first_facets(keys: np.ndarray, size: int) -> np.ndarray:
+    """For each entry of ``keys`` (one row of face keys per facet, each key
+    below ``size``), the lowest facet (row) holding that key.  Where a table
+    of ``size`` entries is within _APEX_TABLE times the number of keys, the
+    facets are scattered into it by minimum, and only the entries at the
+    keys are ever written or read; otherwise the keys are sorted and the
+    minimum taken over each run of equal keys.  Both give the same
+    integers, with no stable sort."""
+    facets, width = keys.shape
+    if size <= _APEX_TABLE * keys.size:
+        table = np.empty(size, dtype=np.intp)
+        table[keys] = facets
+        np.minimum.at(table, keys, np.arange(facets)[:, None])
+        return table[keys]
+    flat = keys.ravel()
+    order = np.argsort(flat)
+    ordered = flat[order]
+    new = np.empty(flat.size, dtype=bool)
+    new[0], new[1:] = True, ordered[1:] != ordered[:-1]
+    lowest = np.minimum.reduceat(order // width, np.flatnonzero(new))
+    first = np.empty_like(flat)
+    first[order] = lowest[np.cumsum(new) - 1]
+    return first.reshape(facets, width)
+
+
 def _polar_volume(hulls) -> np.ndarray:
     """Volumes of the polars of a group of hulls of +/- points in R^k, read
     off the hulls' facets, whose flags grow in one pass.
@@ -448,9 +474,10 @@ def _polar_volume(hulls) -> np.ndarray:
     - a ridge, F without one vertex, lies in exactly two of qhull's
       simplices (its output is triangulated), so its apex is the lower of F
       and F's neighbor across it;
-    - a vertex's apex is the first facet it occurs in;
-    - a face of 2 .. k-2 vertices is keyed by its sorted vertex numbers,
-      and its apex is the first facet with that key.
+    - a face of 1 .. k-2 vertices is keyed by its vertex numbers, in
+      ascending order, as the digits of a base-P number, and its apex is
+      the lowest facet with that key, scattered by minimum into a table
+      over the keys or read off a sort of them (``_first_facets``).
     Each chain carries the exterior product of its apexes' polar vertices,
     u_F, then u_a ^ u_F for the ridge's apex a, and so on, one factor per
     level, so chains that share a prefix share its product; at the last
@@ -458,45 +485,47 @@ def _polar_volume(hulls) -> np.ndarray:
     share one polar vertex, so the flags across them have zero volume.  At
     k = 1 the polar of [-t, t] is [-1/t, 1/t].
 
-    The group's facets and vertices are numbered hull after hull, so no face
-    of one hull meets another's, each hull's chains stay contiguous and in
-    the order they have when it grows alone, and its volume, summed over
-    them, is bit for bit the one it has alone.  A key of j digits is below
-    V^j for the group's V vertices, so the group must keep V^(k-2) < 2^63;
-    ``_hull_groups`` keeps it for the hulls' point counts, which bound V.
+    The group's facets and points are numbered hull after hull, and each
+    vertex by its point, so no face of one hull meets another's, a facet's
+    vertices sort as they do in its hull alone, each hull's chains stay
+    contiguous and in the order they have when it grows alone, and its
+    volume, summed over them, is bit for bit the one it has alone.  A key of
+    j digits is below P^j for the group's P points, so the group must keep
+    P^(k-2) < 2^63, which ``_hull_groups`` does for a group of two or more
+    hulls; a hull alone past it has its V vertices numbered 0 .. V-1
+    instead, and must keep V^(k-2) < 2^63.
     """
     points = np.vstack([_polar_points(hull) for hull in hulls])
     k = points.shape[1]
     if k == 1:
         return np.array([4.0 / hull.volume for hull in hulls])
     subsets, children, wedge = _flag_levels(k)
-    # each hull's facets and points follow those of the hulls before it
+    # each hull's facets and points follow those of the hulls before it, so
+    # a vertex is numbered by its point, below the group's P points
     starts = np.cumsum([0, *(hull.simplices.shape[0] for hull in hulls)])
     bases = np.cumsum([0, *(hull.points.shape[0] for hull in hulls)])
     simplices = np.vstack([hull.simplices + base for hull, base in zip(hulls, bases)])
-    # number the hulls' vertices 0 .. V-1 in point order, so that the int64
-    # keys below grow with V, not with the interior points the hulls were given
-    labels, first, numbers = np.unique(simplices, return_index=True,
-                                       return_inverse=True)
-    facets = simplices.shape[0]
-    numbers = numbers.reshape(facets, k)
+    facets, size = simplices.shape[0], int(bases[-1])
+    if size ** (k - 2) >= 2 ** 63:
+        # a hull that ``_hull_groups`` leaves alone: its vertices are
+        # numbered 0 .. V-1 in point order instead, which sorts them alike
+        labels, simplices = np.unique(simplices, return_inverse=True)
+        simplices, size = simplices.reshape(facets, k), labels.size
     rows = np.arange(facets)
     # sort each facet's slots by vertex number, its neighbors along with them
-    order = np.argsort(numbers, axis=1)
-    vertices = numbers[rows[:, None], order]
+    order = np.argsort(simplices, axis=1)
+    vertices = simplices[rows[:, None], order]
     neighbors = np.vstack([hull.neighbors + start for hull, start in zip(hulls, starts)])
     neighbors = neighbors[rows[:, None], order]
     # apex[j][F, s]: the apex of F's j-subset s of slots; the (k-1)-subsets
     # run in combinations order, so the one without slot i is number k-1-i
     apex = {k - 1: np.minimum(rows[:, None], neighbors[:, ::-1])}
-    if k > 2:
-        apex[1] = (first // k)[vertices]
-    for j in range(2, k - 1):
-        digits = vertices[:, subsets[j]]
-        keys = np.ravel_multi_index(tuple(np.moveaxis(digits, -1, 0)), (labels.size,) * j)
-        # keys run facet by facet, so a key's first occurrence is its lowest facet
-        _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        apex[j] = (at // len(subsets[j]))[inverse].reshape(facets, -1)
+    for j in range(1, k - 1):
+        # a face's key is its j vertex numbers, ascending, as the digits of a
+        # base-P number below P^j <= P^(k-2)
+        keys = vertices if j == 1 else np.ravel_multi_index(
+            tuple(np.moveaxis(vertices[:, subsets[j]], -1, 0)), (size,) * j)
+        apex[j] = _first_facets(keys, size ** j)
     # each chain: its facet, its subset of slots, its apex and its product,
     # stored one component per row
     facet, subset, top, product = rows, np.zeros(facets, dtype=np.intp), rows, points.T
@@ -521,10 +550,11 @@ def _hull_groups(hulls, k: int):
     """Runs of consecutive hulls in R^k whose polar flags grow in one pass
     of ``_polar_volume``.  A hull joins the run while the run keeps at most
     _GROUP_FACETS facets, past which a pass costs more per hull than it
-    saves, and its P points keep P^(k-2) < 2^63: P bounds the run's vertex
-    count, so every face key fits an int64, and no hull's vertices are
-    computed (scipy finds them by a sort per hull).  Otherwise it starts the
-    next run, alone if need be."""
+    saves, and its P points keep P^(k-2) < 2^63: ``_polar_volume`` numbers
+    a vertex by its point, so a face key of j <= k-2 digits is below P^j
+    and fits an int64, and no hull's vertices are computed (scipy finds them
+    by a sort per hull).  Otherwise it starts the next run, alone if need
+    be, where its faces are keyed by its vertices."""
     group, facets, points = [], 0, 0
     for hull in hulls:
         size, count = len(hull.equations), len(hull.points)

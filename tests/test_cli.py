@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -233,6 +234,23 @@ def test_balls_two_power_bound_past_the_largest_float_holds_every_ratio():
 
     assert bound(2049, 2).bound == 2.0 ** 1023.5
     assert bound(2050, 2).bound == math.inf and bound(2050, 2).holds()
+
+
+def test_scan_past_the_largest_float_takes_balls_bound_as_inf(capsys):
+    # 2^{(n-k)/2} raised OverflowError in the scan from n - k = 2048 on; the
+    # scan and a verify report take one bound, finite up to n - k = 2047
+    scan, report = framegeo.experiments.conjecture_scan, framegeo.experiments._report
+    for n, want in ((2048, 2.0 ** 1023.5), (2049, math.inf)):
+        summary = scan(n, 1, 1, 1)
+        assert summary.bound_ball2 == want and summary.ball2_violations == ()
+        assert report(n, 1, 1.0, False, (1.0, 1.0, 1.0), 0, 0).checks["ball2"].bound == want
+    summary = scan(2100, 1, 2, 1)
+    assert summary.bound_ball2 == math.inf and summary.ball2_violations == ()
+    assert main(["conjecture-scan", "--n", "2100", "--k", "1", "--trials", "2",
+                 "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert '"bound_ball2": Infinity,' in out
+    assert json.loads(out) == {**dataclasses.asdict(summary), "ball2_violations": []}
 
 
 def test_verify_past_the_gamma_overflow(capsys):

@@ -572,8 +572,14 @@ def test_one_trial_certifies_once_and_hulls_the_frame_once(monkeypatch, trial, h
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(framegeo.experiments, "Subspace",
-                        counted("subspaces", framegeo.experiments.Subspace))
+    check_bases = framegeo.frames._orthonormal_bases
+
+    def checked(bases):
+        counts["subspaces"] += len(bases)
+        return check_bases(bases)
+
+    # a Subspace's basis is checked in a stack, alone or with its block's
+    monkeypatch.setattr(framegeo.frames, "_orthonormal_bases", checked)
     monkeypatch.setattr(framegeo.polytopes, "ConvexHull",
                         counted("hulls", framegeo.polytopes.ConvexHull))
     for module in (framegeo.polytopes, framegeo.frames):

@@ -3,10 +3,11 @@ import pytest
 
 from framegeo.frames import (TAU_CERT, TAU_ORTH, CertificationError, FrameSet,
                              FrameStructureError, GramMatrix, Subspace,
+                             _orthonormal_bases, _subspaces,
                              certify_unit_decomposition, gram_matrix,
                              is_projection_matrix, orthogonal_completion,
                              project_standard_basis)
-from framegeo.experiments import random_subspace
+from framegeo.experiments import random_subspace, trial_seed
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -191,3 +192,71 @@ def test_orthogonal_completion_requires_certification():
     with pytest.raises(CertificationError) as err:
         orthogonal_completion(frame)
     assert err.value.deviation == pytest.approx(0.75, abs=1e-12)
+
+
+def haar_bases(n, k, count):
+    return np.array([random_subspace(n, k, trial_seed(34, t)).basis for t in range(count)])
+
+
+def tilted(basis):
+    """The basis with row 1 turned 1e-6 toward row 2: rows 1 and 2 fail."""
+    out = basis.copy()
+    out[1] += 1e-6 * basis[2]
+    return out
+
+
+def with_nan(basis):
+    out = basis.copy()
+    out[0, 3] = np.nan
+    return out
+
+
+def alone_message(basis):
+    k, n = basis.shape
+    with pytest.raises(FrameStructureError) as err:
+        Subspace(n=n, k=k, basis=basis)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("plants,first,prefix", [
+    ({2: tilted}, 2, "basis rows 1 and 2 are not orthonormal"),
+    ({2: with_nan}, 2, "basis contains non-finite entries"),
+    ({2: tilted, 4: with_nan}, 2, "basis rows 1 and 2 are not orthonormal"),
+    ({1: with_nan, 3: tilted}, 1, "basis contains non-finite entries"),
+    ({3: lambda b: with_nan(tilted(b))}, 3, "basis contains non-finite entries"),
+], ids=["tilted", "nan", "tilted-then-nan", "nan-then-tilted", "both-in-one"])
+def test_stacked_basis_check_raises_what_the_first_failing_basis_raises_alone(
+        plants, first, prefix):
+    n, k = 7, 3
+    bases = haar_bases(n, k, 6)
+    for at, plant in plants.items():
+        bases[at] = plant(bases[at])
+    message = alone_message(bases[first])
+    assert message.startswith(prefix)
+    for check in (_orthonormal_bases, lambda stack: _subspaces(n, k, stack)):
+        with pytest.raises(FrameStructureError) as err:
+            check(bases.copy())
+        assert str(err.value) == message
+
+
+def test_stacked_basis_check_makes_read_only_subspaces_of_a_block():
+    n, k = 9, 4
+    bases = haar_bases(n, k, 5)
+    subspaces = _subspaces(n, k, np.asfortranarray(bases))
+    for basis, subspace in zip(bases, subspaces):
+        alone = Subspace(n=n, k=k, basis=basis)
+        assert (subspace.n, subspace.k) == (n, k)
+        assert subspace.basis.tobytes() == alone.basis.tobytes()
+        assert subspace.basis.flags.c_contiguous and not subspace.basis.flags.writeable
+        with pytest.raises(ValueError):
+            subspace.basis[0, 0] = 2.0
+
+
+def test_projection_copies_the_basis_once_into_a_read_only_frame():
+    subspace = random_subspace(8, 3, trial_seed(34, 0))
+    frame = project_standard_basis(subspace)
+    want = FrameSet(n=8, k=3, vectors=subspace.basis.T)
+    assert (frame.n, frame.k) == (8, 3)
+    assert frame.vectors.tobytes() == want.vectors.tobytes()
+    assert frame.vectors.flags.c_contiguous and not frame.vectors.flags.writeable
+    assert not np.shares_memory(frame.vectors, subspace.basis)

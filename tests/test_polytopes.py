@@ -1270,7 +1270,7 @@ def test_hull_groups_split_at_the_facet_budget_and_the_int64_key_range():
     hulls = [hull(1, p) for p in (limit - 1, 1, 1, limit + 5, 1)]
     assert sizes(framegeo.polytopes._hull_groups(hulls, 6), "points") == [
         [limit - 1, 1], [1], [limit + 5], [1]]
-    # at k = 3 no face is keyed, and points never split a group
+    # at k = 3 a key is one point number, and points never split a group
     assert len(list(framegeo.polytopes._hull_groups(hulls, 3))) == 1
 
 
@@ -1292,3 +1292,88 @@ def test_hull_groups_close_at_the_key_bound_without_computing_vertices():
     assert [[len(h.points) for h in group] for group in groups] == [[half, half - 1], [1]]
     groups = list(framegeo.polytopes._hull_groups([Hull(half), Hull(half)], 5))
     assert [len(group) for group in groups] == [1, 1]
+
+
+def polar_volume_by_route(monkeypatch, hulls):
+    """``_polar_volume`` of a group of hulls with every face apex taken from
+    a table, then from a sort: per route, the volumes' reprs and each apex
+    array ``_first_facets`` returned."""
+    polytopes = framegeo.polytopes
+    first_facets = polytopes._first_facets
+    runs = {}
+    for route, multiple in (("table", math.inf), ("sort", 0)):
+        apexes = []
+
+        def recorded(keys, size):
+            apexes.append(first_facets(keys, size))
+            return apexes[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(polytopes, "_APEX_TABLE", multiple)
+            patch.setattr(polytopes, "_first_facets", recorded)
+            runs[route] = [repr(v) for v in polytopes._polar_volume(hulls)], apexes
+    return runs["table"], runs["sort"]
+
+
+def assert_first_facet_routes_agree(monkeypatch, hulls, k):
+    """Both routes give every group of the hulls the same apexes, k - 2
+    arrays of them, and the same volumes, bit for bit."""
+    for group in framegeo.polytopes._hull_groups(hulls, k):
+        (table, by_table), (sort, by_sort) = polar_volume_by_route(monkeypatch, group)
+        assert len(by_table) == len(by_sort) == max(0, k - 2)
+        for left, right in zip(by_table, by_sort):
+            assert left.shape == right.shape and np.array_equal(left, right)
+        assert table == sort
+
+
+@pytest.mark.parametrize("keys,want", [
+    ([[4, 2], [2, 9], [9, 4], [4, 4]], [[0, 0], [0, 1], [1, 0], [0, 0]]),
+    ([[7, 1, 3]], [[0, 0, 0]]),
+    ([[5], [5], [0], [5], [0]], [[0], [0], [2], [0], [2]]),
+])
+@pytest.mark.parametrize("multiple", [math.inf, 0])
+def test_first_facets_is_the_lowest_row_holding_each_key(monkeypatch, keys, want, multiple):
+    monkeypatch.setattr(framegeo.polytopes, "_APEX_TABLE", multiple)
+    got = framegeo.polytopes._first_facets(np.array(keys), 10)
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_first_facet_routes_agree_on_haar_groups(monkeypatch, k):
+    hulls = [framegeo.polytopes._hull(
+        project_standard_basis(random_subspace(n, k, trial_seed(34, t))).vectors)
+        for n, _ in HAAR_SIZES[k] for t in range(4)]
+    assert_first_facet_routes_agree(monkeypatch, hulls, k)
+
+
+def test_first_facet_routes_agree_on_near_degenerate_k5_hulls(monkeypatch):
+    hulls = [framegeo.polytopes._hull(project_standard_basis(random_subspace(14, 5, seed)).vectors)
+             for seed in NEAR_DEGENERATE_K5_SEEDS]
+    assert_first_facet_routes_agree(monkeypatch, hulls, 5)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_first_facet_routes_agree_on_corner_and_interior_hulls(monkeypatch, k):
+    # the cube's and the cross-polytope's corners with repeated, zero and
+    # interior rows, alone and in a group with a Haar hull between them,
+    # whose point numbers then skip the interior points
+    hull_of_rows = framegeo.polytopes._hull
+    corner, cross = hull_of_rows(corner_rows(k)), hull_of_rows(cross_rows(k))
+    haar = hull_of_rows(project_standard_basis(random_subspace(2 * k + 1, k, 3)).vectors)
+    for hulls in ([corner], [cross], [corner, haar, cross]):
+        assert_first_facet_routes_agree(monkeypatch, hulls, k)
+        (_, _), (volumes, _) = polar_volume_by_route(monkeypatch, hulls)
+        assert volumes == [repr(framegeo.polytopes._polar_volume([h])[0]) for h in hulls]
+
+
+def test_polar_volume_of_a_lone_hull_past_the_key_range_of_its_points():
+    # the cube's corners among 55 400 interior rows at k = 6: the hull's P
+    # points put P^4 past 2^63, so it forms a group alone and its faces are
+    # keyed by its 64 vertices; the polar is the cross-polytope, 2^6 / 6!
+    corners = np.array(list(itertools.product([1.0, -1.0], repeat=6)))[:32]
+    inner = np.random.default_rng(6).uniform(-0.1, 0.1, (27_700, 6))
+    hull = framegeo.polytopes._hull(np.vstack([inner, corners]))
+    assert len(hull.points) ** 4 >= 2 ** 63
+    assert len(list(framegeo.polytopes._hull_groups([hull, hull], 6))) == 2
+    assert framegeo.polytopes._polar_volume([hull])[0] == pytest.approx(
+        2.0 ** 6 / math.factorial(6), rel=1e-12)
