@@ -17,7 +17,9 @@ block of point sets of one shape round by round (``lowner_block``): one
 einsum gives every unfinished set's leverages and stacked argmax, argmin and
 masks its tests and points, while each set keeps its own triangular solves,
 Newton solves and Cholesky factorizations, so it has the bits it has alone;
-``lowner_symmetric`` is a block of one.
+``lowner_symmetric`` is a block of one.  A block's start (its checks, ranks
+and first weights) is one pass over the block, and a certified cover is
+checked once, by the tests ``Ellipsoid`` would make of it.
 
 ``ellipsoid_volume_ratio`` gives vol(E)/vol(B^k) = exp(-1/2 log det A)
 without forming either volume, so the Lowner and John ratios hold at any k
@@ -34,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .frames import Subspace, project_standard_basis
+from .frames import Subspace, _checked, project_standard_basis
 
 DEFAULT_EPS = 1e-7
 MAX_ITERATIONS = 10 ** 6
@@ -184,8 +186,15 @@ def lowner_block(point_sets, eps: float = DEFAULT_EPS,
     argmin and masks give each set's exit test, Frank-Wolfe and away points
     and entering candidates.  Each unfinished set then takes its own Newton
     trial or Frank-Wolfe step, with its own Cholesky factorizations and
-    solves, and leaves the block once it is certified.  The sets' shapes,
-    entries and ranks are checked in order before the first round; in a
+    solves, and leaves the block once it is certified; its cover is built
+    once (``_cover``).  The block starts in one pass: the sets' shapes are
+    checked one by one in order, their entries by one finiteness test over
+    the block, and each set takes its own pivoted QR.  The block's least
+    |R_ii| is tested against the highest of the sets' rank thresholds, and
+    only where it does not clear them are all the sets' |R_ii| compared with
+    their own thresholds in one stacked test, so the first rank-deficient
+    set in order raises the SpanError it raises alone; one assignment puts
+    every set's start weights on its first k pivots.  In a
     round the first failing set in order raises, at the cap the first
     unfinished one.  Sets that fail in different rounds thus need not
     raise the error of the first of them in order.
@@ -198,22 +207,31 @@ def lowner_block(point_sets, eps: float = DEFAULT_EPS,
             raise ValueError("point sets must share one shape (m, k)")
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
-    for P in sets:
-        if not np.isfinite(P).all():
-            raise ValueError("points contain non-finite entries")
+    if sets and not np.isfinite(sets).all():
+        raise ValueError("points contain non-finite entries")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
     if not sets:
         return []
     m, k = sets[0].shape
-    U = np.zeros((len(sets), m))
+    # each set's own pivoted QR; its rank counts its |R_ii| above its largest
+    # |R_ii| times max(m, k) eps.  Where the block's least |R_ii| is above
+    # the threshold of the block's largest, every set has rank k.
+    count = len(sets)
+    diags = np.empty((count, min(m, k)))
+    pivots = np.empty((count, m), dtype=np.intp)
     for b, P in enumerate(sets):
-        R, pivots = lapack.dgeqp3(P.T)[:2]
-        diag = np.abs(R.diagonal())
-        rank = int(np.count_nonzero(diag > diag.max(initial=0.0) * max(m, k) * _EPS))
-        if rank < k:
+        R, pivots[b] = lapack.dgeqp3(P.T)[:2]
+        diags[b] = R.diagonal()
+    np.abs(diags, out=diags)
+    if m < k or not diags.min() > diags.max() * max(m, k) * _EPS:
+        limits = diags.max(axis=1, initial=0.0, keepdims=True) * max(m, k) * _EPS
+        ranks = (diags > limits).sum(axis=1)
+        if ranks.min() < k:
+            rank = int(ranks[ranks < k][0])
             raise SpanError(f"points span a {rank}-dimensional subspace of R^{k}", rank)
-        U[b, pivots[:k] - 1] = 1.0 / k
+    U = np.zeros((count, m))
+    U[np.arange(count)[:, None], pivots[:, :k] - 1] = 1.0 / k
 
     threshold = k * (1.0 + eps)
     floor = k * (1.0 - eps)
@@ -248,8 +266,7 @@ def lowner_block(point_sets, eps: float = DEFAULT_EPS,
             g_fw, g_aw = g.item(j, i_fw[j]), g.item(j, i_aw[j])
             gap = max(g_fw - k, k - g_aw)
             if g_fw <= threshold and g_aw >= floor:
-                L_inv = lapack.dtrtri(Ls[j], lower=1)[0]
-                fits[b] = LownerFit(Ellipsoid(k, (L_inv.T @ L_inv) / k), U[j].copy(),
+                fits[b] = LownerFit(_cover(Ls[j], k), U[j].copy(),
                                     iterations, gap, newton_steps[b])
                 continue
             if iterations == max_iterations:
@@ -276,6 +293,23 @@ def lowner_block(point_sets, eps: float = DEFAULT_EPS,
             Ls = [Ls[j] for j in stepping]
             U = U[stepping]
             buffer = buffer[:len(live)]
+
+
+def _cover(L, k: int) -> Ellipsoid:
+    """The cover A = (k M)^{-1} = L^{-T} L^{-1} / k of a fit whose M has the
+    Cholesky factor L, as an Ellipsoid checked once: numpy forms
+    L^{-T} L^{-1} by syrk, so A is exactly symmetric and is the matrix
+    ``Ellipsoid(k, A)`` keeps, and only its finiteness and its Cholesky
+    factorization are tested, with that constructor's errors."""
+    L_inv = lapack.dtrtri(L, lower=1)[0]
+    A = L_inv.T @ L_inv
+    A /= k
+    if not np.isfinite(A).all():
+        raise ValueError("matrix contains non-finite entries")
+    if _cholesky(A) is None:
+        raise ValueError("matrix is not positive-definite")
+    A.setflags(write=False)
+    return _checked(Ellipsoid, k=k, matrix=A)
 
 
 def _cholesky(M):

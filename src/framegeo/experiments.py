@@ -35,10 +35,11 @@ projected (one copy of its basis) and hulled, the sections' flags grow for
 a group of hulls at a time, the block's Lowner fits advance round by round
 together (``lowner_block``), one stacked log-determinant gives their ratios
 and one stacked einsum the norm profiles, and then each trial's checks are
-assembled.  A block gives each trial the bits it has alone, and the
-public one-trial functions are the same path with a block of one; where
-the block's fit fails, its trials are fitted again one at a time in order,
-so the first failing trial raises what it raises alone.
+assembled against the block's bounds, formed once.  A block gives each
+trial the bits it has alone, and the public one-trial functions are the
+same path with a block of one; where the block's fit fails, its trials are
+fitted again one at a time in order, so the first failing trial raises
+what it raises alone.
 """
 
 from __future__ import annotations
@@ -103,12 +104,15 @@ def trial_seed(master_seed: int, trial_id: int) -> int:
 
 def _draw(n: int, k: int, seeds) -> list[Subspace]:
     """``random_subspace(n, k, seed)`` for each of the seeds, from one stacked
-    QR of their samples; each seed keeps its own generator, and the block's
-    bases take one stacked check (``frames._subspaces``)."""
+    QR of their samples; each seed keeps its own generator, which writes its
+    n x k sample into its slice of one (seeds, n, k) stack, the stream and
+    layout it draws alone, and the block's bases take one stacked check
+    (``frames._subspaces``)."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    samples = np.array([np.random.default_rng(seed).standard_normal((n, k))
-                        for seed in seeds])
+    samples = np.empty((len(seeds), n, k))
+    for sample, seed in zip(samples, seeds):
+        np.random.default_rng(seed).standard_normal(out=sample)
     q, r = np.linalg.qr(samples)
     signs = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
     return _frames._subspaces(n, k, (q * signs[:, None, :]).transpose(0, 2, 1))
@@ -147,6 +151,15 @@ class Check(NamedTuple):
     def at_equality(self) -> bool:
         slack = BOUND_TOL * abs(self.bound)
         return bool(self.bound - slack <= self.value <= self.bound + slack)
+
+
+def _verdict(check: Check) -> tuple[bool, bool]:
+    """``check.holds()`` and ``check.at_equality`` from one slack: a CSV
+    row's pass cell and equality flag for the check."""
+    slack = BOUND_TOL * abs(check.bound)
+    above = check.value >= check.bound - slack
+    below = check.value <= check.bound + slack
+    return bool(below if check.is_upper else above), bool(above and below)
 
 
 @dataclass(frozen=True)
@@ -198,26 +211,55 @@ def _ball2_bound(n: int, k: int) -> float:
     return 2.0 ** ((n - k) / 2) if n - k < 2 * sys.float_info.max_exp else math.inf
 
 
-def _report(n: int, k: int, lowner: float, profile_uniform: bool, polytope,
-            trial_id: int, seed: int) -> ExperimentReport:
-    """One trial's checks from its Lowner ratio, with its (cube, cross,
-    product) of ``_polytope_ratios``, or None for the ellipsoid bounds alone."""
+class _Bounds(NamedTuple):
+    """The bounds of a report at (n, k): (k/n)^{k/2} and (n/k)^{k/2}, and,
+    for reports with volumes, Ball's bound, vol(B^k)^2 and, for k <= 3,
+    Mahler's 4^k / k!; the others are None."""
+
+    lower: float
+    upper: float
+    ball2: Optional[float] = None
+    ball_squared: Optional[float] = None
+    mahler: Optional[float] = None
+
+
+def _bounds(n: int, k: int, volumes: bool) -> _Bounds:
+    """The ``_Bounds`` of the reports of a block at (n, k), formed once."""
     lower, upper = (k / n) ** (k / 2), (n / k) ** (k / 2)
+    if not volumes:
+        return _Bounds(lower, upper)
+    # proved for k = 2 (Mahler) and k = 3 (Iriyeh-Shibata); from k = 171 k!
+    # passes every float, and 4.0 ** k / k! cannot convert it
+    mahler = 4.0 ** k / math.factorial(k) if k <= 3 else None
+    return _Bounds(lower, upper, _ball2_bound(n, k), unit_ball_volume(k) ** 2, mahler)
+
+
+def _report(n: int, k: int, lowner: float, profile_uniform: bool, polytope,
+            trial_id: int, seed: int, bounds: Optional[_Bounds] = None) -> ExperimentReport:
+    """One trial's checks from its Lowner ratio, with its (cube, cross,
+    product) of ``_polytope_ratios``, or None for the ellipsoid bounds alone.
+    ``bounds`` are the ``_bounds`` its block forms once for all its trials;
+    where they are not given, as for a trial alone, they are formed here."""
+    if bounds is None:
+        bounds = _bounds(n, k, polytope is not None)
+    lower, upper, ball2, ball_squared, mahler = bounds
     # the John ellipsoid is the cover's polar, and vol(E) vol(E polar) = vol(B^k)^2
+    john = 1.0 / lowner
     checks = {"lowner_ratio": Check(lowner, lower, False),
-              "john_ratio": Check(1.0 / lowner, upper, True)}
+              "john_ratio": Check(john, upper, True)}
+    ratios = {"lowner_ratio": lowner, "john_ratio": john}
     if polytope is not None:
         cube, cross, product = polytope
         checks.update(cube_section_ratio=Check(cube, upper, True),
                       cross_projection_ratio=Check(cross, lower, False),
-                      chain_cube=Check(cube, 1.0 / lowner, True),
+                      chain_cube=Check(cube, john, True),
                       chain_cross=Check(cross, lowner, False),
                       vaaler=Check(cube, 1.0, False),
-                      ball2=Check(cube, _ball2_bound(n, k), True),
-                      blaschke_santalo=Check(product, unit_ball_volume(k) ** 2, True))
-        if k <= 3:  # proved for k = 2 (Mahler) and k = 3 (Iriyeh-Shibata)
-            checks["mahler"] = Check(product, 4.0 ** k / math.factorial(k), False)
-    ratios = {column: checks[column].value for column, _ in _RATIOS if column in checks}
+                      ball2=Check(cube, ball2, True),
+                      blaschke_santalo=Check(product, ball_squared, True))
+        if mahler is not None:
+            checks["mahler"] = Check(product, mahler, False)
+        ratios.update(cube_section_ratio=cube, cross_projection_ratio=cross)
     return ExperimentReport(trial_id=trial_id, n=n, k=k, seed=seed,
                             ratios=ratios, checks=checks,
                             profile_uniform=profile_uniform,
@@ -229,7 +271,7 @@ def _verify(subspaces, volumes: bool, trial_ids, seeds) -> list[ExperimentReport
     every frame's volumes are taken (before any fit, so an unsupported k
     fails first), then the block is fitted, its Lowner ratios read off one
     stacked log-determinant and its norm profiles off one stacked einsum,
-    and each trial's checks are assembled."""
+    and each trial's checks are assembled against bounds formed once."""
     frames = [project_standard_basis(subspace) for subspace in subspaces]
     n, k = frames[0].n, frames[0].k
     ratios = _polytope_ratios(frames) if volumes else [None] * len(frames)
@@ -237,7 +279,8 @@ def _verify(subspaces, volumes: bool, trial_ids, seeds) -> list[ExperimentReport
     vectors = np.array([frame.vectors for frame in frames])
     norms = np.einsum("bij,bij->bi", vectors, vectors)
     uniform = (np.abs(norms - k / n).max(axis=1) <= BOUND_TOL).tolist()
-    return [_report(n, k, *trial)
+    bounds = _bounds(n, k, volumes)
+    return [_report(n, k, *trial, bounds)
             for trial in zip(lowners, uniform, ratios, trial_ids, seeds)]
 
 
@@ -358,7 +401,12 @@ def _csv_float(value) -> str:
 
 
 def render_csv(reports) -> str:
-    """Deterministic CSV rendering with the tolerance ledger in the header."""
+    """Deterministic CSV rendering with the tolerance ledger in the header.
+
+    A row's pass cells and equality flags are ``Check.holds()`` and
+    ``Check.at_equality`` of its four ratio checks, read together from one
+    slack (``_verdict``); the text of each distinct pair of bound cells is
+    formed once per call."""
     lines = [
         "# tolerance ledger: tau_orth=%g tau_cert=%g tau_maj=%g tau_sh=%g "
         "tau_geo=%g mvee_eps=%g bound_tol=%g" % (
@@ -366,14 +414,23 @@ def render_csv(reports) -> str:
             _majorization.TAU_SH, _polytopes.TAU_GEO, DEFAULT_EPS, BOUND_TOL),
         ",".join(CSV_COLUMNS),
     ]
+    bound_cells = {}  # (bound_kn, bound_nk) -> their two cells
     for r in reports:
         checks = [r.checks.get(column) for column, _ in _RATIOS]
-        row = [str(r.n), str(r.k), str(r.trial_id), str(r.seed),
-               *(_csv_float(r.ratios.get(column)) for column, _ in _RATIOS),
-               *(_csv_float(check.bound) for check in checks[:2]),
-               *("" if check is None else str(check.holds()) for check in checks),
-               "|".join(short for (_, short), check in zip(_RATIOS, checks)
-                        if check is not None and check.at_equality),
-               str(bool(r.profile_uniform))]
-        lines.append(",".join(row))
+        bounds = (checks[0].bound, checks[1].bound)
+        cells = bound_cells.get(bounds)
+        if cells is None or 0.0 in bounds:  # 0.0 and -0.0 are one key, two texts
+            cells = bound_cells[bounds] = ",".join(map(_csv_float, bounds))
+        passes, flags = [], []
+        for check, (_, short) in zip(checks, _RATIOS):
+            if check is None:
+                passes.append("")
+                continue
+            passed, equal = _verdict(check)
+            passes.append(str(passed))
+            if equal:
+                flags.append(short)
+        lines.append(",".join([str(r.n), str(r.k), str(r.trial_id), str(r.seed),
+                               *[_csv_float(r.ratios.get(column)) for column, _ in _RATIOS],
+                               cells, *passes, "|".join(flags), str(bool(r.profile_uniform))]))
     return "\n".join(lines) + "\n"

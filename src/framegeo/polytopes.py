@@ -22,7 +22,8 @@ one hull of the raw +/- v_i of a projected frame (qhull takes repeated,
 zero and interior points), and no hull of the section's vertices is built.
 A block of trials grows the flags of a group of its hulls in one pass,
 numbering their facets and vertices hull after hull, which leaves each
-hull's volume bit for bit as it is alone.
+hull's volume bit for bit as it is alone; the group's polar points,
+facets, vertices and neighbors are each read in one stacked step.
 A body of either representation keeps the hull of its +/- rows and the
 points polar to its facets, once built, for k <= K_EXACT and rows that span
 R^k (a frame's section takes its frame's hull, with no rank test, since
@@ -138,7 +139,7 @@ class Polytope:
         hull = self._rows_hull
         if hull is None:
             return None
-        points = _polar_points(hull)
+        points = _polar_points(hull.equations)
         points.setflags(write=False)
         return points
 
@@ -396,13 +397,15 @@ def cross_projection(frame: FrameSet) -> Polytope:
     return Polytope(k=frame.k, vrep=rows.reps[keep])
 
 
-def _polar_points(hull) -> np.ndarray:
-    """One polar vertex per facet of a hull of +/- points: the facet
-    a.x + b = 0 (b < 0: the origin is interior) gives a / (-b)."""
-    offsets = hull.equations[:, -1]
+def _polar_points(equations: np.ndarray) -> np.ndarray:
+    """One polar vertex per facet equation of hulls of +/- points, the
+    equations of one hull or of a group stacked: the facet a.x + b = 0
+    (b < 0: the origin is interior) gives a / (-b).  One offset test and
+    one division serve the whole stack, each row bit for bit as alone."""
+    offsets = equations[:, -1]
     if not np.all(offsets < 0.0):
         raise UnboundedBodyError("functionals do not span R^k; the body is unbounded")
-    return hull.equations[:, :-1] / -offsets[:, None]
+    return equations[:, :-1] / -offsets[:, None]
 
 
 @functools.lru_cache(maxsize=None)
@@ -485,7 +488,11 @@ def _polar_volume(hulls) -> np.ndarray:
     share one polar vertex, so the flags across them have zero volume.  At
     k = 1 the polar of [-t, t] is [-1/t, 1/t].
 
-    The group's facets and points are numbered hull after hull, and each
+    The group is read in one pass: its hulls' equations are stacked for one
+    ``_polar_points``, one cumsum of their facet and point counts gives
+    every hull's offsets, and their simplices and neighbors are each
+    stacked once and shifted by the offsets repeated per facet.  The
+    group's facets and points are thus numbered hull after hull, and each
     vertex by its point, so no face of one hull meets another's, a facet's
     vertices sort as they do in its hull alone, each hull's chains stay
     contiguous and in the order they have when it grows alone, and its
@@ -495,16 +502,19 @@ def _polar_volume(hulls) -> np.ndarray:
     hulls; a hull alone past it has its V vertices numbered 0 .. V-1
     instead, and must keep V^(k-2) < 2^63.
     """
-    points = np.vstack([_polar_points(hull) for hull in hulls])
+    points = _polar_points(np.concatenate([hull.equations for hull in hulls]))
     k = points.shape[1]
     if k == 1:
         return np.array([4.0 / hull.volume for hull in hulls])
     subsets, children, wedge = _flag_levels(k)
     # each hull's facets and points follow those of the hulls before it, so
     # a vertex is numbered by its point, below the group's P points
-    starts = np.cumsum([0, *(hull.simplices.shape[0] for hull in hulls)])
-    bases = np.cumsum([0, *(hull.points.shape[0] for hull in hulls)])
-    simplices = np.vstack([hull.simplices + base for hull, base in zip(hulls, bases)])
+    counts = np.zeros((len(hulls) + 1, 2), dtype=np.intp)
+    counts[1:] = [(len(hull.simplices), len(hull.points)) for hull in hulls]
+    starts, bases = np.cumsum(counts, axis=0).T
+    facet_counts = counts[1:, 0]
+    simplices = np.concatenate([hull.simplices for hull in hulls], dtype=np.intp)
+    simplices += np.repeat(bases[:-1], facet_counts)[:, None]
     facets, size = simplices.shape[0], int(bases[-1])
     if size ** (k - 2) >= 2 ** 63:
         # a hull that ``_hull_groups`` leaves alone: its vertices are
@@ -515,7 +525,8 @@ def _polar_volume(hulls) -> np.ndarray:
     # sort each facet's slots by vertex number, its neighbors along with them
     order = np.argsort(simplices, axis=1)
     vertices = simplices[rows[:, None], order]
-    neighbors = np.vstack([hull.neighbors + start for hull, start in zip(hulls, starts)])
+    neighbors = np.concatenate([hull.neighbors for hull in hulls], dtype=np.intp)
+    neighbors += np.repeat(starts[:-1], facet_counts)[:, None]
     neighbors = neighbors[rows[:, None], order]
     # apex[j][F, s]: the apex of F's j-subset s of slots; the (k-1)-subsets
     # run in combinations order, so the one without slot i is number k-1-i

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 import framegeo.ellipsoids
 from framegeo.ellipsoids import (DEFAULT_EPS, ConvergenceError, Ellipsoid,
@@ -429,8 +431,10 @@ def haar_block(n, k, size, master=1):
             for t in range(size)]
 
 
-@pytest.mark.parametrize("n,k,size", [(6, 3, 20), (14, 4, 32), (40, 5, 10), (200, 20, 16),
-                                      (4, 1, 20), (5, 2, 20)])
+BLOCK_SIZES = [(6, 3, 20), (14, 4, 32), (40, 5, 10), (200, 20, 16), (4, 1, 20), (5, 2, 20)]
+
+
+@pytest.mark.parametrize("n,k,size", BLOCK_SIZES)
 def test_a_block_fit_gives_every_set_the_bits_it_has_alone(n, k, size):
     # a round stacks only the leverages and the tests read off them; each
     # set keeps its own solves and factorizations, and leaves the block
@@ -442,6 +446,75 @@ def test_a_block_fit_gives_every_set_the_bits_it_has_alone(n, k, size):
     steps = [bits[2] for bits in alone]
     if k in (3, 4):
         assert 0 in steps and max(steps) >= 5
+
+
+@pytest.mark.parametrize("n,k,size", BLOCK_SIZES)
+def test_a_fits_cover_is_exactly_symmetric_and_the_matrix_ellipsoid_keeps(n, k, size):
+    # the cover is built once, without Ellipsoid's symmetrizing copy: numpy
+    # forms L^{-T} L^{-1} by syrk, so it is exactly symmetric, and it is
+    # bit for bit the matrix that Ellipsoid(k, cover) keeps
+    for fit in lowner_block(haar_block(n, k, size)):
+        A = fit.ellipsoid.matrix
+        assert not A.flags.writeable
+        assert A.tobytes() == A.T.copy().tobytes()
+        assert Ellipsoid(k, A).matrix.tobytes() == A.tobytes()
+
+
+class PlantedLapack:
+    """scipy's LAPACK, with the inverse factor dtrtri returns passed through
+    ``plant`` first."""
+
+    def __init__(self, plant):
+        self.plant = plant
+
+    def __getattr__(self, name):
+        return getattr(lapack, name)
+
+    def dtrtri(self, L, lower):
+        L_inv, info = lapack.dtrtri(L, lower=lower)
+        return self.plant(L_inv.copy()), info
+
+
+def _zero_first_column(L_inv):
+    L_inv[:, 0] = 0.0
+    return L_inv
+
+
+def _nan_corner(L_inv):
+    L_inv[0, 0] = np.nan
+    return L_inv
+
+
+def _inf_corner(L_inv):
+    L_inv[-1, -1] = np.inf
+    return L_inv
+
+
+@pytest.mark.parametrize("plant,message", [
+    (_zero_first_column, "matrix is not positive-definite"),
+    (_nan_corner, "matrix contains non-finite entries"),
+    (_inf_corner, "matrix contains non-finite entries"),
+], ids=["singular", "nan", "inf"])
+def test_a_cover_planted_bad_at_exit_raises_what_ellipsoid_raises(monkeypatch, plant, message):
+    # the exit's L^{-1} is altered, so the cover A = L^{-T} L^{-1} / k is
+    # singular or not finite; the fit raises what Ellipsoid(k, A) raises
+    sets = haar_block(6, 3, 4)
+    planted = []
+
+    def kept(L_inv):
+        planted.append(plant(L_inv))
+        return planted[-1]
+
+    monkeypatch.setattr(framegeo.ellipsoids, "lapack", PlantedLapack(kept))
+    with pytest.raises(ValueError) as block:
+        lowner_block(sets)
+    with pytest.raises(ValueError) as alone:
+        lowner_symmetric(sets[0])
+    monkeypatch.undo()
+    L_inv = planted[-1]
+    with pytest.raises(ValueError) as want:
+        Ellipsoid(3, (L_inv.T @ L_inv) / 3)
+    assert str(block.value) == str(alone.value) == str(want.value) == message
 
 
 def test_a_set_whose_newton_trial_is_rejected_steps_alone_in_its_block(monkeypatch):
@@ -525,6 +598,36 @@ def test_a_rank_deficient_set_in_a_block_raises_its_span_error(make, rank):
         lowner_block(sets)
     assert err.value.rank == alone.value.rank == rank
     assert str(err.value) == str(alone.value)
+    # a non-finite set after it: the block's finiteness test comes first
+    with pytest.raises(ValueError, match="^points contain non-finite entries$"):
+        lowner_block(sets[:4] + [np.full_like(sets[4], np.nan)])
+    # a block of (0, k) sets raises what one raises alone, rank 0
+    with pytest.raises(SpanError) as empty_alone:
+        lowner_symmetric(np.zeros((0, 3)))
+    with pytest.raises(SpanError) as empty:
+        lowner_block([np.zeros((0, 3))] * 3)
+    assert empty.value.rank == empty_alone.value.rank == 0
+    assert str(empty.value) == str(empty_alone.value)
+
+
+def test_the_start_raises_for_the_first_deficient_set_and_clears_mixed_scales():
+    sets = haar_block(8, 3, 5)
+    deficient = list(sets)
+    deficient[1] = sets[1] * [1.0, 0.0, 0.0]  # rank 1
+    deficient[3] = sets[3] * [1.0, 1.0, 0.0]  # rank 2
+    for block, rank in ((deficient, 1), (deficient[::-1], 2)):
+        with pytest.raises(SpanError) as err:
+            lowner_block(block)
+        assert (str(err.value), err.value.rank) == (
+            f"points span a {rank}-dimensional subspace of R^3", rank)
+    # sets 1e20 apart in scale: the block's least |R_ii| is below the
+    # largest set's rank threshold, so each set's own threshold decides,
+    # and every set spans and is fitted as it is alone
+    scaled = [P * 1e-20 ** (b % 2) for b, P in enumerate(sets)]
+    diags = [np.abs(np.diag(scipy.linalg.qr(P.T, pivoting=True)[1])) for P in scaled]
+    assert min(map(min, diags)) < max(map(max, diags)) * 8 * np.finfo(float).eps
+    assert ([fit_bits(fit) for fit in lowner_block(scaled)]
+            == [fit_bits(lowner_symmetric(P)) for P in scaled])
 
 
 def test_a_block_takes_sets_of_one_shape():

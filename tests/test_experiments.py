@@ -405,6 +405,80 @@ def test_render_csv_column_order_on_hand_built_reports():
     ]
 
 
+RATIO_COLUMNS = CSV_COLUMNS[4:8]
+SHORT_NAMES = [column[len("pass_"):] for column in CSV_COLUMNS[10:14]]
+
+
+def reference_csv_row(r):
+    """A report's CSV row the long way: every pass cell from ``Check.holds()``
+    and every equality flag from ``Check.at_equality``."""
+    checks = [r.checks.get(column) for column in RATIO_COLUMNS]
+    cells = [str(r.n), str(r.k), str(r.trial_id), str(r.seed)]
+    cells += [repr(float(r.ratios[column])) if column in r.ratios else ""
+              for column in RATIO_COLUMNS]
+    cells += [repr(float(check.bound)) for check in checks[:2]]
+    cells += ["" if check is None else str(check.holds()) for check in checks]
+    cells.append("|".join(short for short, check in zip(SHORT_NAMES, checks)
+                          if check is not None and check.at_equality))
+    cells.append(str(bool(r.profile_uniform)))
+    return ",".join(cells)
+
+
+def plant_at_the_edges(report):
+    """The report with each ratio check's value moved to bound - slack or
+    bound + slack, where ``Check``'s rule flips, or one ulp beyond it,
+    the choice turning with the trial and the column."""
+    checks = dict(report.checks)
+    for i, column in enumerate(RATIO_COLUMNS):
+        if column not in checks:
+            continue
+        check, turn = checks[column], report.trial_id + i
+        slack = BOUND_TOL * abs(check.bound)
+        side = (-1.0, 1.0)[turn % 2]
+        edge = check.bound + side * slack
+        if turn % 3 == 2:
+            edge = np.nextafter(edge, side * math.inf)
+        checks[column] = check._replace(value=float(edge))
+    ratios = {column: checks[column].value for column in report.ratios}
+    return dataclasses.replace(report, ratios=ratios, checks=checks)
+
+
+def test_csv_rows_match_a_reference_renderer(monkeypatch):
+    # volume rows, ellipsoid-only rows with empty cells, k = 1 rows and, on
+    # odd trials, checks planted at or one ulp past the edges of their
+    # slack through a patched _report; then equality-subspace rows and
+    # hand-built rows whose bounds are 0.0 and -0.0
+    real = framegeo.experiments._report
+
+    def report(*trial):
+        r = real(*trial)
+        return plant_at_the_edges(r) if r.trial_id % 2 else r
+
+    monkeypatch.setattr(framegeo.experiments, "_report", report)
+    reports, text = run_suite([SuiteSpec(6, 3, 12, 7), SuiteSpec(4, 1, 12, 3),
+                               SuiteSpec(40, 5, 6, 3, ("ellipsoid",))])
+    monkeypatch.undo()
+    assert text.splitlines()[2:] == [reference_csv_row(r) for r in reports]
+    equality = [verify_volume_bounds(equality_subspace(n, k), trial_id=t)
+                for t, (n, k) in enumerate([(4, 2), (6, 3), (4, 1), (10, 5)])]
+    zero = [ExperimentReport(trial_id=t, n=4, k=2, seed=0,
+                             ratios={"lowner_ratio": 0.0, "john_ratio": 1.0},
+                             checks={"lowner_ratio": Check(0.0, bound, False),
+                                     "john_ratio": Check(1.0, 2.0, True)},
+                             profile_uniform=False)
+            for t, bound in enumerate([0.0, -0.0, 0.0])]
+    extra = equality + zero
+    assert render_csv(extra).splitlines()[2:] == [reference_csv_row(r) for r in extra]
+    # every branch is met: empty cells, k = 1, rows at equality in every
+    # column, failing cells, and both zero bounds
+    rows = [reference_csv_row(r).split(",") for r in reports + extra]
+    passes = [cell for row in rows for cell in row[10:14]]
+    assert {"", "True", "False"} <= set(passes)
+    assert {row[1] for row in rows} >= {"1", "3", "5"}
+    assert all(row[14] == "lowner|john|cube|cross" for row in rows[len(reports):-3])
+    assert [row[8] for row in rows[-3:]] == ["0.0", "-0.0", "0.0"]
+
+
 def test_conjecture_scan_line_in_plane():
     summary = conjecture_scan(2, 1, trials=64, seed=9)
     assert isinstance(summary, ConjectureScanSummary)

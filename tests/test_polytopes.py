@@ -1127,7 +1127,7 @@ def brute_force_polar_volume(hull):
     every facet's vertices, each face's apex looked up in a table of the
     lowest facet holding it, and a determinant for each chain whose apex
     strictly increases from the first vertex up to the facet."""
-    points = framegeo.polytopes._polar_points(hull)
+    points = framegeo.polytopes._polar_points(hull.equations)
     k = points.shape[1]
     lowest = {}
     for facet, simplex in enumerate(hull.simplices):
@@ -1194,7 +1194,7 @@ def test_polar_volume_at_k6_matches_closed_forms_and_a_hull_of_the_polar():
         assert got == pytest.approx(2.0 ** 6 * (n / 6) ** 3, rel=1e-12)
     hull = framegeo.polytopes._hull(
         project_standard_basis(random_subspace(12, 6, trial_seed(30, 0))).vectors)
-    want = ConvexHull(framegeo.polytopes._polar_points(hull)).volume
+    want = ConvexHull(framegeo.polytopes._polar_points(hull.equations)).volume
     assert polar_volume([hull])[0] == pytest.approx(want, rel=1e-12)
 
 
@@ -1250,6 +1250,37 @@ def test_grouped_flag_growth_at_k6_matches_each_hull_alone():
                  equality_subspace(18, 6), random_subspace(14, 6, trial_seed(30, 1)))
     hulls = [framegeo.polytopes._hull(project_standard_basis(s).vectors) for s in subspaces]
     assert_grouped_growth_matches_each_hull_alone(hulls, 6)
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (6, 3), (14, 4), (14, 5)])
+def test_polar_points_of_a_group_are_each_hulls_bit_for_bit(n, k):
+    hulls = [framegeo.polytopes._hull(project_standard_basis(
+        random_subspace(n, k, trial_seed(31, t))).vectors) for t in range(6)]
+    polar_points = framegeo.polytopes._polar_points
+    stacked = polar_points(np.vstack([hull.equations for hull in hulls]))
+    alone = np.vstack([polar_points(hull.equations) for hull in hulls])
+    assert stacked.shape == alone.shape
+    assert stacked.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_a_group_with_an_unbounded_polar_raises_what_that_hull_raises_alone(offset):
+    # a facet offset >= 0 in the middle hull of a group: the origin is not
+    # interior, and the group raises that hull's error
+    hulls = [framegeo.polytopes._hull(project_standard_basis(
+        random_subspace(6, 3, trial_seed(32, t))).vectors) for t in range(5)]
+    equations = hulls[2].equations.copy()
+    equations[3, -1] = offset
+    hulls[2] = SimpleNamespace(equations=equations, simplices=hulls[2].simplices,
+                               neighbors=hulls[2].neighbors, points=hulls[2].points)
+    polar_volume = framegeo.polytopes._polar_volume
+    with pytest.raises(UnboundedBodyError) as alone:
+        polar_volume([hulls[2]])
+    with pytest.raises(UnboundedBodyError) as grouped:
+        polar_volume(hulls)
+    assert str(grouped.value) == str(alone.value) == (
+        "functionals do not span R^k; the body is unbounded")
+    polar_volume(hulls[:2] + hulls[3:])  # the others alone are bounded
 
 
 def test_hull_groups_split_at_the_facet_budget_and_the_int64_key_range():
