@@ -28,8 +28,8 @@ A body of either representation keeps the hull of its +/- rows and the
 points polar to its facets, once built, for k <= K_EXACT and rows that span
 R^k (a frame's section takes its frame's hull, with no rank test, since
 certified rows span): an H-rep body's vertices (facet dualization) or a
-V-rep body's functionals.  Its volume, its vertices and its Monte Carlo hit
-test read them, and its support at u is the maximum of |<s, u>| over its
+V-rep body's functionals.  Its volume, its vertices and its Monte Carlo
+gauge read them, and its support at u is the maximum of |<s, u>| over its
 vertices.
 Otherwise the support of {|<g_i, y>| <= 1} at u is the gauge of
 conv(+/- g_i) at u (LP duality), so the package has one linear program,
@@ -39,9 +39,10 @@ one, and solved by a small dense simplex whose optimum is certified by a
 matching dual solution.  The SVD, the rank and the simplex's first basis
 depend on the generators alone: they are computed once per generator set,
 kept in a small cache keyed on the generators' bytes, and reused for every
-point.  A hit-or-miss Monte Carlo estimator covers every dimension: it
-samples an H-rep body in sqrt(k) times its John ellipsoid and a V-rep body
-in the Lowner ellipsoid of its vertices.
+point.  A radial Monte Carlo estimator covers every dimension: it covers
+an H-rep body by sqrt(k) times its John ellipsoid and a V-rep body by the
+Lowner ellipsoid of its vertices, and scores each random ray of the
+container by the exact chance that a uniform point on it is in the body.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ TAU_GEO = 1e-9  # geometric dedup / feasibility tolerance
 K_EXACT = 5     # exact volume supported up to this dimension
 _LP_TOL = 1e-12  # relative tolerance of the gauge simplex and its certificate
 _LP_PIVOTS_PER_COLUMN = 50
-_CHUNK = 100_000       # samples estimate_volume draws at a time
+_CHUNK = 100_000       # directions estimate_volume draws at a time
 _BLOCK_IMAGE = 2 ** 14  # entries of the image of one block it tests (128 KiB)
 _GAUGE_PLANS = 16  # generator sets whose gauge plans are kept, O(m k) each
 _GROUP_FACETS = 512  # facets of the hulls whose flags grow in one pass
@@ -195,7 +196,7 @@ class _Interval(NamedTuple):
 def _hull(rows: np.ndarray):
     """Convex hull of the +/- rows; qhull cannot run at k = 1, where the hull
     is [-t, t], t = max |row|, with the argmax row as its vertex."""
-    points = np.vstack([rows, -rows])
+    points = np.concatenate((rows, -rows))
     if rows.shape[1] == 1:
         top = int(np.argmax(np.abs(rows[:, 0])))
         t = float(abs(rows[top, 0]))
@@ -666,30 +667,60 @@ def polar(p: Polytope) -> Polytope:
     return Polytope(k=p.k, vrep=p.hrep, hrep=p.vrep)
 
 
-def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
-    """Hit-or-miss Monte Carlo volume, sampling uniformly in a covering ellipsoid.
+def _sign_orbit(k: int) -> np.ndarray:
+    """The sign patterns one normal draw in R^k serves, one row each: row p
+    flips coordinate 1 + i (counting from 0) where bit i of p is set, for
+    the coordinates 1 .. min(k, 4) - 1, and keeps every other sign."""
+    flips = min(k, 4) - 1
+    patterns = np.arange(2 ** flips)
+    signs = np.ones((2 ** flips, k))
+    for i in range(flips):
+        signs[(patterns >> i) & 1 == 1, 1 + i] = -1.0
+    return signs
 
-    A V-rep body is sampled in the Lowner ellipsoid {x : <A x, x> <= 1} of
+
+def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
+    """Monte Carlo volume: the exact hit probability along random rays of a
+    covering ellipsoid, averaged over the sign orbits of normal draws.
+
+    A V-rep body is covered by the Lowner ellipsoid {x : <A x, x> <= 1} of
     its vertices, with A divided by max_i <A v_i, v_i> so that every vertex
     lies inside (the solver certifies that maximum only up to 1 + eps).  An
-    H-rep body is sampled in {y : y^T M y <= 1} for M = sum_i u_i g_i g_i^T,
+    H-rep body is covered by {y : y^T M y <= 1} for M = sum_i u_i g_i g_i^T,
     u the Lowner weights of its functionals (sqrt(k) times its John
     ellipsoid): for any weights on the simplex the ellipsoid
     {x : x^T M^-1 x <= 1} lies in conv(+/- g_i), since its support
     sqrt(c^T M c) is at most max_i |<g_i, c>|, so its polar holds the body.
-    The estimate hits/samples * vol(container) is unbiased; the standard
-    error is the binomial one, sqrt(p(1-p)/samples) * vol(container).
 
-    Samples are drawn _CHUNK at a time, a normal direction and then a radius
-    each, and tested in blocks of rows such that a block's image under the
-    m functionals has about _BLOCK_IMAGE entries; a sample is a column, so
-    the max over the m functionals runs along contiguous rows.  A block has
-    at least 256 rows, so peak memory is O(_CHUNK * k + 256 * m), not
-    O(_CHUNK * m).  A V-rep body's functionals are the points polar to the
-    facets of the hull it keeps.  Above K_EXACT it keeps none: each sample
-    takes one gauge program, and all of them share the plan
-    ``absolute_hull_gauge`` uses for these generators, so the SVD, the rank
-    and the first basis are computed once.
+    With A = L L^T the container is the image of the unit ball under
+    w -> L^-T w, so the body's functionals F become G = F L^-T in ball
+    coordinates, and the body's gauge there is gamma(z) = max_i |<G_i, z>|
+    (above K_EXACT a V-rep body has no functionals: gamma is the gauge
+    program's value on its generators mapped to v_i^T L).  A uniform point
+    of the container on the ray through z is in the body with probability
+    rho(z)^k, rho = min(1, |z| / gamma(z)), and that is the score of the
+    direction z: hit-or-miss with the radius integrated out, so unbiased,
+    with no more variance.  A sign flip of any coordinate of z ~ N(0, I) is
+    again N(0, I), so each draw serves its orbit under ``_sign_orbit``, up
+    to 8 directions; ``samples`` counts directions and is rounded up to
+    whole orbits.  The draws are i.i.d.: the estimate is vol(container)
+    times the mean of their orbit means, and its standard error is the
+    plug-in standard deviation of the orbit means over sqrt(draws), times
+    vol(container).
+
+    Draws are taken _CHUNK directions at a time and scored in blocks of
+    whole orbits, max(256, _BLOCK_IMAGE // m) directions with m functionals,
+    so that a block's image has about _BLOCK_IMAGE entries and peak memory
+    is O(_CHUNK * k + 256 * m), not O(_CHUNK * m).  A block's image is
+    summed elementwise, in a fixed order: the unflipped coordinates' terms
+    first, and then each flipped coordinate splits every pattern so far
+    into its + and - branch.  Every other sum runs in order too, so a
+    draw's scores and the estimate do not depend on where blocks and chunks
+    end (no BLAS product, whose last bits do).  A V-rep body's functionals
+    are the points polar to the facets of the hull it keeps.  Above K_EXACT
+    it keeps none: each direction takes one gauge program, and all of them
+    share one plan for the mapped generators, so the SVD, the rank and the
+    first basis are computed once.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -706,37 +737,72 @@ def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
         A = fit.ellipsoid.matrix
         reach = np.einsum("ij,jk,ik->i", rows, A, rows).max()
         container = Ellipsoid(k=k, matrix=A / reach)
+    vol_container = ellipsoid_volume(container)
+    L = np.linalg.cholesky(container.matrix)
     functionals = p.hrep if p.vrep is None else p._facet_points
     if functionals is None:
-        plan = _gauge_plan(rows.shape, rows.tobytes())
-    vol_container = ellipsoid_volume(container)
-    L_inv = np.linalg.inv(np.linalg.cholesky(container.matrix))
-    block = max(256, _BLOCK_IMAGE // len(rows if functionals is None else functionals))
+        plan = _gauge_plan(rows.shape, (rows @ L).tobytes())
+        m = len(rows)
+    else:
+        G = (functionals @ np.linalg.inv(L).T).T.copy()  # column i: functional i
+        m = len(functionals)
+    signs = _sign_orbit(k)
+    orbit = len(signs)
+    draws = -(-samples // orbit)
+    block = max(256, _BLOCK_IMAGE // m) // orbit  # draws a block tests
+    if functionals is not None:
+        terms = np.empty(k * m * block)
+        image = np.empty(orbit * m * block)
 
     rng = np.random.default_rng(seed)
-    hits = 0
+    total = squares = 0.0
     done = 0
-    while done < samples:
-        count = min(_CHUNK, samples - done)
-        z = rng.standard_normal((count, k))
-        radii = rng.random(count) ** (1.0 / k)
+    while done < draws:
+        count = min(_CHUNK // orbit, draws - done)
+        zt = rng.standard_normal((count, k)).T.copy()  # one draw per column
+        # sums over rows run in order here and below, whatever the count
+        norms = zt[0] * zt[0]
+        for row in zt[1:]:
+            norms += row * row
+        np.sqrt(norms, out=norms)
+        gauges = np.empty((orbit, count))
         for start in range(0, count, block):
-            zt = z[start:start + block].T.copy()
-            zt /= np.sqrt(np.add.reduce(zt * zt, axis=0))
-            zt *= radii[start:start + block]
-            batch = L_inv.T @ zt  # one sample per column
-            if functionals is not None:
-                image = functionals @ batch
-                np.abs(image, out=image)
-                hits += int(np.count_nonzero(image.max(axis=0) <= 1.0))
-            else:
-                hits += sum(1 for y in np.ascontiguousarray(batch.T)
-                            if _factored_gauge(plan, y) <= 1.0 + TAU_GEO)
+            z = zt[:, start:start + block]
+            width = z.shape[1]
+            if functionals is None:
+                directions = (signs[:, None, :] * z.T).reshape(-1, k)
+                gauges[:, start:start + width] = np.reshape(
+                    [_factored_gauge(plan, w) for w in directions], (orbit, width))
+                continue
+            T = np.multiply(G[:, :, None], z[:, None, :],
+                            out=terms[:k * m * width].reshape(k, m, width))
+            for j in range(4, k):
+                T[0] += T[j]
+            x = T[:1]
+            branches = image[:orbit * m * width].reshape(orbit, m, width)
+            for j in range(1, min(k, 4)):
+                half = len(x)
+                np.subtract(x, T[j], out=branches[half:2 * half])
+                np.add(x, T[j], out=branches[:half])
+                x = branches[:2 * half]
+            np.abs(x, out=x)
+            np.max(x, axis=1, out=gauges[:, start:start + width])
+        ratios = np.divide(norms, gauges, out=gauges)
+        np.minimum(ratios, 1.0, out=ratios)
+        scores = ratios.copy()
+        for _ in range(k - 1):
+            scores *= ratios
+        sums = scores[0]
+        for row in scores[1:]:
+            sums += row
+        means = sums / orbit
+        total += float(means.sum())
+        squares += float(means @ means)
         done += count
-    frac = hits / samples
-    value = frac * vol_container
-    err = math.sqrt(frac * (1.0 - frac) / samples) * vol_container
-    return VolumeEstimate(value=value, standard_error=err)
+    mean = total / draws
+    spread = math.sqrt(max(squares / draws - mean * mean, 0.0))
+    return VolumeEstimate(value=mean * vol_container,
+                          standard_error=spread / math.sqrt(draws) * vol_container)
 
 
 def equality_subspace(n: int, k: int) -> Subspace:

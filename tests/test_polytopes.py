@@ -789,7 +789,7 @@ def test_every_frame_is_certified_on_every_build(monkeypatch):
 
 def test_cross_projection_builds_its_one_hull_and_keeps_it(monkeypatch):
     # the hull cross_projection builds to find the vertices is its only one
-    # until the body's own: the volumes read it, the estimate's hit test reads
+    # until the body's own: the volumes read it, the estimate's gauge reads
     # the functionals polar to its facets, and the support reads the vertices
     cross = cross_projection(project_standard_basis(random_subspace(8, 4, 5)))
     hulls = _count_calls(monkeypatch, "ConvexHull")
@@ -991,7 +991,7 @@ def test_estimate_volume_gauge_path_in_high_dimension():
 
 
 def _hit_test_functionals(p):
-    """The rows estimate_volume tests a sample against: an H-rep body's
+    """The rows estimate_volume scores a direction against: an H-rep body's
     functionals, a V-rep body's polar vertices up to K_EXACT, else None."""
     if p.hrep is not None:
         return p.hrep
@@ -1001,56 +1001,83 @@ def _hit_test_functionals(p):
     return equations[:, :-1] / -equations[:, -1:]
 
 
-def _unblocked_estimate(p, samples, seed):
-    """estimate_volume before its hit test ran in blocks: the same container
-    and draws, and the image of each 100 000-sample chunk at once."""
-    k = p.k
+def _container(p):
+    """The ellipsoid estimate_volume covers a body by."""
     if p.hrep is not None:
         u = lowner_symmetric(p.hrep, eps=DEFAULT_EPS).weights
-        container = Ellipsoid(k=k, matrix=(p.hrep.T * (u / u.sum())) @ p.hrep)
-    else:
-        A = lowner_symmetric(p.vrep, eps=DEFAULT_EPS).ellipsoid.matrix
-        reach = np.einsum("ij,jk,ik->i", p.vrep, A, p.vrep).max()
-        container = Ellipsoid(k=k, matrix=A / reach)
+        return Ellipsoid(k=p.k, matrix=(p.hrep.T * (u / u.sum())) @ p.hrep)
+    A = lowner_symmetric(p.vrep, eps=DEFAULT_EPS).ellipsoid.matrix
+    reach = np.einsum("ij,jk,ik->i", p.vrep, A, p.vrep).max()
+    return Ellipsoid(k=p.k, matrix=A / reach)
+
+
+def _unblocked_estimate(p, samples, seed):
+    """estimate_volume as a straight loop: the same container and draws,
+    each 100 000-direction chunk scored one sign pattern at a time, with
+    each direction's terms summed in order over its unflipped coordinates
+    1, 5, 6, ... and then its flipped coordinates 2, 3, 4 (counting from 1)."""
+    k = p.k
+    container = _container(p)
     functionals = _hit_test_functionals(p)
-    L_inv = np.linalg.inv(np.linalg.cholesky(container.matrix))
+    L = np.linalg.cholesky(container.matrix)
+    flips = min(k, 4) - 1
+    order = [0, *range(4, k), *range(1, 1 + flips)]
+    signs = []
+    for pattern in range(2 ** flips):
+        s = np.ones(k)
+        for i in range(flips):
+            if pattern >> i & 1:
+                s[1 + i] = -1.0
+        signs.append(s)
+    orbit = len(signs)
+    draws = -(-samples // orbit)
     rng = np.random.default_rng(seed)
-    hits = 0
+    total = squares = 0.0
     done = 0
-    while done < samples:
-        count = min(100_000, samples - done)
+    while done < draws:
+        count = min(100_000 // orbit, draws - done)
         z = rng.standard_normal((count, k))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        radii = rng.random(count) ** (1.0 / k)
-        batch = (z * radii[:, None]) @ L_inv
-        if functionals is not None:
-            inside = np.max(np.abs(batch @ functionals.T), axis=1) <= 1.0
-            hits += int(np.count_nonzero(inside))
-        else:
-            hits += sum(1 for y in batch
-                        if absolute_hull_gauge(p.vrep, y) <= 1.0 + TAU_GEO)
+        norms = np.sqrt(sum(z[:, j] ** 2 for j in range(k)))
+        orbit_sum = 0.0
+        for s in signs:
+            if functionals is not None:
+                G = functionals @ np.linalg.inv(L).T
+                dots = sum((s[j] * z[:, j])[:, None] * G[:, j] for j in order)
+                gauge = np.abs(dots).max(axis=1)
+            else:
+                gauge = np.array([absolute_hull_gauge(p.vrep @ L, s * w) for w in z])
+            ratio = np.minimum(norms / gauge, 1.0)
+            score = ratio
+            for _ in range(k - 1):
+                score = score * ratio
+            orbit_sum = orbit_sum + score
+        means = orbit_sum / orbit
+        total += float(means.sum())
+        squares += float(means @ means)
         done += count
-    frac = hits / samples
+    mean = total / draws
+    spread = math.sqrt(max(squares / draws - mean * mean, 0.0))
     vol = ellipsoid_volume(container)
-    return VolumeEstimate(frac * vol, math.sqrt(frac * (1.0 - frac) / samples) * vol)
+    return VolumeEstimate(mean * vol, spread / math.sqrt(draws) * vol)
 
 
-# each body with the rows of the blocks it is tested in: 2**14 // m, m its
-# functionals (or generators on the gauge path), and at least 256
+# each body with the directions of the blocks it is tested in: whole orbits
+# of max(256, 2**14 // m) directions, m its functionals (or generators on
+# the gauge path), with orbits of 2**(min(k, 4) - 1) directions
 @pytest.mark.parametrize("body,block", [
     (lambda: section_of(3, 1), 16384),
     (lambda: polytope_from_frame(project_standard_basis(random_subspace(8, 4, 21))), 2048),
-    (lambda: polytope_from_frame(project_standard_basis(random_subspace(12, 5, 22))), 1365),
+    (lambda: polytope_from_frame(project_standard_basis(random_subspace(12, 5, 22))), 1360),
     (lambda: cross_projection(project_standard_basis(random_subspace(6, 2, 23))), 2048),
     (lambda: cross_projection(project_standard_basis(random_subspace(10, 5, 24))), 256),
-    # at k = 8 np.linalg.norm's row sums no longer add in order
+    # at k = 8 numpy's row sums (np.linalg.norm, np.add.reduce) no longer add in order
     (lambda: Polytope(k=8, hrep=np.eye(8)), 2048),
-    (lambda: Polytope(k=6, vrep=np.eye(6) + 0.1), 2730),
+    (lambda: Polytope(k=6, vrep=np.eye(6) + 0.1), 2728),
 ], ids=["section-1", "section-4", "section-5", "cross-2", "cross-5", "cube-8", "gauge-6"])
 def test_blocked_estimate_is_bit_identical_to_the_unblocked_loop(body, block):
     p = body()
-    # the block's edges and a count that crosses the 100 000-sample chunk;
-    # with one gauge program per sample, the first block and one past it
+    # the block's edges and a count that crosses the 100 000-direction chunk;
+    # with one gauge program per direction, the first block and one past it
     samples = [1, block - 1, block, block + 1, 100_001]
     if _hit_test_functionals(p) is None:
         samples = [1, block + 1]
@@ -1069,6 +1096,38 @@ def test_estimate_volume_peak_memory_does_not_grow_with_the_facets():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("build", [polytope_from_frame, cross_projection])
+def test_estimate_volume_standard_error_is_calibrated(build):
+    # z = (estimate - exact) / standard error over 60 Haar (8,4) bodies: an
+    # error off by 2x (per direction, or binomial) moves sd(z) out of range
+    z = []
+    for seed in range(60):
+        body = build(project_standard_basis(random_subspace(8, 4, 400 + seed)))
+        est = estimate_volume(body, samples=20_000, seed=seed)
+        z.append((est.value - volume(body)) / est.standard_error)
+    assert abs(np.mean(z)) <= 0.5
+    assert 0.7 <= np.std(z) <= 1.3
+
+
+@pytest.mark.parametrize("kind,n,k,seed", [
+    *((kind, n, k, seed) for n, k in ((6, 3), (8, 4)) for kind in ("section", "cross")
+      for seed in (61, 62)),
+    *(("query", 8, 4, seed) for seed in (41, 42, 43, 44)),
+])
+def test_estimate_standard_error_is_below_the_binomial_one(kind, n, k, seed):
+    # a fifth below the hit-or-miss error of as many directions at the exact
+    # hit rate, which hit-or-miss itself reports at its estimated rate
+    if kind == "query":
+        frame = construct_realization(random_realizable_profile(n, k, trial_seed(seed, 0)))
+    else:
+        frame = project_standard_basis(random_subspace(n, k, seed))
+    p = cross_projection(frame) if kind == "cross" else polytope_from_frame(frame)
+    vol = ellipsoid_volume(_container(p))
+    f = volume(p) / vol
+    est = estimate_volume(p, samples=20_000, seed=5)
+    assert 1.25 * est.standard_error < math.sqrt(f * (1.0 - f) / 20_000) * vol
 
 
 def test_monte_carlo_agrees_with_exact_on_random_bodies():
