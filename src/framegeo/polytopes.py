@@ -185,23 +185,27 @@ def _collapse_rows(rows: np.ndarray, tol: float = TAU_GEO):
     return canon[is_rep]
 
 
+def _pair_reps(points: np.ndarray) -> np.ndarray:
+    """One row per +/- pair of a hull's facet points (antipodal facets and
+    split ones repeat a point), within TAU_GEO relative to the largest entry."""
+    return _collapse_rows(points, TAU_GEO * np.abs(points).max())
+
+
 class _Interval(NamedTuple):
     """The hull attributes callers read, for the interval [-t, t] at k = 1."""
     volume: float
     vertices: np.ndarray
     equations: np.ndarray
-    points: np.ndarray
 
 
 def _hull(rows: np.ndarray):
     """Convex hull of the +/- rows; qhull cannot run at k = 1, where the hull
     is [-t, t], t = max |row|, with the argmax row as its vertex."""
-    points = np.concatenate((rows, -rows))
     if rows.shape[1] == 1:
         top = int(np.argmax(np.abs(rows[:, 0])))
         t = float(abs(rows[top, 0]))
-        return _Interval(2.0 * t, np.array([top]), np.array([[1.0, -t], [-1.0, -t]]), points)
-    return ConvexHull(points)
+        return _Interval(2.0 * t, np.array([top]), np.array([[1.0, -t], [-1.0, -t]]))
+    return ConvexHull(np.concatenate((rows, -rows)))
 
 
 class _FrameRows:
@@ -479,7 +483,7 @@ def _polar_volume(hulls) -> np.ndarray:
       simplices (its output is triangulated), so its apex is the lower of F
       and F's neighbor across it;
     - a face of 1 .. k-2 vertices is keyed by its vertex numbers, in
-      ascending order, as the digits of a base-P number, and its apex is
+      ascending order, as the digits of a base-V number, and its apex is
       the lowest facet with that key, scattered by minimum into a table
       over the keys or read off a sort of them (``_first_facets``).
     Each chain carries the exterior product of its apexes' polar vertices,
@@ -493,35 +497,34 @@ def _polar_volume(hulls) -> np.ndarray:
     ``_polar_points``, one cumsum of their facet and point counts gives
     every hull's offsets, and their simplices and neighbors are each
     stacked once and shifted by the offsets repeated per facet.  The
-    group's facets and points are thus numbered hull after hull, and each
-    vertex by its point, so no face of one hull meets another's, a facet's
-    vertices sort as they do in its hull alone, each hull's chains stay
-    contiguous and in the order they have when it grows alone, and its
-    volume, summed over them, is bit for bit the one it has alone.  A key of
-    j digits is below P^j for the group's P points, so the group must keep
-    P^(k-2) < 2^63, which ``_hull_groups`` does for a group of two or more
-    hulls; a hull alone past it has its V vertices numbered 0 .. V-1
-    instead, and must keep V^(k-2) < 2^63.
+    group's facets and points are thus numbered hull after hull, and its V
+    vertices 0 .. V-1 in point order (one scatter and one cumsum), so no
+    face of one hull meets another's, a facet's vertices sort as they do in
+    its hull alone, each hull's chains stay contiguous and in the order
+    they have when it grows alone, and its volume, summed over them, is bit
+    for bit the one it has alone.  A key of j digits is below V^j, and
+    ``np.ravel_multi_index`` refuses a key space past 2^63, which a group
+    within _GROUP_FACETS facets cannot reach at k <= 8, nor a hull alone at
+    k <= K_EXACT below 2^21 vertices.
     """
     points = _polar_points(np.concatenate([hull.equations for hull in hulls]))
     k = points.shape[1]
     if k == 1:
         return np.array([4.0 / hull.volume for hull in hulls])
     subsets, children, wedge = _flag_levels(k)
-    # each hull's facets and points follow those of the hulls before it, so
-    # a vertex is numbered by its point, below the group's P points
+    # each hull's facets and points follow those of the hulls before it
     counts = np.zeros((len(hulls) + 1, 2), dtype=np.intp)
     counts[1:] = [(len(hull.simplices), len(hull.points)) for hull in hulls]
     starts, bases = np.cumsum(counts, axis=0).T
     facet_counts = counts[1:, 0]
     simplices = np.concatenate([hull.simplices for hull in hulls], dtype=np.intp)
     simplices += np.repeat(bases[:-1], facet_counts)[:, None]
-    facets, size = simplices.shape[0], int(bases[-1])
-    if size ** (k - 2) >= 2 ** 63:
-        # a hull that ``_hull_groups`` leaves alone: its vertices are
-        # numbered 0 .. V-1 in point order instead, which sorts them alike
-        labels, simplices = np.unique(simplices, return_inverse=True)
-        simplices, size = simplices.reshape(facets, k), labels.size
+    # number the group's V vertices 0 .. V-1 in point order
+    used = np.zeros(int(bases[-1]), dtype=np.intp)
+    used[simplices] = 1
+    labels = np.cumsum(used) - 1
+    simplices, size = labels[simplices], int(labels[-1]) + 1
+    facets = simplices.shape[0]
     rows = np.arange(facets)
     # sort each facet's slots by vertex number, its neighbors along with them
     order = np.argsort(simplices, axis=1)
@@ -534,7 +537,7 @@ def _polar_volume(hulls) -> np.ndarray:
     apex = {k - 1: np.minimum(rows[:, None], neighbors[:, ::-1])}
     for j in range(1, k - 1):
         # a face's key is its j vertex numbers, ascending, as the digits of a
-        # base-P number below P^j <= P^(k-2)
+        # base-V number below V^j <= V^(k-2)
         keys = vertices if j == 1 else np.ravel_multi_index(
             tuple(np.moveaxis(vertices[:, subsets[j]], -1, 0)), (size,) * j)
         apex[j] = _first_facets(keys, size ** j)
@@ -558,25 +561,21 @@ def _polar_volume(hulls) -> np.ndarray:
                      for lo, hi in zip(ends[:-1], ends[1:])])
 
 
-def _hull_groups(hulls, k: int):
-    """Runs of consecutive hulls in R^k whose polar flags grow in one pass
-    of ``_polar_volume``.  A hull joins the run while the run keeps at most
+def _hull_groups(hulls):
+    """Runs of consecutive hulls whose polar flags grow in one pass of
+    ``_polar_volume``: a hull joins the run while the run keeps at most
     _GROUP_FACETS facets, past which a pass costs more per hull than it
-    saves, and its P points keep P^(k-2) < 2^63: ``_polar_volume`` numbers
-    a vertex by its point, so a face key of j <= k-2 digits is below P^j
-    and fits an int64, and no hull's vertices are computed (scipy finds them
-    by a sort per hull).  Otherwise it starts the next run, alone if need
-    be, where its faces are keyed by its vertices."""
-    group, facets, points = [], 0, 0
+    saves, and otherwise starts the next run, alone if need be.  Only the
+    hulls' equations are read (scipy computes their vertices by a sort per
+    hull)."""
+    group, facets = [], 0
     for hull in hulls:
-        size, count = len(hull.equations), len(hull.points)
-        if group and (facets + size > _GROUP_FACETS
-                      or (points + count) ** (k - 2) >= 2 ** 63):
+        size = len(hull.equations)
+        if group and facets + size > _GROUP_FACETS:
             yield group
-            group, facets, points = [], 0, 0
+            group, facets = [], 0
         group.append(hull)
         facets += size
-        points += count
     if group:
         yield group
 
@@ -596,19 +595,15 @@ def _span_error(p: Polytope) -> ValueError:
 
 
 def enumerate_vertices(p: Polytope) -> Polytope:
-    """All vertices of {y : |<g_i, y>| <= 1}, read off the facets of conv(+/- g_i).
-
-    The body keeps one vertex per facet; antipodal facets and qhull's splits
-    of non-simplicial ones repeat a vertex, so they are collapsed to one per
-    +/- pair, within TAU_GEO relative to their largest entry so that any
-    scale works."""
+    """All vertices of {y : |<g_i, y>| <= 1}, one per +/- pair of the points
+    polar to the facets of conv(+/- g_i) that the body keeps."""
     if p.hrep is None:
         raise ValueError("enumerate_vertices needs an H-representation")
     _require_exact(p.k)
     cands = p._facet_points
     if cands is None:
         raise _span_error(p)
-    return Polytope(k=p.k, vrep=_collapse_rows(cands, TAU_GEO * np.abs(cands).max()))
+    return Polytope(k=p.k, vrep=_pair_reps(cands))
 
 
 def volume(p: Polytope) -> float:
@@ -626,13 +621,12 @@ def _frame_volumes(frames) -> list[tuple[float, float]]:
     frames in R^k projected from Subspaces, whose basis checks (TAU_ORTH <
     TAU_CERT) certified them, both from one hull of its +/- vectors: the
     hull's own volume and that of its polar, the section.  The frames are
-    hulled in turn, the sections' flags grow a group of hulls at a time
-    (``_hull_groups``), and a group's hulls are dropped once its volumes
-    are read."""
-    k = frames[0].k
-    _require_exact(k)
+    hulled in turn, the sections' flags grow a group of hulls within the
+    facet budget at a time (``_hull_groups``), and a group's hulls are
+    dropped once its volumes are read."""
+    _require_exact(frames[0].k)
     volumes = []
-    for group in _hull_groups((_hull(frame.vectors) for frame in frames), k):
+    for group in _hull_groups(_hull(frame.vectors) for frame in frames):
         volumes += zip(_polar_volume(group).tolist(), (float(hull.volume) for hull in group))
     return volumes
 
@@ -717,7 +711,8 @@ def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
     into its + and - branch.  Every other sum runs in order too, so a
     draw's scores and the estimate do not depend on where blocks and chunks
     end (no BLAS product, whose last bits do).  A V-rep body's functionals
-    are the points polar to the facets of the hull it keeps.  Above K_EXACT
+    are the points polar to the facets of the hull it keeps, one per +/-
+    pair, since |<G_i, z>| is the same for G_i and -G_i.  Above K_EXACT
     it keeps none: each direction takes one gauge program, and all of them
     share one plan for the mapped generators, so the SVD, the rank and the
     first basis are computed once.
@@ -740,6 +735,8 @@ def estimate_volume(p: Polytope, samples: int, seed: int) -> VolumeEstimate:
     vol_container = ellipsoid_volume(container)
     L = np.linalg.cholesky(container.matrix)
     functionals = p.hrep if p.vrep is None else p._facet_points
+    if p.vrep is not None and functionals is not None:
+        functionals = _pair_reps(functionals)
     if functionals is None:
         plan = _gauge_plan(rows.shape, (rows @ L).tobytes())
         m = len(rows)

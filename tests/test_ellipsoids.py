@@ -380,6 +380,18 @@ def test_heavy_tailed_points_at_the_conditioning_limit():
     assert_certificate(pts, fit, eps=1e-10)
 
 
+@pytest.mark.xfail(raises=ConvergenceError, strict=True,
+                   reason="ROADMAP D12: with more active points than k(k+1)/2 every "
+                          "Newton solve is least squares, which drops the direction "
+                          "that moves weight within a near-duplicate pair")
+def test_a_frame_stacked_on_a_near_duplicate_copy_converges():
+    frame = project_standard_basis(random_subspace(6, 3, trial_seed(99, 3))).vectors
+    copy = frame * (1.0 + 1e-12 * np.random.default_rng(3).standard_normal(frame.shape))
+    pts = np.vstack([frame, copy])
+    fit = lowner_symmetric(pts, eps=1e-12, max_iterations=2000)
+    assert_certificate(pts, fit, eps=1e-12)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["duplicated", "antipodal"])
 @pytest.mark.parametrize("n,k,seed", [(14, 5, 62), (20, 4, 3), (40, 5, 63)])
 def test_repeated_rows_take_the_least_squares_newton_step(lstsq_calls, sign, n, k, seed):

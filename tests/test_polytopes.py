@@ -286,9 +286,8 @@ def test_section_volume_is_exact_on_a_non_simplicial_hull(k):
 def test_section_volume_of_the_cube_from_28000_functionals_27995_interior():
     # 28 000 functionals at k = 5: the cross-polytope's 5 corners and 27 995
     # points inside it, which bound nothing.  The section is the cube
-    # [-1, 1]^5.  Faces are keyed by at most 3 hull-vertex numbers here, so
-    # no key nears 2^63; the int64 key range is checked by
-    # test_hull_groups_split_at_the_facet_budget_and_the_int64_key_range.
+    # [-1, 1]^5.  Faces are keyed by at most 3 hull-vertex numbers, not by
+    # the 56 000 point numbers.
     inner = np.random.default_rng(9).uniform(-0.1, 0.1, (28_000 - 5, 5))
     assert volume(Polytope(k=5, hrep=np.vstack([np.eye(5), inner]))) == pytest.approx(
         32.0, rel=1e-12)
@@ -990,15 +989,23 @@ def test_estimate_volume_gauge_path_in_high_dimension():
     assert abs(est.value - exact) <= 5.0 * est.standard_error
 
 
+def _polar_vertices(p):
+    """A V-rep body's polar vertices, one per facet of its hull, so each
+    +/- pair twice."""
+    equations = ConvexHull(np.vstack([p.vrep, -p.vrep])).equations
+    return equations[:, :-1] / -equations[:, -1:]
+
+
 def _hit_test_functionals(p):
     """The rows estimate_volume scores a direction against: an H-rep body's
-    functionals, a V-rep body's polar vertices up to K_EXACT, else None."""
+    functionals, a V-rep body's polar vertices up to K_EXACT, one per +/-
+    pair, else None."""
     if p.hrep is not None:
         return p.hrep
     if p.k > K_EXACT:
         return None
-    equations = ConvexHull(np.vstack([p.vrep, -p.vrep])).equations
-    return equations[:, :-1] / -equations[:, -1:]
+    points = _polar_vertices(p)
+    return framegeo.polytopes._collapse_rows(points, TAU_GEO * np.abs(points).max())
 
 
 def _container(p):
@@ -1011,14 +1018,16 @@ def _container(p):
     return Ellipsoid(k=p.k, matrix=A / reach)
 
 
-def _unblocked_estimate(p, samples, seed):
+def _unblocked_estimate(p, samples, seed, functionals=None):
     """estimate_volume as a straight loop: the same container and draws,
     each 100 000-direction chunk scored one sign pattern at a time, with
     each direction's terms summed in order over its unflipped coordinates
-    1, 5, 6, ... and then its flipped coordinates 2, 3, 4 (counting from 1)."""
+    1, 5, 6, ... and then its flipped coordinates 2, 3, 4 (counting from 1).
+    The functionals scored are ``_hit_test_functionals`` unless given."""
     k = p.k
     container = _container(p)
-    functionals = _hit_test_functionals(p)
+    if functionals is None:
+        functionals = _hit_test_functionals(p)
     L = np.linalg.cholesky(container.matrix)
     flips = min(k, 4) - 1
     order = [0, *range(4, k), *range(1, 1 + flips)]
@@ -1068,7 +1077,7 @@ def _unblocked_estimate(p, samples, seed):
     (lambda: section_of(3, 1), 16384),
     (lambda: polytope_from_frame(project_standard_basis(random_subspace(8, 4, 21))), 2048),
     (lambda: polytope_from_frame(project_standard_basis(random_subspace(12, 5, 22))), 1360),
-    (lambda: cross_projection(project_standard_basis(random_subspace(6, 2, 23))), 2048),
+    (lambda: cross_projection(project_standard_basis(random_subspace(6, 2, 23))), 4096),
     (lambda: cross_projection(project_standard_basis(random_subspace(10, 5, 24))), 256),
     # at k = 8 numpy's row sums (np.linalg.norm, np.add.reduce) no longer add in order
     (lambda: Polytope(k=8, hrep=np.eye(8)), 2048),
@@ -1083,6 +1092,20 @@ def test_blocked_estimate_is_bit_identical_to_the_unblocked_loop(body, block):
         samples = [1, block + 1]
     for count in samples:
         assert estimate_volume(p, count, seed=31) == _unblocked_estimate(p, count, 31), count
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (8, 4), (10, 5)])
+def test_a_cross_projection_is_scored_on_one_functional_per_pair(n, k):
+    # |<G, z>| = |<-G, z>|, so scoring both of a pair changes no estimate
+    # beyond rounding, and the body scores half its polar vertices
+    p = cross_projection(project_standard_basis(random_subspace(n, k, trial_seed(36, 0))))
+    every = _polar_vertices(p)
+    assert 2 * len(_hit_test_functionals(p)) == len(every)
+    for seed in range(3):
+        est = estimate_volume(p, 20_000, seed)
+        want = _unblocked_estimate(p, 20_000, seed, functionals=every)
+        assert est.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
+        assert est.standard_error == pytest.approx(want.standard_error, rel=1e-12, abs=0.0)
 
 
 def test_estimate_volume_peak_memory_does_not_grow_with_the_facets():
@@ -1257,12 +1280,12 @@ def test_polar_volume_at_k6_matches_closed_forms_and_a_hull_of_the_polar():
     assert polar_volume([hull])[0] == pytest.approx(want, rel=1e-12)
 
 
-def assert_grouped_growth_matches_each_hull_alone(hulls, k):
+def assert_grouped_growth_matches_each_hull_alone(hulls):
     """Each hull's section volume, grown in its group and in one group of
     all of them, is bit for bit the one it has alone; returns the groups."""
     polar_volume = framegeo.polytopes._polar_volume
     alone = [repr(polar_volume([hull])[0]) for hull in hulls]
-    groups = list(framegeo.polytopes._hull_groups(hulls, k))
+    groups = list(framegeo.polytopes._hull_groups(hulls))
     assert [hull for group in groups for hull in group] == hulls
     assert [repr(volume) for group in groups for volume in polar_volume(group)] == alone
     assert [repr(volume) for volume in polar_volume(hulls)] == alone
@@ -1285,7 +1308,7 @@ def test_grouped_flag_growth_matches_each_hull_alone(k, draws):
     if k == 5:
         hulls += [hull_of_rows(project_standard_basis(random_subspace(14, 5, seed)).vectors)
                   for seed in NEAR_DEGENERATE_K5_SEEDS]
-    groups = assert_grouped_growth_matches_each_hull_alone(hulls, k)
+    groups = assert_grouped_growth_matches_each_hull_alone(hulls)
     # the groups split at the facet budget: each holds it unless it is one
     # hull, and the next hull would overflow it
     budget = framegeo.polytopes._GROUP_FACETS
@@ -1300,7 +1323,7 @@ def test_grouped_flag_growth_matches_each_hull_alone(k, draws):
 def test_grouped_flag_growth_of_intervals_matches_each_alone():
     hulls = [framegeo.polytopes._hull(np.array(rows)) for rows in
              ([[0.6], [0.0], [-0.8]], [[2.0]], [[-0.5], [0.25]], [[1e-9], [3.0]])]
-    assert_grouped_growth_matches_each_hull_alone(hulls, 1)
+    assert_grouped_growth_matches_each_hull_alone(hulls)
 
 
 def test_grouped_flag_growth_at_k6_matches_each_hull_alone():
@@ -1308,7 +1331,7 @@ def test_grouped_flag_growth_at_k6_matches_each_hull_alone():
     subspaces = (equality_subspace(12, 6), random_subspace(12, 6, trial_seed(30, 0)),
                  equality_subspace(18, 6), random_subspace(14, 6, trial_seed(30, 1)))
     hulls = [framegeo.polytopes._hull(project_standard_basis(s).vectors) for s in subspaces]
-    assert_grouped_growth_matches_each_hull_alone(hulls, 6)
+    assert_grouped_growth_matches_each_hull_alone(hulls)
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (6, 3), (14, 4), (14, 5)])
@@ -1342,46 +1365,35 @@ def test_a_group_with_an_unbounded_polar_raises_what_that_hull_raises_alone(offs
     polar_volume(hulls[:2] + hulls[3:])  # the others alone are bounded
 
 
-def test_hull_groups_split_at_the_facet_budget_and_the_int64_key_range():
-    def hull(facets, points):
-        return SimpleNamespace(equations=np.zeros((facets, 1)), points=np.empty((points, 0)))
-
-    def sizes(groups, attribute):
-        return [[len(getattr(h, attribute)) for h in group] for group in groups]
+def test_hull_groups_split_at_the_facet_budget():
+    def hull(facets):
+        return SimpleNamespace(equations=np.zeros((facets, 1)))
 
     budget = framegeo.polytopes._GROUP_FACETS
-    hulls = [hull(f, 4) for f in (300, budget - 312, 12, budget + 1, 1, budget - 1, 1)]
-    assert sizes(framegeo.polytopes._hull_groups(hulls, 5), "equations") == [
+    hulls = [hull(f) for f in (300, budget - 312, 12, budget + 1, 1, budget - 1, 1)]
+    assert [[len(h.equations) for h in group]
+            for group in framegeo.polytopes._hull_groups(hulls)] == [
         [300, budget - 312, 12], [budget + 1], [1, budget - 1], [1]]
-    # keys of k - 2 = 4 digits: a group keeps P^4 < 2^63 for its P points,
-    # which bound its vertices
-    limit = math.isqrt(math.isqrt(2 ** 63))
-    assert limit ** 4 < 2 ** 63 <= (limit + 1) ** 4
-    hulls = [hull(1, p) for p in (limit - 1, 1, 1, limit + 5, 1)]
-    assert sizes(framegeo.polytopes._hull_groups(hulls, 6), "points") == [
-        [limit - 1, 1], [1], [limit + 5], [1]]
-    # at k = 3 a key is one point number, and points never split a group
-    assert len(list(framegeo.polytopes._hull_groups(hulls, 3))) == 1
 
 
-def test_hull_groups_close_at_the_key_bound_without_computing_vertices():
+def test_hull_groups_read_neither_vertices_nor_points():
     class Hull:
         """A stand-in hull whose vertices, which scipy computes on demand
-        by a sort, must not be read."""
+        by a sort, and whose points must not be read."""
 
-        def __init__(self, points):
-            self.equations, self.points = np.zeros((1, 1)), np.empty((points, 0))
+        def __init__(self, facets):
+            self.equations = np.zeros((facets, 1))
 
         @property
         def vertices(self):
             raise AssertionError("vertices read")
 
-    # at k = 5 a key has 3 digits, and 2^21 points reach 2^63 exactly
-    half = 2 ** 20
-    groups = list(framegeo.polytopes._hull_groups([Hull(half), Hull(half - 1), Hull(1)], 5))
-    assert [[len(h.points) for h in group] for group in groups] == [[half, half - 1], [1]]
-    groups = list(framegeo.polytopes._hull_groups([Hull(half), Hull(half)], 5))
-    assert [len(group) for group in groups] == [1, 1]
+        @property
+        def points(self):
+            raise AssertionError("points read")
+
+    groups = list(framegeo.polytopes._hull_groups([Hull(300), Hull(212), Hull(1)]))
+    assert [[len(h.equations) for h in group] for group in groups] == [[300, 212], [1]]
 
 
 def polar_volume_by_route(monkeypatch, hulls):
@@ -1408,7 +1420,7 @@ def polar_volume_by_route(monkeypatch, hulls):
 def assert_first_facet_routes_agree(monkeypatch, hulls, k):
     """Both routes give every group of the hulls the same apexes, k - 2
     arrays of them, and the same volumes, bit for bit."""
-    for group in framegeo.polytopes._hull_groups(hulls, k):
+    for group in framegeo.polytopes._hull_groups(hulls):
         (table, by_table), (sort, by_sort) = polar_volume_by_route(monkeypatch, group)
         assert len(by_table) == len(by_sort) == max(0, k - 2)
         for left, right in zip(by_table, by_sort):
@@ -1458,12 +1470,13 @@ def test_first_facet_routes_agree_on_corner_and_interior_hulls(monkeypatch, k):
 
 def test_polar_volume_of_a_lone_hull_past_the_key_range_of_its_points():
     # the cube's corners among 55 400 interior rows at k = 6: the hull's P
-    # points put P^4 past 2^63, so it forms a group alone and its faces are
-    # keyed by its 64 vertices; the polar is the cross-polytope, 2^6 / 6!
+    # points would put a key of P^4 past 2^63, but its faces are keyed by
+    # its 64 vertices; its 2036 facets pass the facet budget, so it forms a
+    # group alone; the polar is the cross-polytope, 2^6 / 6!
     corners = np.array(list(itertools.product([1.0, -1.0], repeat=6)))[:32]
     inner = np.random.default_rng(6).uniform(-0.1, 0.1, (27_700, 6))
     hull = framegeo.polytopes._hull(np.vstack([inner, corners]))
     assert len(hull.points) ** 4 >= 2 ** 63
-    assert len(list(framegeo.polytopes._hull_groups([hull, hull], 6))) == 2
+    assert len(list(framegeo.polytopes._hull_groups([hull, hull]))) == 2
     assert framegeo.polytopes._polar_volume([hull])[0] == pytest.approx(
         2.0 ** 6 / math.factorial(6), rel=1e-12)
