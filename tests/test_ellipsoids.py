@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
@@ -15,7 +16,8 @@ from framegeo.ellipsoids import (DEFAULT_EPS, ConvergenceError, Ellipsoid,
                                  polar_ellipsoid, unit_ball_volume)
 from framegeo.frames import Subspace, project_standard_basis
 from framegeo.majorization import NormProfile, construct_realization
-from framegeo.polytopes import equality_subspace
+from framegeo.polytopes import (cross_projection, equality_subspace, polytope_from_frame,
+                                 volume)
 from framegeo.experiments import random_subspace, trial_seed, verify_ellipsoid_bounds
 
 
@@ -769,3 +771,218 @@ def test_k2_grid_oracle_local_optimality():
                 if np.all((x / a) ** 2 + (y / b) ** 2 <= 1.0 + 1e-9):
                     best = min(best, a * b)
     assert best >= vol_solver * (1.0 - 0.003)
+
+
+# the face step: k support points T e_i and one entering point T e, for a
+# rotation T; each set names the root pattern its face optimum takes
+FACE_SETS = {
+    "plus-2": [1.2, 1.1],
+    "minus-2": [0.8, 0.8],
+    "plus-3": [1.1, 1.05, 0.95],
+    "minus-3": [0.6, 0.6, 0.6],
+}
+
+
+def face_set(entering, weights=None, seed=0, rotate=True):
+    """Points T e_1 ... T e_k, T e and the weights of the first k (1/k
+    each by default); T is a Haar rotation, or I where ``rotate`` is off."""
+    k = len(entering)
+    T = np.linalg.qr(np.random.default_rng(seed).standard_normal((k, k)))[0]
+    P = np.vstack([np.eye(k), entering]) @ (T.T if rotate else np.eye(k))
+    u = np.append(np.full(k, 1.0 / k) if weights is None else weights, 0.0)
+    return P, u
+
+
+def step_arguments(P, u):
+    """The arguments of ``_newton_step`` for weights u, as a round forms them."""
+    k = P.shape[1]
+    L = lapack.dpotrf((P.T * u) @ P, lower=1)[0]
+    Y = lapack.dtrtrs(L, P.T, lower=1)[0]
+    g = np.einsum("ij,ij->j", Y, Y)
+    S = u.nonzero()[0]
+    E = ((g > k * (1.0 + DEFAULT_EPS)) & (u == 0.0)).nonzero()[0]
+    return P, u, S, E, L, Y, g, k
+
+
+def leverages(P, u):
+    return np.einsum("ij,jk,ik->i", P, np.linalg.inv((P.T * u) @ P), P)
+
+
+def recorded(monkeypatch, name):
+    """Wrap ``framegeo.ellipsoids.<name>``; returns the list of its results."""
+    results = []
+    real = getattr(framegeo.ellipsoids, name)
+
+    def wrapper(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(framegeo.ellipsoids, name, wrapper)
+    return results
+
+
+def no_newton_trial(monkeypatch):
+    def refused(YA, r):
+        raise AssertionError("the Newton trial ran")
+
+    monkeypatch.setattr(framegeo.ellipsoids, "_newton_direction", refused)
+
+
+@pytest.mark.parametrize("name", sorted(FACE_SETS))
+def test_a_face_step_puts_every_leverage_at_k(monkeypatch, name):
+    # at the maximizer of log det on a face every leverage is k; one point
+    # takes the minus root, u_j = (1 - r) / (2k) < 1 / (2k), or none does
+    no_newton_trial(monkeypatch)
+    P, u = face_set(FACE_SETS[name])
+    k = P.shape[1]
+    args = step_arguments(P, u)
+    assert args[3].tolist() == [k]
+    L = framegeo.ellipsoids._newton_step(*args)
+    assert L is not None
+    np.testing.assert_array_equal(L, lapack.dpotrf((P.T * u) @ P, lower=1)[0])
+    assert u.sum() == pytest.approx(1.0, abs=1e-15) and u.min() > 0.0
+    assert np.max(np.abs(leverages(P, u) - k)) <= 1e-12 * k
+    assert np.count_nonzero(u < 1.0 / (2 * k)) == name.startswith("minus")
+
+
+def log_det_maximizer(P):
+    """The weights maximizing log det M(u) on the simplex, by SLSQP."""
+    m = P.shape[0]
+    result = scipy.optimize.minimize(
+        lambda w: -np.linalg.slogdet((P.T * w) @ P)[1], np.full(m, 1.0 / m),
+        method="SLSQP", bounds=[(1e-9, 1.0)] * m, tol=1e-15,
+        constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0}])
+    assert result.success
+    return result.x
+
+
+@pytest.mark.parametrize("name", sorted(FACE_SETS))
+def test_face_weights_match_an_independent_maximizer(name):
+    P, u = face_set(FACE_SETS[name], seed=1)
+    assert framegeo.ellipsoids._newton_step(*step_arguments(P, u)) is not None
+    np.testing.assert_allclose(u, log_det_maximizer(P), rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("entering,weights", [
+    ([1.0, 0.0], [0.25, 0.75]),
+    ([-1.0, 0.0], [0.25, 0.75]),
+    ([0.0, 1.0, 0.0], [5 / 12, 1 / 6, 5 / 12]),
+    ([1.0, 0.5], None),
+], ids=["repeated-2", "antipodal-2", "repeated-3", "tied-2"])
+def test_a_tie_for_the_largest_null_coefficient_raises_nothing(monkeypatch, entering,
+                                                               weights):
+    # the entering point ties a support point for the largest |c_i|; a
+    # repeated point puts the root at r = 0, where the tied point has s = 0
+    no_newton_trial(monkeypatch)
+    P, u = face_set(entering, weights, rotate=False)
+    k = P.shape[1]
+    args = step_arguments(P, u)
+    x = lapack.dgesv(args[5][:, :k], -args[5][:, k])[2]
+    assert np.max(np.abs(x)) == 1.0
+    assert framegeo.ellipsoids._newton_step(*args) is not None
+    assert np.max(np.abs(leverages(P, u) - k)) <= 1e-12 * k
+
+
+def test_a_face_optimum_with_a_zero_weight_falls_back_to_the_newton_trial(monkeypatch):
+    P, u = face_set([2.0, 0.1])
+    assert framegeo.ellipsoids._face_weights([4.0, 0.01, 1.0], 2) is None
+    face_steps = recorded(monkeypatch, "_face_step")
+    L = framegeo.ellipsoids._newton_step(*step_arguments(P, u))
+    assert face_steps == [None] and L is not None
+    monkeypatch.setattr(framegeo.ellipsoids, "_face_step", lambda *args: None)
+    trial_u = np.append(np.full(2, 0.5), 0.0)
+    trial_L = framegeo.ellipsoids._newton_step(*step_arguments(P, trial_u))
+    np.testing.assert_array_equal(L, trial_L)
+    np.testing.assert_array_equal(u, trial_u)
+
+
+def test_a_fit_whose_face_optimum_has_a_zero_weight_still_certifies(monkeypatch):
+    # one of the few heavy-tailed sets whose face optimum has a zero
+    # weight, so that its face step gives way to the Newton trial
+    outcomes = recorded(monkeypatch, "_face_weights")
+    pts = _heavy_tailed(20, 4, 246)
+    fit = lowner_symmetric(pts, eps=1e-10, max_iterations=2000)
+    assert None in outcomes
+    assert fit.gap <= 4e-10
+    assert_certificate(pts, fit, eps=1e-8)
+
+
+def test_a_support_of_k_plus_one_points_takes_no_face_step(monkeypatch):
+    face_steps = []
+    face_step = framegeo.ellipsoids._face_step
+
+    def support_size_recorded(P, u, S, e, L, Y, k):
+        face_steps.append(S.size)
+        return face_step(P, u, S, e, L, Y, k)
+
+    monkeypatch.setattr(framegeo.ellipsoids, "_face_step", support_size_recorded)
+    # three points in the plane, all on the support, off their optimum
+    P, u = face_set([0.8, 0.8])
+    u[:] = [0.3, 0.5, 0.2]
+    args = step_arguments(P, u)
+    assert args[2].size == 3 and args[3].size == 0
+    assert framegeo.ellipsoids._newton_step(*args) is not None
+    assert not face_steps
+    # nor does any fit: a face step starts from k support points
+    for t in range(40):
+        frame = project_standard_basis(random_subspace(8, 4, trial_seed(2026, t))).vectors
+        lowner_symmetric(frame)
+    assert face_steps and set(face_steps) == {4}
+
+
+# (n, k, frames, most steps in all): a mean of at most 1.0 at (6, 3) and
+# 2.2 at (8, 4); without the face step these frames take 1867, 3096, 295
+# and 133 steps
+STEP_COUNTS = [(6, 3, 1000, 1000), (8, 4, 1000, 2200), (40, 5, 60, 295), (100, 10, 20, 133)]
+
+
+@pytest.mark.parametrize("n,k,frames,most", STEP_COUNTS)
+def test_the_face_step_cuts_the_steps_of_haar_fits(n, k, frames, most):
+    # step counts repeat exactly, so this pins the mechanism, not a timing
+    sets = [project_standard_basis(random_subspace(n, k, trial_seed(2026, t))).vectors
+            for t in range(frames)]
+    fits = lowner_block(sets)
+    assert all(fit.newton_steps == fit.iterations for fit in fits)
+    assert sum(fit.iterations for fit in fits) <= most
+
+
+def john_margins(frame, cover):
+    """John's containments for a frame's Lowner cover E_L and its polar E_J,
+    the John ellipsoid of the section: vol(E_J) <= vol(section) <=
+    k^{k/2} vol(E_J) and k^{-k/2} vol(E_L) <= vol(cross) <= vol(E_L), each
+    as its larger side over its smaller, so each holds where it is >= 1.
+    The volumes are the exact polytope volumes, code the fit does not use."""
+    k = frame.k
+    section = volume(polytope_from_frame(frame))
+    cross = volume(cross_projection(frame))
+    lowner = ellipsoid_volume(cover)
+    john = ellipsoid_volume(polar_ellipsoid(cover))
+    c = k ** (k / 2)
+    return np.array([section / john, c * john / section, c * cross / lowner, lowner / cross])
+
+
+JOHN_SIZES = [(6, 3), (8, 4), (14, 4), (10, 5)]
+
+
+def john_trials(n, k, trials=20):
+    frames = [project_standard_basis(random_subspace(n, k, trial_seed(2026, t)))
+              for t in range(trials)]
+    return frames, [fit.ellipsoid for fit in lowner_block([f.vectors for f in frames])]
+
+
+@pytest.mark.parametrize("n,k", JOHN_SIZES)
+def test_lowner_covers_meet_johns_containments(n, k):
+    for frame, cover in zip(*john_trials(n, k)):
+        assert np.all(john_margins(frame, cover) >= 1.0)
+
+
+def test_johns_containments_fail_on_a_planted_cover():
+    # the smallest margins over these (6, 3) trials are 1.51 to 2.72, so a
+    # cover planted x1.5 in volume passes them all; x3 or /3 fails each
+    frames, covers = john_trials(6, 3)
+    for factor in (3.0, 1 / 3):
+        planted = [Ellipsoid(k=3, matrix=c.matrix * factor ** (-2 / 3)) for c in covers]
+        margins = np.array([john_margins(f, c) for f, c in zip(frames, planted)])
+        failing = (margins < 1.0).any(axis=0)
+        assert failing.tolist() == ([False, True, True, False] if factor > 1
+                                    else [True, False, False, True])
