@@ -35,11 +35,16 @@ projected (one copy of its basis) and hulled, the sections' flags grow for
 a group of hulls at a time, the block's Lowner fits advance round by round
 together (``lowner_block``), one stacked log-determinant gives their ratios
 and one stacked einsum the norm profiles, and then each trial's checks are
-assembled against the block's bounds, formed once.  A block gives each
-trial the bits it has alone, and the public one-trial functions are the
-same path with a block of one; where the block's fit fails, its trials are
-fitted again one at a time in order, so the first failing trial raises
-what it raises alone.
+assembled against the block's bounds, formed once.  At k = 2 and 3, where
+a frame has at most 192 candidate vertices C(n, k) 2^(k-1), the block's
+hulls come from one stacked pass over its frames' k-subsets, and a frame
+the pass cannot take (a near-tight row, a near-singular subset, unpaired
+ridges) goes to qhull; elsewhere each frame takes one qhull call, as every
+body's hull does, so ``volume`` may differ from a trial's in the last bits.
+The choice rests on (n, k) alone.  A block gives each trial the bits it
+has alone, and the public one-trial functions are the same path with a
+block of one; where the block's fit fails, its trials are fitted again one
+at a time in order, so the first failing trial raises what it raises alone.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ V-representation).  Both representations store one row per +/- pair.  A
 frame's two bodies share what they are built from: its certified vectors
 are collapsed to +/- representatives once per frame object, and the hull
 of those representatives, built when either body first needs it, is the
-section's own hull and gives the projection's vertices.  Every hull of +/-
-rows comes from one helper, ``_hull``, which stands in for qhull at k = 1
+section's own hull and gives the projection's vertices.  A body's hull of
++/- rows comes from one helper, ``_hull``, which stands in for qhull at k = 1
 with the interval [-t, t].  Exact volumes, for k <= K_EXACT and any number of
 rows, take one hull: a V-rep body's is the volume of the hull of its +/-
 vertices, and an H-rep body's is the volume of the polar of the hull of its
@@ -20,6 +20,14 @@ exterior product of its apexes' polar vertices, so that its determinant is
 built as it grows, one factor per level.  So a trial's two volumes come from
 one hull of the raw +/- v_i of a projected frame (qhull takes repeated,
 zero and interior points), and no hull of the section's vertices is built.
+At k = 2 and 3, where a frame has at most _SUBSET_CANDIDATES candidate
+vertices C(n, k) 2^(k-1), a block's hulls come from one stacked pass over
+its frames' k-subsets (``_subset_facets``) in place of one qhull call each;
+a frame goes to qhull where a row outside a subset is within TAU_GEO of
+tight, where a subset is near-singular, or where a ridge is not in exactly
+two facets.  The choice rests on (n, k) alone.  Bodies keep qhull, since
+they expose its vertices and are built one at a time, so ``volume`` may
+differ from a trial's volumes in the last bits.
 A block of trials grows the flags of a group of its hulls in one pass,
 numbering their facets and vertices hull after hull, which leaves each
 hull's volume bit for bit as it is alone; the group's polar points,
@@ -72,6 +80,7 @@ _CHUNK = 100_000       # directions estimate_volume draws at a time
 _BLOCK_IMAGE = 2 ** 14  # entries of the image of one block it tests (128 KiB)
 _GAUGE_PLANS = 16  # generator sets whose gauge plans are kept, O(m k) each
 _GROUP_FACETS = 512  # facets of the hulls whose flags grow in one pass
+_SUBSET_CANDIDATES = 192  # candidate vertices per frame up to which k-subsets beat qhull
 _APEX_TABLE = 128  # entries a face apex table may hold per face key
 
 
@@ -479,9 +488,10 @@ def _polar_volume(hulls) -> np.ndarray:
     are dropped, so the flags are grown from each facet down, one vertex
     dropped per level, and a chain is kept only while its apex falls
     strictly.  The apexes come three ways:
-    - a ridge, F without one vertex, lies in exactly two of qhull's
-      simplices (its output is triangulated), so its apex is the lower of F
-      and F's neighbor across it;
+    - a ridge, F without one vertex, lies in exactly two of the hull's
+      simplices (qhull's output is triangulated, and ``_subset_facets``
+      builds simplices), so its apex is the lower of F and F's neighbor
+      across it;
     - a face of 1 .. k-2 vertices is keyed by its vertex numbers, in
       ascending order, as the digits of a base-V number, and its apex is
       the lowest facet with that key, scattered by minimum into a table
@@ -490,8 +500,11 @@ def _polar_volume(hulls) -> np.ndarray:
     u_F, then u_a ^ u_F for the ridge's apex a, and so on, one factor per
     level, so chains that share a prefix share its product; at the last
     level it is the determinant.  qhull's splits of a non-simplicial facet
-    share one polar vertex, so the flags across them have zero volume.  At
-    k = 1 the polar of [-t, t] is [-1/t, 1/t].
+    share one polar vertex, so the flags across them have zero volume (the
+    k-subset pass sends such a frame to qhull).  At k = 1 the polar of
+    [-t, t] is [-1/t, 1/t], read off the interval's volume; otherwise a
+    hull is read through its equations, simplices, neighbors and number of
+    points, which qhull's hulls and ``_Facets`` both give.
 
     The group is read in one pass: its hulls' equations are stacked for one
     ``_polar_points``, one cumsum of their facet and point counts gives
@@ -616,17 +629,196 @@ def volume(p: Polytope) -> float:
     return float(hull.volume if p.hrep is None else _polar_volume([hull])[0])
 
 
+def _takes_subset_pass(n: int, k: int) -> bool:
+    """Whether frames of n vectors in R^k take their hulls from
+    ``_subset_facets``: for 2 <= k <= 3 and at most _SUBSET_CANDIDATES
+    candidate vertices, C(n, k) 2^(k-1), per frame.  It depends on (n, k)
+    alone, so a frame takes the same path alone as in a block."""
+    return 2 <= k <= 3 and math.comb(n, k) * 2 ** (k - 1) <= _SUBSET_CANDIDATES
+
+
+class _SubsetPlan(NamedTuple):
+    """Index tables of ``_subset_facets`` at (n, k), with S = C(n, k) k-subsets
+    T in combinations order and G = 2^(k-1) sign vectors s, s_1 = +1, in
+    ``itertools.product`` order.  The tables index the rows of a block's
+    coordinates, one row per (vector, axis).  ``gather[e, c, T, j]``: at
+    e = 0 coordinate c of V_T's row j; the others give its cofactor vector
+    R_j (<v_(T_i), R_j> = det V_T where i = j and 0 otherwise), entry 1
+    times ``swap_signs`` at k = 2 (the 2 x 2 swap) and entry 1 * entry 2 -
+    entry 3 * entry 4 at k = 3 (cross products).  ``others[c, r, T]``:
+    coordinate c of the r-th row outside T.  ``simplices`` and ``ridges``
+    have one row per (T, s, h), h = 1 for the antipode -s: the facet's
+    vertices as indices into concat(V, -V) and, for each slot p, the key of
+    the ridge without it, its k - 1 indices sorted as base-2n digits."""
+    subsets: np.ndarray
+    gather: np.ndarray
+    swap_signs: np.ndarray
+    others: np.ndarray
+    simplices: np.ndarray
+    ridges: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_plan(n: int, k: int) -> _SubsetPlan:
+    """The ``_SubsetPlan`` at (n, k), shared by every caller."""
+    subsets = np.array(list(itertools.combinations(range(n), k)))
+    signs = np.array([(1,) + s for s in itertools.product((1, -1), repeat=k - 1)])
+    cell = subsets[:, :, None] * k + np.arange(k)  # cell [T, j, c] holds V[T_j, c]
+    if k == 2:
+        # R_j = (-1)^(j+c) V[T_(1-j), 1-c]
+        gather = np.stack([cell, cell[:, ::-1, ::-1]])
+    else:
+        # R_j = V_(T_(j+1)) x V_(T_(j+2)), indices mod 3
+        rows = [np.roll(cell, -shift, axis=1) for shift in (1, 2)]
+        a, b = (np.roll(row, -1, axis=2) for row in rows)
+        c, d = (np.roll(row, -2, axis=2) for row in rows)
+        gather = np.stack([cell, a, d, c, b])
+    others = np.array([sorted(set(range(n)).difference(T)) for T in subsets.tolist()],
+                      dtype=np.intp).reshape(len(subsets), n - k)
+    simplices = subsets[:, None, None, :] + n * (
+        signs[None, :, None, :] * np.array([1, -1])[:, None] < 0)
+    base = (2 * n) ** np.arange(k - 2, -1, -1)
+    ridges = np.stack([np.sort(np.delete(simplices, p, axis=-1), axis=-1) @ base
+                       for p in range(k)], axis=-1)
+    plan = _SubsetPlan(subsets, gather.transpose(0, 3, 1, 2),
+                       np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None],
+                       np.arange(k)[:, None, None] + k * others.T,
+                       simplices.reshape(-1, k), ridges.reshape(-1, k))
+    for array in plan:
+        array.setflags(write=False)
+    return plan
+
+
+class _Facets(NamedTuple):
+    """The hull attributes ``_polar_volume`` and ``_frame_volumes`` read, for
+    the hull of a frame's +/- vectors that ``_subset_facets`` builds."""
+    volume: float
+    points: np.ndarray
+    simplices: np.ndarray
+    neighbors: np.ndarray
+    equations: np.ndarray
+
+
+def _subset_facets(vectors) -> list:
+    """The hulls of the +/- vectors of a block of frames of n vectors in
+    R^k, 2 <= k <= 3, from their k-subsets in one stacked pass: a
+    ``_Facets`` per frame, or None for a frame that must go to qhull.
+
+    A facet of conv(+/- v_i) is dual to a vertex y of {|<v_i, y>| <= 1},
+    where the k rows of a subset T are tight: y = V_T^-1 s for a sign
+    vector s.  Each candidate (T, s), s_1 = +1, is formed unscaled,
+    det(V_T) y = sum_j s_j R_j from V_T's cofactor vectors, and it is a
+    facet, with its antipode (T, -s), where every row outside T has
+    |<v_i, y>| < 1.  A frame goes to qhull where that test is within
+    TAU_GEO (relative) of its bound for some candidate, where some
+    |det V_T| is at most TAU_GEO times the product of its rows' norms, or
+    where some ridge is not in exactly two facets: zero, repeated and
+    antipodal rows, and near-degenerate vertices, such as a facet with more
+    than k vertices.  A facet's simplex is its signed rows as
+    indices into qhull's points, concat(V, -V); its equation is [y, -1], so
+    ``_polar_points`` gives y back; its neighbor across slot p is the other
+    facet holding the ridge without p (ridge keys are counted and their
+    facets summed by ``np.bincount``); and the frame's volume is the sum
+    over its facets of |det V_T| / k!.  The frames run along the last axis,
+    and no step mixes two frames' entries or orders its arithmetic by the
+    block (the volume's sum runs over each frame's own contiguous row), so
+    each frame's facets are bit for bit the ones it has alone.
+    """
+    V = np.array(vectors)
+    frames, n, k = V.shape
+    plan = _subset_plan(n, k)
+    subsets, signs = len(plan.subsets), 2 ** (k - 1)
+    columns = np.ascontiguousarray(V.transpose(1, 2, 0)).reshape(n * k, frames)
+    gathered = columns[plan.gather]
+    if k == 2:
+        rows, cofactors = gathered[0], gathered[1] * plan.swap_signs
+    else:
+        rows = gathered[0]
+        cofactors = gathered[1] * gathered[2] - gathered[3] * gathered[4]
+    # [c, T, j]: coordinate c of row j and of cofactor vector j of V_T
+    det = rows[0, :, 0] * cofactors[0, :, 0]
+    for c in range(1, k):
+        det += rows[c, :, 0] * cofactors[c, :, 0]
+    # [c, T, s]: coordinate c of det(V_T) y; step j splits each sum so far
+    # into its +R_j and -R_j branch, which leaves the sums in product order
+    scaled = np.empty((k, subsets, signs, frames))
+    scaled[:, :, 0] = cofactors[:, :, 0]
+    for j in range(1, k):
+        step = 2 ** (k - 1 - j)
+        done, term = scaled[:, :, ::2 * step], cofactors[:, :, None, j]
+        np.subtract(done, term, out=scaled[:, :, step::2 * step])
+        done += term
+    # [r, T, s]: |det(V_T) <v_i, y>| for the r-th row i outside T
+    outside = columns[plan.others]
+    image = scaled[0] * outside[0][:, :, None]
+    for c in range(1, k):
+        image += scaled[c] * outside[c][:, :, None]
+    np.abs(image, out=image)
+    reach = image.max(axis=0, initial=0.0)  # no row is outside T at n = k
+    size = np.abs(det)
+    bound = size[:, None]
+    facet = reach < bound * (1.0 - TAU_GEO)
+    squares = (columns * columns).reshape(n, k, frames).sum(axis=1)
+    singular = det * det <= TAU_GEO ** 2 * squares[plan.subsets].prod(axis=1)
+    qhull = (singular.any(axis=0)
+             | (~facet & (reach <= bound * (1.0 + TAU_GEO))).any(axis=(0, 1)))
+    facet &= ~qhull
+    # each facet (T, s) and its antipode (T, -s), frame after frame
+    positive = np.flatnonzero(facet.reshape(-1, frames).T)
+    frame, cell = np.divmod(positive, subsets * signs)
+    table = (2 * cell[:, None] + (0, 1)).ravel()
+    owner = np.repeat(frame, 2)
+    ends = np.searchsorted(owner, np.arange(frames + 1))
+    local = np.arange(len(table)) - ends[owner]
+    # ridge keys are offset by frame, so no two frames share one; a key
+    # held by exactly two facets pairs them, and the sum of their local
+    # indices less a facet's own is its neighbor
+    span = (2 * n) ** (k - 1)
+    keys = (plan.ridges[table] + (owner * span)[:, None]).ravel()
+    counts = np.bincount(keys, minlength=frames * span).reshape(frames, span)
+    qhull |= ((counts != 0) & (counts != 2)).any(axis=1)
+    held = np.bincount(keys, weights=np.repeat(local, k))
+    neighbors = held[keys].astype(np.intp).reshape(-1, k) - local[:, None]
+    y = (scaled.reshape(k, -1)[:, cell * frames + frame]
+         / det.reshape(-1)[cell // signs * frames + frame])
+    equations = np.empty((len(cell), 2, k + 1))
+    equations[:, 0, :k] = y.T
+    equations[:, 1, :k] = -y.T
+    equations[:, :, k] = -1.0
+    equations = equations.reshape(-1, k + 1)
+    simplices = plan.simplices[table]
+    # each (T, s) facet and its antipode add 2 |det V_T| / k!, summed over
+    # the frame's own contiguous row
+    volumes = np.ascontiguousarray(np.where(facet, bound, 0.0).reshape(-1, frames).T)
+    volumes = volumes.sum(axis=1) * 2.0 / math.factorial(k)
+    points = np.concatenate((V, -V), axis=1)
+    return [None if qhull[i] else
+            _Facets(float(volumes[i]), points[i], simplices[lo:hi], neighbors[lo:hi],
+                    equations[lo:hi])
+            for i, (lo, hi) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist()))]
+
+
 def _frame_volumes(frames) -> list[tuple[float, float]]:
     """Exact (cube section, cross projection) volumes of each of a block of
     frames in R^k projected from Subspaces, whose basis checks (TAU_ORTH <
     TAU_CERT) certified them, both from one hull of its +/- vectors: the
-    hull's own volume and that of its polar, the section.  The frames are
-    hulled in turn, the sections' flags grow a group of hulls within the
-    facet budget at a time (``_hull_groups``), and a group's hulls are
-    dropped once its volumes are read."""
-    _require_exact(frames[0].k)
+    hull's own volume and that of its polar, the section.  Where
+    ``_takes_subset_pass`` holds for the block's (n, k), the hulls come from
+    one stacked pass over the frames' k-subsets (``_subset_facets``), and a
+    frame it cannot take goes to qhull; otherwise every frame is hulled by
+    qhull in turn.  The sections' flags grow a group of hulls within the
+    facet budget at a time (``_hull_groups``), and a group's qhull hulls
+    are built as it fills and dropped once its volumes are read."""
+    n, k = frames[0].vectors.shape
+    _require_exact(k)
+    if _takes_subset_pass(n, k):
+        hulls = _subset_facets([frame.vectors for frame in frames])
+        hulls = (_hull(frame.vectors) if hull is None else hull
+                 for hull, frame in zip(hulls, frames))
+    else:
+        hulls = (_hull(frame.vectors) for frame in frames)
     volumes = []
-    for group in _hull_groups(_hull(frame.vectors) for frame in frames):
+    for group in _hull_groups(hulls):
         volumes += zip(_polar_volume(group).tolist(), (float(hull.volume) for hull in group))
     return volumes
 

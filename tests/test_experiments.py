@@ -520,6 +520,25 @@ BLOCKED_REQUESTS = [(4, 1, 70, 3), (3, 2, 300, 5), (6, 3, 70, 20), (14, 4, 40, 2
                     (10, 5, 40, 1), (14, 5, 36, 4)]
 
 
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 3)])
+def test_subset_pass_ratios_match_the_qhull_path_of_the_public_bodies(n, k):
+    # verify's volumes come from the k-subset pass at these sizes, a body's
+    # from qhull: the two paths share only the flag sum of the section
+    seed, trials = 39, 40
+    reports, _ = run_suite([SuiteSpec(n, k, trials, seed)])
+    frames = [project_standard_basis(random_subspace(n, k, trial_seed(seed, t)))
+              for t in range(trials)]
+    hulls = framegeo.polytopes._subset_facets([frame.vectors for frame in frames])
+    assert all(hull is not None for hull in hulls)
+    for report, frame in zip(reports, frames):
+        section = framegeo.polytopes.volume(framegeo.polytopes.polytope_from_frame(frame))
+        cross = framegeo.polytopes.volume(framegeo.polytopes.cross_projection(frame))
+        assert report.ratios["cube_section_ratio"] == pytest.approx(
+            section / 2.0 ** k, rel=1e-13, abs=0.0)
+        assert report.ratios["cross_projection_ratio"] == pytest.approx(
+            cross * math.factorial(k) / 2.0 ** k, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("n,k,trials,seed", BLOCKED_REQUESTS)
 def test_run_suite_gives_every_trial_the_bits_it_has_alone(monkeypatch, n, k, trials, seed):
     groups = spy_on_groups(monkeypatch)
@@ -624,21 +643,24 @@ def test_conjecture_scan_bound_attained_by_diagonal_line():
     assert r.ratios["cube_section_ratio"] == pytest.approx(2.0 ** 0.5, rel=1e-12)
 
 
-@pytest.mark.parametrize("trial,hulls,fits", [
-    (lambda: verify_volume_bounds(random_subspace(6, 3, trial_seed(7, 0))), 1, 1),
-    (lambda: conjecture_scan(14, 4, trials=1, seed=1), 1, 0),
-    (lambda: verify_volume_bounds(random_subspace(4, 1, trial_seed(3, 0))), 0, 1),
-    (lambda: conjecture_scan(4, 1, trials=1, seed=3), 0, 0),
+@pytest.mark.parametrize("trial,hulls,passed,fits", [
+    (lambda: verify_volume_bounds(random_subspace(6, 3, trial_seed(7, 0))), 0, 1, 1),
+    (lambda: conjecture_scan(14, 4, trials=1, seed=1), 1, 0, 0),
+    (lambda: verify_volume_bounds(random_subspace(4, 1, trial_seed(3, 0))), 0, 0, 1),
+    (lambda: conjecture_scan(4, 1, trials=1, seed=3), 0, 0, 0),
 ], ids=["verify_6_3", "scan_14_4", "verify_4_1", "scan_4_1"])
-def test_one_trial_certifies_once_and_hulls_the_frame_once(monkeypatch, trial, hulls, fits):
+def test_one_trial_certifies_once_and_hulls_the_frame_once(monkeypatch, trial, hulls, passed,
+                                                         fits):
     # the one certification is the check of the Subspace's basis, which is
     # the product certify_unit_decomposition would form; the frame is not
     # certified again.  One projection serves the fit and both bodies; one
     # hull of the +/- v_i serves both bodies, the section's volume being read
-    # off its facets.  At k = 1 both volumes are read off directly.  The
-    # library must look each name up in the namespace where the benchmark
-    # tracer patches it.
-    counts = {"subspaces": 0, "hulls": 0, "certifications": 0, "projections": 0, "fits": 0}
+    # off its facets: qhull's at (14, 4), and at (6, 3) the one the k-subset
+    # pass builds, with no qhull call.  At k = 1 both volumes are read off
+    # directly.  The library must look each name up in the namespace where
+    # the benchmark tracer patches it.
+    counts = {"subspaces": 0, "hulls": 0, "passed": 0, "certifications": 0,
+              "projections": 0, "fits": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -656,6 +678,13 @@ def test_one_trial_certifies_once_and_hulls_the_frame_once(monkeypatch, trial, h
     monkeypatch.setattr(framegeo.frames, "_orthonormal_bases", checked)
     monkeypatch.setattr(framegeo.polytopes, "ConvexHull",
                         counted("hulls", framegeo.polytopes.ConvexHull))
+    subset_facets = framegeo.polytopes._subset_facets
+
+    def passed_frames(vectors):
+        counts["passed"] += len(vectors)
+        return subset_facets(vectors)
+
+    monkeypatch.setattr(framegeo.polytopes, "_subset_facets", passed_frames)
     for module in (framegeo.polytopes, framegeo.frames):
         monkeypatch.setattr(module, "certify_unit_decomposition",
                             counted("certifications", module.certify_unit_decomposition))
@@ -669,7 +698,7 @@ def test_one_trial_certifies_once_and_hulls_the_frame_once(monkeypatch, trial, h
 
     monkeypatch.setattr(framegeo.experiments, "lowner_block", fitted)
     trial()
-    assert counts == {"subspaces": 1, "hulls": hulls, "certifications": 0,
+    assert counts == {"subspaces": 1, "hulls": hulls, "passed": passed, "certifications": 0,
                       "projections": 1, "fits": fits}
 
 

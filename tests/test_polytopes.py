@@ -1480,3 +1480,126 @@ def test_polar_volume_of_a_lone_hull_past_the_key_range_of_its_points():
     assert len(list(framegeo.polytopes._hull_groups([hull, hull]))) == 2
     assert framegeo.polytopes._polar_volume([hull])[0] == pytest.approx(
         2.0 ** 6 / math.factorial(6), rel=1e-12)
+
+
+SUBSET_PASS_SIZES = [(n, k) for k in (2, 3) for n in range(k, 40)
+                     if framegeo.polytopes._takes_subset_pass(n, k)]
+
+
+def sorted_simplices(hull):
+    return {tuple(sorted(simplex)) for simplex in hull.simplices.tolist()}
+
+
+def qhull_path_volumes(rows):
+    """(section, cross projection) volumes of the +/- rows from qhull."""
+    hull = framegeo.polytopes._hull(rows)
+    return float(framegeo.polytopes._polar_volume([hull])[0]), float(hull.volume)
+
+
+def test_subset_pass_takes_small_frames_at_k_2_and_3_only():
+    takes = framegeo.polytopes._takes_subset_pass
+    budget = framegeo.polytopes._SUBSET_CANDIDATES
+    assert (6, 3) in SUBSET_PASS_SIZES and (4, 2) in SUBSET_PASS_SIZES
+    for n, k in [(n, k) for k in range(1, 7) for n in range(k, 40)]:
+        assert takes(n, k) is (k in (2, 3) and math.comb(n, k) * 2 ** (k - 1) <= budget)
+    assert not takes(14, 4) and not takes(4, 1)
+
+
+@pytest.mark.parametrize("n,k", SUBSET_PASS_SIZES)
+def test_subset_pass_builds_qhulls_facets_of_haar_frames(n, k):
+    # one block of 50 frames: the facets as qhull's, each neighbor across
+    # slot p holding the ridge without p, the polar points those of qhull's
+    # facets, and both volumes those of the qhull path
+    frames = [project_standard_basis(random_subspace(n, k, trial_seed(39, t))).vectors
+              for t in range(50)]
+    polar_points = framegeo.polytopes._polar_points
+    for rows, hull in zip(frames, framegeo.polytopes._subset_facets(frames)):
+        qhull = framegeo.polytopes._hull(rows)
+        assert hull is not None
+        assert sorted_simplices(hull) == sorted_simplices(qhull)
+        assert len(hull.points) == len(qhull.points) == 2 * n
+        for facet, (simplex, across) in enumerate(zip(hull.simplices, hull.neighbors)):
+            for p in range(k):
+                ridge = set(simplex.tolist()) - {simplex[p]}
+                assert across[p] != facet and ridge < set(hull.simplices[across[p]].tolist())
+        want = {tuple(sorted(s)): y for s, y in zip(qhull.simplices.tolist(),
+                                                    polar_points(qhull.equations))}
+        for simplex, y in zip(hull.simplices.tolist(), polar_points(hull.equations)):
+            assert np.allclose(y, want[tuple(sorted(simplex))], rtol=1e-12, atol=0.0)
+        got = (framegeo.polytopes._polar_volume([hull])[0], hull.volume)
+        assert got == pytest.approx(qhull_path_volumes(rows), rel=1e-13, abs=0.0)
+
+
+def assert_same_facets(hull, other):
+    """Two ``_Facets`` hold the same bits."""
+    assert repr(hull.volume) == repr(other.volume)
+    for name in ("points", "simplices", "neighbors", "equations"):
+        mine, theirs = getattr(hull, name), getattr(other, name)
+        assert mine.shape == theirs.shape and mine.dtype == theirs.dtype, name
+        assert mine.tobytes() == theirs.tobytes(), name
+
+
+def planted_near_tight_row(rows):
+    """The rows and one more, w, at 1 - 1e-11 on a vertex y of the section:
+    <w, y> is within TAU_GEO of tight, so y's facet is nearly not simplicial."""
+    y = framegeo.polytopes._polar_points(framegeo.polytopes._hull(rows).equations)[0]
+    return np.vstack([rows, (1.0 - 1e-11) * y / (y @ y)])
+
+
+def degenerate_frames():
+    haar = project_standard_basis(random_subspace(6, 3, trial_seed(39, 0))).vectors
+    pair = Subspace(n=5, k=3, basis=np.array([[SQ2 / 2, SQ2 / 2, 0, 0, 0],
+                                              [0, 0, SQ2 / 2, SQ2 / 2, 0],
+                                              [0, 0, 0, 0, 1.0]]))
+    repeated, antipodal, zero = haar.copy(), haar.copy(), haar.copy()
+    repeated[4], antipodal[4], zero[4] = haar[1], -haar[1], 0.0
+    # a Parseval frame whose hull is the cube: every facet is a square, so
+    # every candidate has a fourth tight row, and no facet is simplicial
+    corners = np.array([(1.0, *signs) for signs in itertools.product([1.0, -1.0], repeat=2)])
+    return {"block_4_2": project_standard_basis(equality_subspace(4, 2)).vectors,
+            "cube_corners": corners / 2.0,
+            "block_6_3": project_standard_basis(equality_subspace(6, 3)).vectors,
+            "pair_5_3": project_standard_basis(pair).vectors,
+            "repeated": repeated, "antipodal": antipodal, "zero": zero,
+            "near_tight": planted_near_tight_row(haar)}
+
+
+@pytest.mark.parametrize("name", sorted(degenerate_frames()))
+def test_subset_pass_sends_degenerate_frames_to_qhull(name):
+    # alone and between two Haar frames of the same size, the frame goes to
+    # qhull, and _frame_volumes gives it the qhull path's bits
+    rows = degenerate_frames()[name]
+    n, k = rows.shape
+    assert framegeo.polytopes._takes_subset_pass(n, k)
+    haar = [project_standard_basis(random_subspace(n, k, trial_seed(40, t))).vectors
+            for t in range(2)]
+    subset_facets = framegeo.polytopes._subset_facets
+    assert subset_facets([rows]) == [None]
+    alone = subset_facets(haar)
+    block = subset_facets([haar[0], rows, haar[1]])
+    assert block[1] is None
+    for hull, by_itself in zip(block[::2], alone):
+        assert_same_facets(hull, by_itself)
+    frames = [SimpleNamespace(vectors=v) for v in (haar[0], rows, haar[1])]
+    got = _frame_volumes(frames)
+    assert repr(got[1]) == repr(qhull_path_volumes(rows))
+    assert got[::2] == _frame_volumes(frames[::2])
+
+
+def test_subset_pass_sends_a_frame_whose_ridges_do_not_pair_to_qhull(monkeypatch):
+    # with the tight-row test turned inside out, the candidates through the
+    # planted row's near-tight vertex count as facets too, and some ridge
+    # then lies in more than two of them
+    rows = degenerate_frames()["near_tight"]
+    haar = project_standard_basis(random_subspace(7, 3, trial_seed(40, 0))).vectors
+    monkeypatch.setattr(framegeo.polytopes, "TAU_GEO", -1e-6)
+    block = framegeo.polytopes._subset_facets([haar, rows])
+    assert block[0] is not None and block[1] is None
+
+
+def test_subset_pass_is_bit_for_bit_alone_in_a_block():
+    frames = [project_standard_basis(random_subspace(6, 3, trial_seed(41, t))).vectors
+              for t in range(7)]
+    block = framegeo.polytopes._subset_facets(frames)
+    for rows, hull in zip(frames, block):
+        assert_same_facets(framegeo.polytopes._subset_facets([rows])[0], hull)
